@@ -44,6 +44,14 @@ def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
     return doc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for box sizes and search radii: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _poly_str(num, den) -> str:
     names = ["1", "x", "x^2", "x^3"]
     parts = []
@@ -310,18 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t", type=int)
     p.add_argument("--brute-check", action="store_true",
                    help="also run the box oracle and require agreement")
-    p.add_argument("--box", type=int, default=None,
+    p.add_argument("--box", type=_positive_int, default=None,
                    help="box size for --brute-check (default t+40)")
-    p.add_argument("--thue-bound", type=int, default=DEFAULT_THUE_BOUND)
-    p.add_argument("--point-radius", type=int, default=POINT_RADIUS_START)
-    p.add_argument("--point-radius-cap", type=int, default=POINT_RADIUS_CAP)
+    p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
+    p.add_argument("--point-radius", type=_positive_int, default=POINT_RADIUS_START)
+    p.add_argument("--point-radius-cap", type=_positive_int, default=POINT_RADIUS_CAP)
     p.add_argument("--allow-hypothesis-violation", action="store_true")
     p.set_defaults(func=cmd_minimal_index)
 
     p = sub.add_parser("thue", help="solve F_t(p,q) = w")
     p.add_argument("t", type=int)
     p.add_argument("w", type=int)
-    p.add_argument("--bound", type=int, default=1000,
+    p.add_argument("--bound", type=_positive_int, default=1000,
                    help="search box for w not of the form +-2^e")
     p.set_defaults(func=cmd_thue)
 
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="check solver output against golden tables")
     p.add_argument("--t", help="comma-separated t list (default: full golden set)")
     p.add_argument("--all", action="store_true", help="run the full golden set")
-    p.add_argument("--thue-bound", type=int, default=DEFAULT_THUE_BOUND)
+    p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
     p.set_defaults(func=cmd_verify_paper)
     return ap
 

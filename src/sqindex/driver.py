@@ -35,7 +35,7 @@ from .thue import bounded_search_multi, family_form, solve_power_of_two
 from .conic import (POINT_RADIUS_CAP, POINT_RADIUS_START, DegeneratePoint,
                     divisors, find_point, parametrize, thue_reduction)
 
-DEFAULT_THUE_BOUND = 2000
+DEFAULT_THUE_BOUND = 100_000
 
 _CLASS_GN = {V2Class.V0: (2, 2), V2Class.V1: (2, 4),
              V2Class.V2: (4, 8), V2Class.V3plus: (4, 16)}

@@ -9,14 +9,38 @@ them through two exact transforms:
 
 (the second is asserted symbolically in the tests), together with the
 mod-8 obstruction that rules out w = +-2.  Everything else goes through
-a bounded exhaustive search that reports its box.
+a bounded search that reports its box.
+
+The bounded search enumerates root windows instead of the whole box.  Let
+f(x) = G(x, 1) = a prod (x - alpha_i) have degree d, with the roots
+repeated by multiplicity (c0 = 0 lowers d).  Take q != 0 with
+|G(p, q)| <= W, let alpha be the root nearest p/q, of multiplicity m, and
+let S be any set of the other distinct roots beta, of multiplicities m_b.
+Then
+
+    |p - alpha q|^(m + m_S) prod_{beta not in S} (|alpha - beta| |q| / 2)^m_b <= W / |a|.
+
+Proof: |a| prod |p - alpha_i q| = |G(p, q)| / |q|^(4-d) <= W;
+|p - beta q| >= |p - alpha q| since alpha is nearest; and
+|alpha - beta| |q| <= |p - alpha q| + |p - beta q| <= 2 |p - beta q|.
+
+S = all gives |p - alpha q| <= R = ceil((W/|a|)^(1/d)); S = {} gives
+|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|) for four simple
+roots; a non-real alpha needs |Im alpha| |q| <= R.  The windows are
+certified: every root sits in a disk proven in exact arithmetic to hold
+exactly one root, each p-range is widened by an explicit bound on its
+float64 rounding, and every candidate is re-checked with exact integers.
+As G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row is solved
+directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -129,78 +153,304 @@ def solve_power_of_two(t: int, w: int) -> SolutionSet:
     return SolutionSet.of(pairs, proven=True)
 
 
-def _grid_chunks(bound: int):
-    """Canonical-sign (p, q) pairs with |p|, |q| <= bound, in flat chunks."""
-    b = int(bound)
-    qs = np.arange(-b, b + 1, dtype=np.int64)
-    rows_per_chunk = max(1, 2_000_000 // (2 * b + 1))
-    for lo in range(1, b + 1, rows_per_chunk):
-        ps = np.arange(lo, min(lo + rows_per_chunk, b + 1), dtype=np.int64)
-        pg, qg = np.meshgrid(ps, qs, indexing="ij")
-        yield pg.ravel(), qg.ravel()
-    yield np.zeros(b, dtype=np.int64), np.arange(1, b + 1, dtype=np.int64)
+# --- bounded search by root windows -------------------------------------------
+
+_U = 2.0 ** -53           # unit roundoff of float64
+_GROW = 1 + 2.0 ** -20    # covers the relative rounding of a few float64 operations
+_Q_CHUNK = 1 << 16        # q values per vectorised window step
+_PREC_START = 64          # bits after the binary point of the root approximations
+_PREC_TRIES = 6           # precision doublings before root isolation gives up
+
+
+@dataclass(frozen=True)
+class _Root:
+    """Certified data of one distinct root alpha of f(x) = G(x, 1).
+
+    |Re alpha - x| <= rho and Im alpha >= y_lo >= 0: of a conjugate pair
+    only the root above the real axis is listed.  seps pairs a lower
+    bound on |alpha - beta| with the multiplicity of beta for every other
+    distinct root beta, conjugates included.
+    """
+
+    x: float
+    rho: float
+    y_lo: float
+    seps: tuple[tuple[float, int], ...]
+
+
+def _below(v: Fraction) -> float:
+    return math.nextafter(float(v), -math.inf)
+
+
+def _above(v: Fraction) -> float:
+    return math.nextafter(float(v), math.inf)
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _deriv(a: list) -> list:
+    return _trim([i * a[i] for i in range(1, len(a))])
+
+
+def _sub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials over Q (lowest degree first)."""
+    a, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c, s = a[-1] / b[-1], len(a) - len(b)
+        quot[s] = c
+        for i, bi in enumerate(b):
+            a[s + i] -= c * bi
+        a = _trim(a)
+    return _trim(quot), a
+
+
+def _gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _primitive(a: list) -> list[int]:
+    den = 1
+    for c in a:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in a]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    return [c // g for c in ints]
+
+
+def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm: f = lead * prod g^m with g squarefree and coprime.
+
+    Polynomials are integer coefficient lists, lowest degree first; each g
+    is returned primitive, with its multiplicity m.
+    """
+    f = [Fraction(c) for c in f]
+    df = _deriv(f)
+    a = _gcd(f, df)
+    b, c = _divmod(f, a)[0], _divmod(df, a)[0]
+    out, m = [], 1
+    while len(b) > 1:
+        d = _sub(c, _deriv(b))
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((_primitive(a), m))
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        m += 1
+    return out
+
+
+def _eval_scaled(g: list[int], x: int, y: int, k: int):
+    """2^(k n) g(z) and 2^(k (n-1)) g'(z) as Gaussian integers, z = (x + iy) / 2^k."""
+    vr, vi, ur, ui = g[-1], 0, 0, 0
+    scale = 1
+    for c in reversed(g[:-1]):
+        scale <<= k
+        ur, ui = ur * x - ui * y + vr, ur * y + ui * x + vi
+        vr, vi = vr * x - vi * y + c * scale, vr * y + vi * x
+    return vr, vi, ur, ui
+
+
+def _certify(g: list[int], zs: list[tuple[int, int]], k: int):
+    """Radii (in units 2^-k) of disjoint disks each holding one root of g, or None.
+
+    A disk |w - z| <= n |g(z) / g'(z)| holds a root of g (n = deg g), since
+    g'/g = sum 1/(z - alpha_i).  n pairwise disjoint such disks hold one
+    root each, so they account for every root.
+    """
+    n = len(g) - 1
+    rad = []
+    for x, y in zs:
+        vr, vi, ur, ui = _eval_scaled(g, x, y, k)
+        den = ur * ur + ui * ui
+        if den == 0:
+            return None
+        rad.append(isqrt(-(-n * n * (vr * vr + vi * vi) // den)) + 1)
+
+    def apart(z, j, r):
+        return (z[0] - zs[j][0]) ** 2 + (z[1] - zs[j][1]) ** 2 > (r + rad[j]) ** 2
+
+    for i in range(n):
+        if not all(apart(zs[i], j, rad[i]) for j in range(i + 1, n)):
+            return None
+        # a disk meeting the real axis holds a real root when its mirror
+        # image meets no other disk: the conjugate root must lie in it
+        mirror = (zs[i][0], -zs[i][1])
+        if abs(zs[i][1]) <= rad[i] and not all(apart(mirror, j, rad[i])
+                                               for j in range(n) if j != i):
+            return None
+    return rad
+
+
+def _isolate(g: list[int]) -> list[tuple[int, int, int, int]]:
+    """Certified disks (x + iy, r) / 2^k, one per root of the squarefree g.
+
+    Float roots are refined by Newton's method in exact Gaussian integers
+    and certified by `_certify`; the precision doubles until that succeeds.
+    """
+    k = _PREC_START
+    zs = [(int(math.ldexp(z.real, k)), int(math.ldexp(z.imag, k)))
+          for z in np.roots([float(c) for c in reversed(g)])]
+    for _ in range(_PREC_TRIES):
+        for _ in range(100):
+            moved = False
+            for i, (x, y) in enumerate(zs):
+                vr, vi, ur, ui = _eval_scaled(g, x, y, k)
+                den = ur * ur + ui * ui
+                if den == 0:
+                    continue
+                dx = (2 * (vr * ur + vi * ui) + den) // (2 * den)
+                dy = (2 * (vi * ur - vr * ui) + den) // (2 * den)
+                zs[i] = (x - dx, y - dy)
+                moved |= abs(dx) > 1 or abs(dy) > 1
+            if not moved:
+                break
+        rad = _certify(g, zs, k)
+        if rad is not None:
+            return [(x, y, r, k) for (x, y), r in zip(zs, rad)]
+        zs = [(x << k, y << k) for x, y in zs]
+        k *= 2
+    raise ArithmeticError(f"could not isolate the roots of {g}")
+
+
+def _roots(f: list[int]) -> list[_Root]:
+    """Certified enclosures of the distinct roots of f (lowest degree first)."""
+    disks = [(x, y, r, k, m) for g, m in _squarefree_factors(f) for x, y, r, k in _isolate(g)]
+    roots = []
+    for i, (x, y, r, k, _) in enumerate(disks):
+        if y < -r:
+            continue  # the conjugate of a root listed with y > r
+        xf = x / (1 << k)
+        seps = []
+        for j, (x2, y2, r2, k2, m2) in enumerate(disks):
+            if j != i:
+                kk = max(k, k2)
+                dx, dy = (x << (kk - k)) - (x2 << (kk - k2)), (y << (kk - k)) - (y2 << (kk - k2))
+                low = isqrt(dx * dx + dy * dy) - (r << (kk - k)) - (r2 << (kk - k2))
+                seps.append((max(_below(Fraction(low, 1 << kk)), 0.0), m2))
+        roots.append(_Root(
+            x=xf,
+            rho=_above(Fraction(r, 1 << k) + abs(Fraction(x, 1 << k) - Fraction(xf))),
+            y_lo=max(_below(Fraction(y - r, 1 << k)), 0.0) if y > r else 0.0,
+            seps=tuple(seps)))
+    return roots
+
+
+def _iroot_ceil(n: int, d: int) -> int:
+    """Least r >= 0 with r^d >= n."""
+    if n <= 0:
+        return 0
+    r = 1 << -(-n.bit_length() // d)
+    while True:
+        s = ((d - 1) * r + n // r ** (d - 1)) // d
+        if s >= r:
+            break
+        r = s
+    return r if r ** d >= n else r + 1
+
+
+def _fourth_root(v: int, c: int) -> int:
+    """r >= 1 with c r^4 = v, or 0 when there is none."""
+    if c == 0 or v % c:
+        return 0
+    r = _iroot_ceil(v // c, 4)
+    return r if r ** 4 == v // c else 0
+
+
+def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
+    """Chunks of (p, q) arrays, q >= 1, holding every |p|, |q| <= bound with
+    |G(p, q)| <= top whose nearest root of f is `root`.
+    """
+    big_r = _iroot_ceil(-(-top // abs(lead)), d)
+    qmax = bound
+    if abs(root.x) > root.rho:
+        qmax = min(qmax, int((bound + big_r + 2) / (abs(root.x) - root.rho)) + 1)
+    if root.y_lo > 0:
+        qmax = min(qmax, int(big_r / root.y_lo) + 1)
+    # one window (const / q^e)^(1/m) per set S of nearest other roots
+    # (module docstring); S = all of them is R itself
+    seps = sorted(root.seps)
+    terms = []
+    for k in range(len(seps)):
+        rest = seps[k:]
+        prod = math.prod(s ** m2 for s, m2 in rest)
+        if prod > 0:
+            e = sum(m2 for _, m2 in rest)
+            terms.append((2.0 ** e * top / abs(lead) / prod, e, d - e))
+    y_lo = root.y_lo * (1 - 2.0 ** -30)
+    size = (abs(root.x) + root.rho) * qmax + big_r + 2
+    slack = (root.rho * qmax + 8 * _U * size) * _GROW
+    for start in range(1, qmax + 1, _Q_CHUNK):
+        q = np.arange(start, min(start + _Q_CHUNK, qmax + 1), dtype=np.float64)
+        half = np.full_like(q, float(big_r))
+        with np.errstate(over="ignore"):
+            for const, e, m in terms:
+                np.minimum(half, (const / q ** e) ** (1.0 / m) * _GROW, out=half)
+        centre = root.x * q
+        lo = np.maximum(np.ceil(centre - half - slack), -bound)
+        hi = np.minimum(np.floor(centre + half + slack), bound)
+        keep = lo <= hi
+        if root.y_lo > 0:
+            keep &= y_lo * q <= half
+        if not keep.any():
+            continue
+        lo, hi, q = lo[keep].astype(np.int64), hi[keep].astype(np.int64), q[keep].astype(np.int64)
+        counts = hi - lo + 1
+        offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        yield np.repeat(lo, counts) + offsets, np.repeat(q, counts)
 
 
 def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
                          ) -> dict[int, SolutionSet]:
-    """Exhaustive scan of |p|,|q| <= bound for every target value at once.
+    """All canonical pairs with |p|,|q| <= bound and form(p,q) = v, for each target v.
 
-    One grid evaluation serves all right-hand sides.  When the exact
-    values fit in int64 the comparison is exact; otherwise a float64
-    evaluation with a conservative error margin preselects candidates
-    that are then re-checked in exact integer arithmetic.
+    Only the p allowed by the certified root windows of the module
+    docstring are tried, and every candidate is re-checked in exact
+    integer arithmetic.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    targets = sorted(set(int(v) for v in targets))
     c = form.coeffs
-    max_abs = sum(abs(ci) for ci in c) * bound ** 4
-    exact = max_abs < 2 ** 62
+    if not any(c):
+        raise ValueError("the zero form has no bounded solution set")
+    targets = sorted(set(int(v) for v in targets))
     top = max((abs(v) for v in targets), default=0)
-    margin = max_abs * 1e-11 + 10.0
-    tset = set(targets)
+    f = _trim(list(reversed(c)))  # f(x) = G(x, 1), lowest degree first
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
-    for p_axis, q_axis in _grid_chunks(bound):
-        if exact:
-            vals = _eval_int64(c, p_axis, q_axis)
-            for v in targets:
-                for i in np.nonzero(vals == v)[0]:
-                    hits[v].append((int(p_axis[i]), int(q_axis[i])))
-        else:
-            fvals = _eval_float(c, p_axis, q_axis)
-            for i in np.nonzero(np.abs(fvals) <= top + margin)[0]:
-                p, q = int(p_axis[i]), int(q_axis[i])
-                val = form(p, q)
-                if val in tset:
-                    hits[val].append((p, q))
+    for v in targets:
+        # the q = 0 row: G(p, 0) = c0 p^4 with p >= 1
+        if c[0] == 0 and v == 0:
+            hits[v].extend((p, 0) for p in range(1, bound + 1))
+        r = _fourth_root(v, c[0])
+        if 1 <= r <= bound:
+            hits[v].append((r, 0))
+        # f constant: G = c4 q^4 whatever p is
+        r = _fourth_root(v, c[4]) if len(f) == 1 else 0
+        if 1 <= r <= bound:
+            hits[v].extend((p, r) for p in range(-bound, bound + 1))
+    if len(f) > 1:
+        candidates = set()
+        for root in _roots(f):
+            for ps, qs in _window_candidates(root, len(f) - 1, f[-1], top, bound):
+                candidates.update(zip(ps.tolist(), qs.tolist()))
+        for p, q in candidates:
+            val = form(p, q)
+            if val in hits:
+                hits[val].append((p, q))
     return {v: SolutionSet.of(pairs, proven=False, bound=bound)
             for v, pairs in hits.items()}
-
-
-def _eval_int64(c, p, q):
-    out = c[0] * p
-    out += c[1] * q
-    out *= p
-    out += c[2] * q * q
-    out *= p
-    out += c[3] * q * q * q
-    out *= p
-    out += c[4] * q * q * q * q
-    return out
-
-
-def _eval_float(c, p, q):
-    pf = p.astype(np.float64)
-    qf = q.astype(np.float64)
-    out = c[0] * pf
-    out += c[1] * qf
-    out *= pf
-    out += c[2] * qf * qf
-    out *= pf
-    out += c[3] * qf ** 3
-    out *= pf
-    out += c[4] * qf ** 4
-    return out
 
 
 def bounded_search(form: BinaryQuarticForm, rhs: int, bound: int) -> SolutionSet:

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from sqindex.cli import main
+from sqindex.driver import DEFAULT_THUE_BOUND
 
 
 def run(capsys, *argv):
@@ -68,7 +71,23 @@ def test_minimal_index_command(capsys):
     assert doc["results"]["m"] == 3
     assert doc["results"]["brute_agrees"] is True
     assert len(doc["results"]["elements"]) == 6
-    assert doc["results"]["rigor"] == "BoundedSearchOnly(2000)"
+    assert doc["results"]["rigor"] == f"BoundedSearchOnly({DEFAULT_THUE_BOUND})"
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal-index", "12", "--thue-bound", "0"),
+    ("verify-paper", "--t", "6", "--thue-bound", "0"),
+    ("thue", "5", "12", "--bound", "0"),
+    ("minimal-index", "12", "--brute-check", "--box", "0"),
+    ("minimal-index", "12", "--point-radius", "0"),
+    ("minimal-index", "12", "--point-radius-cap", "-1"),
+])
+def test_box_flags_reject_values_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "must be >= 1" in err and "Traceback" not in err
 
 
 def test_minimal_index_hypothesis_violation(capsys):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.thue import (SolutionSet, UnsupportedW, base_solutions,
+from sqindex.thue import (BinaryQuarticForm, SolutionSet, UnsupportedW, base_solutions,
                           bounded_search, bounded_search_multi, canonical_pair,
                           family_form, solve_power_of_two)
 from sqindex.goldens import thue_base_golden
@@ -163,3 +163,70 @@ def test_solution_set_canonical_storage():
     s = SolutionSet.of([(1, 2), (-1, -2), (0, -3)], proven=True)
     assert s.pairs == ((0, 3), (1, 2))
     assert (-1, -2) in s
+
+
+def grid_search(form, targets, bound):
+    """Reference for bounded_search_multi: every canonical pair of the box."""
+    hits = {v: [] for v in targets}
+    for p in range(bound + 1):
+        for q in range(-bound if p else 1, bound + 1):
+            val = form(p, q)
+            if val in hits:
+                hits[val].append((p, q))
+    return {v: tuple(sorted(pairs)) for v, pairs in hits.items()}
+
+
+def form_product(*factors):
+    """Coefficients of a product of binary forms, highest power of p first."""
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if k - i < len(f) and k >= i)
+               for k in range(len(out) + len(f) - 1)]
+    return tuple(out)
+
+
+_linear = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+_quadratic = st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(-6, 6))
+_definite = _quadratic.filter(lambda f: f[1] ** 2 < 4 * f[0] * f[2])
+_indefinite = _quadratic.filter(lambda f: f[0] and f[1] ** 2 > 4 * f[0] * f[2])
+_forms = st.one_of(
+    # totally real: rational roots, and irrational ones from two real quadratics
+    st.tuples(_linear, _linear, _linear, _linear).map(lambda fs: form_product(*fs)),
+    st.tuples(_indefinite, _indefinite).map(lambda fs: form_product(*fs)),
+    # two real roots, and none
+    st.tuples(_indefinite, _definite).map(lambda fs: form_product(*fs)),
+    st.tuples(_definite, _definite).map(lambda fs: form_product(*fs)),
+    # c0 = 0 (a factor q), c0 = c4 = 0 (a factor p q), and a repeated root
+    st.tuples(_linear, _quadratic).map(lambda fs: form_product((0, 1), *fs)),
+    st.tuples(_linear, _linear).map(lambda fs: form_product((1, 0), (0, 1), *fs)),
+    st.tuples(_linear, _quadratic).map(lambda fs: form_product(fs[0], *fs)),
+    st.tuples(*[st.integers(-20, 20)] * 5),
+).filter(any)
+
+_golden_t256 = (1, 1024, 327664, 33677344, 32448496)
+_golden_t256_targets = [s * 2 * 4 ** i for i in range(12) for s in (1, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_forms, bound=st.integers(1, 60), zero=st.booleans(),
+       points=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=3),
+       extra=st.lists(st.integers(-3000, 3000), max_size=3))
+@example(coeffs=form_product((1, -1), (1, -1), (1, 0, 1)), bound=60, zero=True,
+         points=[(1, 1), (2, 1), (1, 0), (7, 5)], extra=[])
+@example(coeffs=form_product((1, -1), (1, -1), (1, -1), (1, -1)), bound=40, zero=True,
+         points=[(3, 1)], extra=[16])
+@example(coeffs=(0, 0, 0, 0, 3), bound=20, zero=True, points=[(5, 2)], extra=[])
+@example(coeffs=(0, 2, 0, 0, 0), bound=30, zero=True, points=[(3, 1)],
+         extra=[])
+@example(coeffs=_golden_t256, bound=60, zero=True, points=[], extra=_golden_t256_targets)
+@example(coeffs=(8, 128, 128, -3072, 3328), bound=60, zero=False, points=[(2, 1), (10, -1)],
+         extra=[2 * k * k for k in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)])
+@example(coeffs=(-11, 32, 16, -32, -16), bound=60, zero=False, points=[],
+         extra=[s * 4 ** i for i in range(8) for s in (1, -1)])
+def test_bounded_search_matches_grid(coeffs, bound, zero, points, extra):
+    form = BinaryQuarticForm(coeffs)
+    targets = {form(p, q) for p, q in points} | set(extra) | ({0} if zero else set())
+    got = bounded_search_multi(form, targets, bound)
+    want = grid_search(form, targets, bound)
+    assert {v: s.pairs for v, s in got.items()} == want
+    assert all(not s.proven and s.bound == bound for s in got.values())
