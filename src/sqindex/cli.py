@@ -24,7 +24,6 @@ from .indexcore import index_via_forms
 from .thue import UnsupportedW, bounded_search, family_form, solve_power_of_two
 from .driver import (DEFAULT_THUE_BOUND, brute_force_minimal,
                      enumerate_case2_triples, minimal_index)
-from .conic import POINT_RADIUS_CAP, POINT_RADIUS_START
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -45,7 +44,7 @@ def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for box sizes and search radii: an integer >= 1."""
+    """argparse type for box sizes: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -131,6 +130,8 @@ def cmd_index(args) -> int:
         vals = _parse_ints(args.power)
         if len(vals) != 5:
             raise ParameterError("--power needs a,x,y,z,d")
+        if vals[4] < 1:
+            raise ParameterError(f"--power needs d >= 1, got {vals[4]}")
         rep = PowerRep.reduced(*vals)
         elem = from_power_rep(rep, param)
     m_oracle = index_oracle(elem, param)
@@ -160,9 +161,7 @@ def _element_str(e) -> str:
 def cmd_minimal_index(args) -> int:
     t0 = time.time()
     param = _param(args)
-    res = minimal_index(param, thue_bound=args.thue_bound,
-                        radius_start=args.point_radius,
-                        radius_cap=args.point_radius_cap)
+    res = minimal_index(param, thue_bound=args.thue_bound)
     results = {
         "m": res.m,
         "elements": [list(e) for e in res.elements],
@@ -321,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_positive_int, default=None,
                    help="box size for --brute-check (default t+40)")
     p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
-    p.add_argument("--point-radius", type=_positive_int, default=POINT_RADIUS_START)
-    p.add_argument("--point-radius-cap", type=_positive_int, default=POINT_RADIUS_CAP)
     p.add_argument("--allow-hypothesis-violation", action="store_true")
     p.set_defaults(func=cmd_minimal_index)
 
@@ -340,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-paper", help="check solver output against golden tables")
-    p.add_argument("--t", help="comma-separated t list (default: full golden set)")
-    p.add_argument("--all", action="store_true", help="run the full golden set")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--t", help="comma-separated t list")
+    grp.add_argument("--all", action="store_true",
+                     help="run the full golden set (the default)")
     p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
     p.set_defaults(func=cmd_verify_paper)
     return ap

@@ -8,10 +8,11 @@ two branches of the reduction:
                     power-of-two right side; their solution sets are known
                     completely, so this branch is rigorous.
   Case II (v != 0): finitely many (u, v) pairs survive an exact
-                    divisor/perfect-square sweep; each leads to a cone
-                    parametrization and quartic Thue equations solved by
-                    bounded exhaustive search, so this branch carries a
-                    search-box flag.
+                    divisor/perfect-square sweep; each cone without a
+                    rational point (Legendre) is proven empty, the others
+                    lead to a parametrization and quartic Thue equations
+                    solved by bounded exhaustive search, so such a branch
+                    carries a search-box flag.
 
 Every emitted element is re-verified against both the characteristic
 polynomial oracle and the resolvent-form computation.  A direct
@@ -32,10 +33,11 @@ from .elements import (AlgebraicInt, canonical_triple, index_oracle,
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import bounded_search_multi, family_form, solve_power_of_two
-from .conic import (POINT_RADIUS_CAP, POINT_RADIUS_START, DegeneratePoint,
-                    divisors, find_point, parametrize, thue_reduction)
+from .conic import (DegeneratePoint, divisors, find_point, parametrize,
+                    thue_reduction)
 
 DEFAULT_THUE_BOUND = 100_000
+_SYSTEM_SCAN_BOX = 48  # |x|, |y|, |z| box of `_system_box_scan`
 
 _CLASS_GN = {V2Class.V0: (2, 2), V2Class.V1: (2, 4),
              V2Class.V2: (4, 8), V2Class.V3plus: (4, 16)}
@@ -177,31 +179,31 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
 
 
 def case2_candidates(param: FamilyParameter, m: int,
-                     thue_bound: int = DEFAULT_THUE_BOUND,
-                     radius_start: int = POINT_RADIUS_START,
-                     radius_cap: int = POINT_RADIUS_CAP) -> tuple[dict, Rigor]:
-    """Elements of index m from the v != 0 branch (bounded search).
+                     thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
+    """Elements of index m from the v != 0 branch.
 
     Any solution of the system Q1 = +-u, Q2 = +-v lies on the cone
-    Q0 = v*Q1 - u*Q2 = 0, so a conic with no point inside the search
-    radius contributes no solutions inside that box either.
+    Q0 = v*Q1 - u*Q2 = 0.  When Q0 has no rational point (a Hilbert
+    symbol obstruction, see `conic`) the branch is proven empty; so is
+    one whose Thue equations have no integral right side.  The result is
+    bounded only by the searches that actually ran: the Thue box, or the
+    direct scan box for a cone without a parametrization.
     """
-    pairs = candidate_uv_pairs(param, m)
-    if not pairs:
-        return {}, Rigor.certain()
     _, q1, q2 = family_forms(param.t)
     out: dict = {}
-    for (u, v), _prov in sorted(pairs.items()):
+    rigor = Rigor.certain()
+    for (u, v), _prov in sorted(candidate_uv_pairs(param, m).items()):
         q0 = TernaryForm.combine(v, q1, -u, q2)
-        point = find_point(q0, radius_start, radius_cap)
+        point = find_point(q0)
         if point is None:
             continue
         try:
             par = parametrize(q0, point)
             qform, target = (q1, u) if u != 0 else (q2, v)
             red = thue_reduction(par, qform, target)
-        except (DegeneratePoint, ValueError):
-            _system_box_scan(param, u, v, radius_cap, out)
+        except DegeneratePoint:
+            _system_box_scan(param, u, v, _SYSTEM_SCAN_BOX, out)
+            rigor = rigor.merge(Rigor.bounded(_SYSTEM_SCAN_BOX))
             continue
         if not red.instances:
             continue
@@ -209,11 +211,12 @@ def case2_candidates(param: FamilyParameter, m: int,
         for inst in red.instances:
             targets.update((inst.rhs, -inst.rhs))
         sols = bounded_search_multi(red.instances[0].form, targets, thue_bound)
+        rigor = rigor.merge(Rigor.bounded(thue_bound))
         for inst in red.instances:
             for w in (inst.rhs, -inst.rhs):
                 for p, q in sols[w]:
                     _collect_solution(param, par, inst.k, p, q, w, (u, v), "II", out)
-    return out, Rigor.bounded(thue_bound)
+    return out, rigor
 
 
 def _system_box_scan(param: FamilyParameter, u: int, v: int, box: int, out: dict):
@@ -239,9 +242,7 @@ def _system_box_scan(param: FamilyParameter, u: int, v: int, box: int, out: dict
 
 
 def minimal_index(param: FamilyParameter,
-                  thue_bound: int = DEFAULT_THUE_BOUND,
-                  radius_start: int = POINT_RADIUS_START,
-                  radius_cap: int = POINT_RADIUS_CAP) -> MinimalIndexResult:
+                  thue_bound: int = DEFAULT_THUE_BOUND) -> MinimalIndexResult:
     """Minimal index of the field and every element attaining it.
 
     Tries m = 1, 2, ... and stops at the first m with solutions; the
@@ -251,7 +252,7 @@ def minimal_index(param: FamilyParameter,
     rigor = Rigor.certain()
     for m in range(1, param.n + 1):
         found1, r1 = case1_candidates(param, m)
-        found2, r2 = case2_candidates(param, m, thue_bound, radius_start, radius_cap)
+        found2, r2 = case2_candidates(param, m, thue_bound)
         rigor = rigor.merge(r1).merge(r2)
         merged: dict = {}
         for src in (found1, found2):

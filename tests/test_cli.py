@@ -45,6 +45,14 @@ def test_index_power_input(capsys):
     assert run(capsys, "index", "12", "--power", "0,19,11,-1,4")[0] == 2
 
 
+@pytest.mark.parametrize("power", ["1,1,1,1,0", "3,19,11,-1,-4"])
+def test_index_power_rejects_nonpositive_denominator(capsys, power):
+    code, out, err = run(capsys, "index", "5", "--power=" + power)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "d >= 1" in err
+
+
 def test_thue_command(capsys):
     code, out, _ = run(capsys, "--json", "thue", "4", "1")
     doc = json.loads(out)
@@ -79,8 +87,6 @@ def test_minimal_index_command(capsys):
     ("verify-paper", "--t", "6", "--thue-bound", "0"),
     ("thue", "5", "12", "--bound", "0"),
     ("minimal-index", "12", "--brute-check", "--box", "0"),
-    ("minimal-index", "12", "--point-radius", "0"),
-    ("minimal-index", "12", "--point-radius-cap", "-1"),
 ])
 def test_box_flags_reject_values_below_one(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -133,3 +139,18 @@ def test_json_determinism(capsys):
         doc.pop("timing_ms")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_verify_paper_all_excludes_t(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--all", "--t", "6"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--point-radius", "--point-radius-cap"])
+def test_point_radius_flags_are_gone(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["minimal-index", "12", flag, "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,10 +1,18 @@
+import signal
+from contextlib import contextmanager
+from math import gcd
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
-from sqindex.conic import (DegeneratePoint, divisors, find_point, parametrize,
-                           thue_reduction)
+from sqindex.conic import (DegeneratePoint, divisors, find_point, obstruction,
+                           parametrize, thue_reduction)
 from sqindex.driver import candidate_uv_pairs
+from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
 def test_find_point_case1():
@@ -22,7 +30,96 @@ def test_find_point_worked_example():
 
 
 def test_find_point_definite_form():
-    assert find_point(TernaryForm((1, 0, 1, 0, 0, 1)), radius_cap=128) is None
+    assert find_point(TernaryForm((1, 0, 1, 0, 0, 1))) is None
+    assert obstruction(TernaryForm((1, 0, 1, 0, 0, 1))) == 0
+    assert obstruction(TernaryForm((-1, 0, -1, 0, 0, -1))) == 0
+
+
+def test_obstruction_classical_examples():
+    # the first failing place is reported; by the product formula there are two
+    assert obstruction(TernaryForm((1, 0, 1, 0, 0, -3))) == 2     # x^2 + y^2 = 3 z^2
+    assert obstruction(TernaryForm((1, 0, -5, 0, 0, -3))) == 3    # fails at 3 and 5
+    assert obstruction(TernaryForm((1, 0, 1, 0, 0, -2))) is None  # (1, 1, 1)
+    assert obstruction(TernaryForm((3, 0, 4, 0, 0, -5))) == 3     # fails at 3 and 5
+    assert obstruction(TernaryForm((1, 0, 1, 0, 0, -5))) is None  # (1, 2, 1)
+    # singular or isotropic coordinate axes: a zero is read off directly
+    assert obstruction(TernaryForm((0, 1, 1, 0, 0, 1))) is None
+    assert obstruction(TernaryForm((1, 2, 1, 0, 0, 1))) is None   # (x + y)^2 + z^2
+    assert obstruction(TernaryForm((1, 0, 1, 0, 0, 0))) is None   # kernel (0, 0, 1)
+
+
+_BRUTE_RADIUS = 15
+_AXIS = np.arange(-_BRUTE_RADIUS, _BRUTE_RADIUS + 1, dtype=np.int64)
+_GX, _GY, _GZ = map(np.ravel, np.meshgrid(_AXIS, _AXIS, _AXIS, indexing="ij"))
+_NONZERO = (_GX != 0) | (_GY != 0) | (_GZ != 0)
+
+@contextmanager
+def _time_limit(seconds):
+    """find_point scans without a cap, so a wrong 'soluble' verdict would hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no point found within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_coeffs = st.tuples(*[st.integers(-12, 12)] * 6).filter(any)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs=_coeffs)
+@example(coeffs=(1, 0, 1, 0, 0, 1))
+@example(coeffs=(1, 0, 1, 0, 0, -3))
+@example(coeffs=(0, 0, 0, 1, 0, 0))
+@example(coeffs=(1, 2, 1, 0, 0, 0))
+@example(coeffs=(2, 0, 0, 0, 0, 0))
+def test_obstruction_matches_brute_zeros(coeffs):
+    q0 = TernaryForm(coeffs)
+    place = obstruction(q0)
+    if place is not None:
+        values = _eval_ternary_grid(q0, _GX, _GY, _GZ)
+        assert not np.any((values == 0) & _NONZERO), (coeffs, place)
+        assert find_point(q0) is None
+    else:
+        with _time_limit(10):
+            x, y, z = find_point(q0)
+        assert q0(x, y, z) == 0 and (x, y, z) != (0, 0, 0)
+        assert gcd(gcd(x, y), z) == 1
+
+
+# (t, m, u, v) -> place of every Legendre-obstructed cone met on the golden set
+_GOLDEN_OBSTRUCTED = {
+    (4, 3, -32, 4): 2, (4, 3, 16, 4): 2, (4, 6, -130, 17): 2, (4, 6, 62, 17): 2,
+    (4, 7, -18, 1): 2, (4, 7, -16, 4): 2, (4, 7, 0, 4): 2, (4, 7, 14, 1): 2,
+    (8, 3, -14, 1): 2, (8, 3, 10, 1): 2, (8, 7, -34, 3): 2, (8, 7, 22, 3): 2,
+    (12, 3, -18, 1): 2, (12, 3, 14, 1): 2, (16, 6, -14, 1): 2, (16, 6, 10, 1): 2,
+    (16, 10, -22, 1): 2, (16, 10, 18, 1): 2, (20, 5, -18, 1): 2, (20, 5, 14, 1): 2,
+    (24, 15, -22, 1): 3, (24, 15, 18, 1): 3,
+}
+
+
+def test_golden_cones_obstructed_exactly_where_pinned():
+    obstructed, soluble = {}, []
+    for t in sorted(set(EXCEPTIONAL_T) | set(GENERIC_SAMPLE_T)):
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        _, q1, q2 = family_forms(t)
+        for m in range(1, param.n + 1):
+            for u, v in candidate_uv_pairs(param, m):
+                q0 = TernaryForm.combine(v, q1, -u, q2)
+                place = obstruction(q0)
+                if place is None:
+                    soluble.append(q0)
+                else:
+                    obstructed[(t, m, u, v)] = place
+    assert obstructed == _GOLDEN_OBSTRUCTED
+    assert len(soluble) == 72
+    for q0 in soluble:
+        point = find_point(q0)
+        assert point is not None and q0(*point) == 0
 
 
 def test_find_point_rejects_zero_form():

@@ -68,6 +68,13 @@ def test_case2_t7_empty():
         assert found == {}
 
 
+def test_case2_obstructed_branches_are_proven_empty():
+    # both (u, v) at t = 8, m = 3 give cones with no rational point (at 2)
+    param = validate_parameter(8)
+    assert set(candidate_uv_pairs(param, 3)) == {(-14, 1), (10, 1)}
+    assert case2_candidates(param, 3) == ({}, Rigor.certain())
+
+
 def test_case2_t12():
     param = validate_parameter(12)
     found, _ = case2_candidates(param, 3)
