@@ -51,6 +51,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type for comma-separated integers."""
+    return [int(x) for x in text.replace(",", " ").split()]
+
+
 def _poly_str(num, den) -> str:
     names = ["1", "x", "x^2", "x^3"]
     parts = []
@@ -111,15 +116,11 @@ def _row_gcd(row, den: int) -> int:
     return g
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
-
-
 def cmd_index(args) -> int:
     t0 = time.time()
     param = _param(args)
-    if args.coords:
-        vals = _parse_ints(args.coords)
+    if args.coords is not None:
+        vals = args.coords
         if len(vals) == 3:
             vals = [0] + vals
         if len(vals) != 4:
@@ -127,7 +128,7 @@ def cmd_index(args) -> int:
         elem = AlgebraicInt(tuple(vals))
         rep = to_power_rep(elem, param)
     else:
-        vals = _parse_ints(args.power)
+        vals = args.power
         if len(vals) != 5:
             raise ParameterError("--power needs a,x,y,z,d")
         if vals[4] < 1:
@@ -268,12 +269,15 @@ def _verify_one(job):
 
 def cmd_verify_paper(args) -> int:
     t0 = time.time()
+    raw_workers = os.environ.get("SQINDEX_WORKERS", "1")
+    if not raw_workers.strip().isdecimal() or int(raw_workers) < 1:
+        raise ParameterError(f"SQINDEX_WORKERS must be an integer >= 1, got {raw_workers!r}")
     if args.t:
-        ts = sorted(set(_parse_ints(args.t)))
+        ts = sorted(set(args.t))
     else:
         ts = sorted(set(goldens.EXCEPTIONAL_T) | set(goldens.GENERIC_SAMPLE_T))
     jobs = [(t, args.thue_bound) for t in ts]
-    workers = int(os.environ.get("SQINDEX_WORKERS", "1"))
+    workers = min(int(raw_workers), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_verify_one, jobs))
@@ -309,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="index of a single element, both oracles")
     p.add_argument("t", type=int)
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--coords", help="X1,X2,X3 or X0,X1,X2,X3 in the integral basis")
-    grp.add_argument("--power", help="a,x,y,z,d power representation")
+    grp.add_argument("--coords", type=_int_list, help="X1,X2,X3 or X0,X1,X2,X3 (integral basis)")
+    grp.add_argument("--power", type=_int_list, help="a,x,y,z,d power representation")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("minimal-index", help="minimal index and all attaining elements")
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="check solver output against golden tables")
     grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--t", help="comma-separated t list")
+    grp.add_argument("--t", type=_int_list, help="comma-separated t list")
     grp.add_argument("--all", action="store_true",
                      help="run the full golden set (the default)")
     p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)

@@ -15,8 +15,10 @@ two branches of the reduction:
                     carries a search-box flag.
 
 Every emitted element is re-verified against both the characteristic
-polynomial oracle and the resolvent-form computation.  A direct
-box-scan oracle over integral coordinates is provided for cross-checks.
+polynomial oracle and the resolvent-form computation.  The box oracle
+`brute_force_minimal` shares no step with either branch: it scans
+disc(char_poly) over a box in Z/2^64, where disc = m^2 disc_K is a
+necessary congruence, and rechecks every match in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from math import isqrt
 
 import numpy as np
 
-from .fieldmodel import (FamilyParameter, V2Class, odd_square_divisor,
-                         v2, v2_class, validate_parameter)
-from .elements import (AlgebraicInt, canonical_triple, index_oracle,
+from .fieldmodel import (_CLASS_GN, FamilyParameter, disc_quartic_monic,
+                         odd_square_divisor, v2, v2_class, validate_parameter)
+from .elements import (AlgebraicInt, canonical_triple, charpoly4, index_oracle,
                        mult_matrix, to_power_rep, triple_from_xyz)
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
@@ -38,9 +40,6 @@ from .conic import (DegeneratePoint, divisors, find_point, parametrize,
 
 DEFAULT_THUE_BOUND = 100_000
 _SYSTEM_SCAN_BOX = 48  # |x|, |y|, |z| box of `_system_box_scan`
-
-_CLASS_GN = {V2Class.V0: (2, 2), V2Class.V1: (2, 4),
-             V2Class.V2: (4, 8), V2Class.V3plus: (4, 16)}
 
 
 @dataclass(frozen=True)
@@ -329,99 +328,97 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
 
 # --- box-scan oracle -------------------------------------------------------
 
-_SCAN_PRIMES = (1073741789, 1073741827, 1073741831, 1073741833)
+_WORD = 1 << 64  # the scan runs in Z/2^64: unsigned (uint64) overflow wraps by definition
 
 
-def _disc_mod(m_entries, p):
-    """disc(char_poly(M)) mod p for a 4x4 of int64 residue arrays."""
-    def mul(x, y):
-        return (x * y) % p
+class _Poly(dict):
+    """Exact polynomial over Z in (X1, X2, X3): exponent triple -> coefficient.
 
-    mm = [[m_entries[i][j] % p for j in range(4)] for i in range(4)]
-    e1 = (mm[0][0] + mm[1][1] + mm[2][2] + mm[3][3]) % p
-    e2 = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e2 = (e2 + mul(mm[i][i], mm[j][j]) - mul(mm[i][j], mm[j][i])) % p
-    e3 = 0
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        t1 = mul(mm[i][i], (mul(mm[j][j], mm[k][k]) - mul(mm[j][k], mm[k][j])) % p)
-        t2 = mul(mm[i][j], (mul(mm[j][i], mm[k][k]) - mul(mm[j][k], mm[k][i])) % p)
-        t3 = mul(mm[i][k], (mul(mm[j][i], mm[k][j]) - mul(mm[j][j], mm[k][i])) % p)
-        e3 = (e3 + t1 - t2 + t3) % p
-    m01 = {}
-    m23 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m01[(i, j)] = (mul(mm[0][i], mm[1][j]) - mul(mm[0][j], mm[1][i])) % p
-            m23[(i, j)] = (mul(mm[2][i], mm[3][j]) - mul(mm[2][j], mm[3][i])) % p
-    e4 = (mul(m01[(0, 1)], m23[(2, 3)]) - mul(m01[(0, 2)], m23[(1, 3)])
-          + mul(m01[(0, 3)], m23[(1, 2)]) + mul(m01[(1, 2)], m23[(0, 3)])
-          - mul(m01[(1, 3)], m23[(0, 2)]) + mul(m01[(2, 3)], m23[(0, 1)])) % p
-    a, b, c, d = (-e1) % p, e2, (-e3) % p, e4
-    b2 = mul(b, b)
-    c2 = mul(c, c)
-    d2 = mul(d, d)
-    a2 = mul(a, a)
-    terms = (
-        mul(256 * d2 % p, d),
-        -mul(192 * a % p, mul(c, d2)),
-        -mul(128 * b2 % p, d2),
-        mul(144 * b % p, mul(c2, d)),
-        -mul(27 * c2 % p, c2),
-        mul(144 * a2 % p, mul(b, d2)),
-        -mul(6 * a2 % p, mul(c2, d)),
-        -mul(80 * a % p, mul(b2, mul(c, d))),
-        mul(18 * a % p, mul(b, mul(c2, c))),
-        mul(16 * mul(b2, b2) % p, d),
-        -mul(4 * mul(b2, b) % p, c2),
-        -mul(27 * a2 % p, mul(a2, d2)),
-        mul(18 * mul(a2, a) % p, mul(b, mul(c, d))),
-        -mul(4 * mul(a2, a) % p, mul(c2, c)),
-        -mul(4 * a2 % p, mul(mul(b2, b), d)),
-        mul(a2, mul(b2, c2)),
-    )
-    out = 0
-    for term in terms:
-        out = (out + term) % p
-    return out
+    Only the ring operations, with int operands too, that `charpoly4` and
+    `disc_quartic_monic` apply, so both run unchanged on polynomial entries.
+    """
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for k, c in _terms(other):
+            out[k] = out.get(k, 0) + c
+        return out
+
+    def __mul__(self, other):
+        out = _Poly()
+        for (i1, j1, k1), c1 in self.items():
+            for (i2, j2, k2), c2 in _terms(other):
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    def __neg__(self):
+        return -1 * self
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __pow__(self, e: int):
+        return self if e == 1 else self * self ** (e - 1)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _terms(x):
+    return x.items() if isinstance(x, _Poly) else ([((0, 0, 0), x)] if x else [])
+
+
+def _disc_poly(param: FamilyParameter) -> _Poly:
+    """disc(char_poly(X1*B1 + X2*B2 + X3*B3)), homogeneous of degree 12.
+
+    Bi multiplies by the basis element b(i+1); the expansion runs the
+    `charpoly4` and `disc_quartic_monic` of `index_oracle` over Z[X1, X2, X3].
+    """
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    bmats = [mult_matrix(AlgebraicInt((0, *u)), param) for u in units]
+    entries = [[_Poly({u: b[i][j] for u, b in zip(units, bmats) if b[i][j]})
+                for j in range(4)] for i in range(4)]
+    c0, c1, c2, c3 = charpoly4(entries)
+    return disc_quartic_monic(c3, c2, c1, c0)
+
+
+def _disc_scan(poly: _Poly, xs):
+    """Yield (x1, D) for x1 in xs, with D[a, b] = poly(x1, xs[a], xs[b]) mod 2^64.
+
+    Coefficients are reduced in Python before they become uint64, so the
+    wrapping numpy products and sums are exact in Z/2^64.  For each x1
+    the polynomial collapses to a 13x13 matrix C(x1) in (X2, X3), and the
+    slice is V C(x1) V^T with V the degree-12 Vandermonde matrix of xs.
+    """
+    vander = np.array([[pow(x, j, _WORD) for j in range(13)] for x in xs], dtype=np.uint64)
+    coef = np.zeros((13, 13, 13), dtype=np.uint64)
+    for (i, j, k), c in poly.items():
+        coef[i, j, k] = c % _WORD
+    by_x1 = vander @ coef.reshape(13, 169)
+    for x1, row in zip(xs, by_x1):
+        yield x1, vander @ row.reshape(13, 13) @ vander.T
 
 
 def brute_force_minimal(param: FamilyParameter, box: int
                         ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Minimum index over all elements with |X1|,|X2|,|X3| <= box, X0 = 0.
 
-    Independent oracle: evaluates disc(char_poly) on the whole box.  The
-    scan runs modulo two word-size primes and every residue match is
-    re-verified in exact arithmetic, so the result is exact.
+    Independent oracle: disc(char_poly), expanded once as an integer
+    polynomial in (X1, X2, X3), is evaluated on the whole box in Z/2^64.
+    An element of index m <= n has disc = m^2 * disc_K, so its residue
+    matches and it is never missed; each match is re-verified by
+    `index_oracle` in exact arithmetic, so the result is exact.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
-    bmats = [mult_matrix(AlgebraicInt((0, 1, 0, 0)), param),
-             mult_matrix(AlgebraicInt((0, 0, 1, 0)), param),
-             mult_matrix(AlgebraicInt((0, 0, 0, 1)), param)]
-    primes = [p for p in _SCAN_PRIMES if param.disc_K % p][:2]
-    targets = [{m: (m * m * param.disc_K) % p for m in range(1, param.n + 1)}
-               for p in primes]
-    xs = np.arange(-box, box + 1, dtype=np.int64)
-    x2g, x3g = np.meshgrid(xs, xs, indexing="ij")
-    x2f, x3f = x2g.ravel(), x3g.ravel()
     hits: dict[int, set] = {m: set() for m in range(1, param.n + 1)}
-    for x1 in range(-box, box + 1):
-        entries = [[x1 * bmats[0][i][j] + x2f * bmats[1][i][j] + x3f * bmats[2][i][j]
-                    for j in range(4)] for i in range(4)]
-        mask = None
-        per_prime = [_disc_mod(entries, p) for p in primes]
-        for m in range(1, param.n + 1):
-            mask = (per_prime[0] == targets[0][m])
-            for dvals, tgt in zip(per_prime[1:], targets[1:]):
-                mask &= (dvals == tgt[m])
-            for idx in np.nonzero(mask)[0]:
-                cand = (x1, int(x2f[idx]), int(x3f[idx]))
-                e = AlgebraicInt((0, *cand))
-                if index_oracle(e, param) == m:
-                    hits[m].add(canonical_triple(cand))
-    for m in range(1, param.n + 1):
-        if hits[m]:
-            return m, _sort_elements(hits[m])
-    raise ArithmeticError("box contains no generator; box >= 1 always contains xi")
+    keys = np.array([m * m * param.disc_K % _WORD for m in hits], dtype=np.uint64)
+    xs = range(-box, box + 1)
+    for x1, vals in _disc_scan(_disc_poly(param), xs):
+        for a, b in zip(*np.nonzero(np.isin(vals, keys))):
+            cand = (x1, xs[a], xs[b])
+            m = index_oracle(AlgebraicInt((0, *cand)), param)
+            if m in hits:
+                hits[m].add(canonical_triple(cand))
+    m = min(m for m in hits if hits[m])  # xi = (1, 0, 0), of index n, is in every box
+    return m, _sort_elements(hits[m])

@@ -179,9 +179,8 @@ def poly_discriminant(coeffs: Sequence[int]) -> int:
 def disc_quartic_monic(a: int, b: int, c: int, d: int) -> int:
     """Closed-form discriminant of x^4 + a*x^3 + b*x^2 + c*x + d.
 
-    Same value as poly_discriminant((d, c, b, a, 1)); kept as an explicit
-    polynomial so it can be evaluated termwise (also modulo word-size
-    primes in the vectorised scans).
+    Same value as poly_discriminant((d, c, b, a, 1)); it uses only ring
+    operations, so the box oracle also runs it on polynomial coefficients.
     """
     return (
         256 * d**3

@@ -106,12 +106,14 @@ def test_criterion_4_generic_rows():
 
 
 def test_criterion_5_brute_force_agreement():
-    with criterion(5, "box oracle agreement for every valid t <= 20", 600.0):
-        for t in valid_t(20):
+    with criterion(5, "box oracle agreement at box t + 40 for every valid t <= 64", 600.0):
+        for t in valid_t(64):
             param = validate_parameter(t)
             res = minimal_index(param)
             bm, belems = brute_force_minimal(param, t + 40)
-            assert (bm, belems) == (res.m, res.elements), t
+            # for t >= 24 some minimal-index elements lie outside the box
+            inside = tuple(e for e in res.elements if max(map(abs, e)) <= t + 40)
+            assert (bm, belems) == (res.m, inside), t
 
 
 def test_criterion_6_index_identity_suite():

@@ -148,6 +148,28 @@ def test_verify_paper_all_excludes_t(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("index", "5", "--coords", "1,x,0"),
+    ("index", "5", "--power", "1,x"),
+    ("verify-paper", "--t", "1,x"),
+])
+def test_integer_lists_reject_non_integers(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"argument {argv[-2]}: invalid _int_list value: '{argv[-1]}'" in err
+
+
+@pytest.mark.parametrize("workers", ["x", "0", "-1"])
+def test_verify_paper_rejects_bad_worker_count(capsys, monkeypatch, workers):
+    monkeypatch.setenv("SQINDEX_WORKERS", workers)
+    code, out, err = run(capsys, "verify-paper", "--t", "6")
+    assert code == 2 and out == ""
+    assert err == f"error: SQINDEX_WORKERS must be an integer >= 1, got '{workers}'\n"
+
+
 @pytest.mark.parametrize("flag", ["--point-radius", "--point-radius-cap"])
 def test_point_radius_flags_are_gone(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,11 @@
-from sqindex.fieldmodel import validate_parameter
-from sqindex.elements import canonical_triple
-from sqindex.driver import (Rigor, brute_force_minimal, case1_candidates,
-                            case2_candidates, candidate_uv_pairs,
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sqindex.fieldmodel import disc_quartic_monic, odd_square_divisor, validate_parameter
+from sqindex.elements import (AlgebraicInt, canonical_triple, charpoly4, index_oracle,
+                              mult_matrix)
+from sqindex.driver import (Rigor, _disc_poly, _disc_scan, brute_force_minimal,
+                            case1_candidates, case2_candidates, candidate_uv_pairs,
                             enumerate_case2_triples, minimal_index_for)
 from sqindex.goldens import case2_golden, expected_minimal
 
@@ -168,23 +172,50 @@ def test_brute_force_agrees_with_golden():
         assert (m, elems) == (want_m, want_elems)
 
 
-def test_modular_disc_matches_exact():
-    import random
-    import numpy as np
-    from sqindex.driver import _disc_mod, _SCAN_PRIMES
-    from sqindex.elements import charpoly4
-    from sqindex.fieldmodel import disc_quartic_monic
-    rng = random.Random(31)
-    p = _SCAN_PRIMES[0]
-    mats = [[[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
-            for _ in range(20)]
-    entries = [[np.array([m[i][j] for m in mats], dtype=np.int64)
-                for j in range(4)] for i in range(4)]
-    got = _disc_mod(entries, p)
-    for idx, m in enumerate(mats):
-        c0, c1, c2, c3 = charpoly4(m)
-        want = disc_quartic_monic(c3, c2, c1, c0) % p
-        assert int(got[idx]) == want
+def _valid_t(limit):
+    return st.integers(1, limit).filter(
+        lambda t: t != 3 and odd_square_divisor(t * t + 16) is None)
+
+
+def _exact_disc(param, x1, x2, x3):
+    c0, c1, c2, c3 = charpoly4(mult_matrix(AlgebraicInt((0, x1, x2, x3)), param))
+    return disc_quartic_monic(c3, c2, c1, c0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=_valid_t(10_000), point=st.tuples(*[st.integers(-10_000, 10_000)] * 3))
+@example(t=9_999, point=(10_000, -10_000, 9_999))
+def test_disc_poly_matches_exact(t, point):
+    # the expansion is exact over Z, and the uint64 scan of it is exact mod
+    # 2^64 even where (|Xi| and t up to 10^4) the values overflow 64 bits
+    param = validate_parameter(t)
+    poly = _disc_poly(param)
+    assert {sum(k) for k in poly} == {12}
+    x1, x2, x3 = point
+    value = sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in poly.items())
+    assert value == _exact_disc(param, x1, x2, x3)
+    for y1, vals in _disc_scan(poly, point):
+        for a, ya in enumerate(point):
+            for b, yb in enumerate(point):
+                want = _exact_disc(param, y1, ya, yb)
+                assert int(vals[a, b]) == want % 2 ** 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=_valid_t(1000), box=st.integers(1, 5))
+def test_brute_force_matches_plain_scan(t, box):
+    param = validate_parameter(t)
+    by_index = {}
+    rng = range(-box, box + 1)
+    for x1 in rng:
+        for x2 in rng:
+            for x3 in rng:
+                m = index_oracle(AlgebraicInt((0, x1, x2, x3)), param)
+                if m is not None:
+                    by_index.setdefault(m, set()).add(canonical_triple((x1, x2, x3)))
+    m = min(by_index)
+    want = tuple(sorted(by_index[m], key=lambda c: (c[2], c[1], c[0])))
+    assert brute_force_minimal(param, box) == (m, want)
 
 
 def test_rigor_merge():
