@@ -28,6 +28,7 @@ from .driver import (DEFAULT_THUE_BOUND, brute_force_minimal,
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+MAX_BRUTE_BOX = 300  # (2B+1)^3 points, (2B+1)^2 per X1 slice; >= t + 40 for every golden t
 
 
 def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
@@ -162,6 +163,8 @@ def _element_str(e) -> str:
 def cmd_minimal_index(args) -> int:
     t0 = time.time()
     param = _param(args)
+    if args.brute_check and args.box > MAX_BRUTE_BOX:
+        raise ParameterError(f"--brute-check box {args.box} exceeds the cap {MAX_BRUTE_BOX}")
     res = minimal_index(param, thue_bound=args.thue_bound)
     results = {
         "m": res.m,
@@ -272,10 +275,9 @@ def cmd_verify_paper(args) -> int:
     raw_workers = os.environ.get("SQINDEX_WORKERS", "1")
     if not raw_workers.strip().isdecimal() or int(raw_workers) < 1:
         raise ParameterError(f"SQINDEX_WORKERS must be an integer >= 1, got {raw_workers!r}")
-    if args.t:
-        ts = sorted(set(args.t))
-    else:
-        ts = sorted(set(goldens.EXCEPTIONAL_T) | set(goldens.GENERIC_SAMPLE_T))
+    if args.t == []:
+        raise ParameterError("--t needs at least one t")
+    ts = sorted(set(args.t or goldens.EXCEPTIONAL_T + goldens.GENERIC_SAMPLE_T))
     jobs = [(t, args.thue_bound) for t in ts]
     workers = min(int(raw_workers), len(jobs))
     if workers > 1:
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-check", action="store_true",
                    help="also run the box oracle and require agreement")
     p.add_argument("--box", type=_positive_int, default=None,
-                   help="box size for --brute-check (default t+40)")
+                   help=f"box size for --brute-check (default t+40, at most {MAX_BRUTE_BOX})")
     p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
     p.add_argument("--allow-hypothesis-violation", action="store_true")
     p.set_defaults(func=cmd_minimal_index)

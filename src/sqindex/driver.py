@@ -30,8 +30,8 @@ import numpy as np
 
 from .fieldmodel import (_CLASS_GN, FamilyParameter, disc_quartic_monic,
                          odd_square_divisor, v2, v2_class, validate_parameter)
-from .elements import (AlgebraicInt, canonical_triple, charpoly4, index_oracle,
-                       mult_matrix, to_power_rep, triple_from_xyz)
+from .elements import (AlgebraicInt, _mult_table, canonical_triple, charpoly4,
+                       index_oracle, to_power_rep, triple_from_xyz)
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import bounded_search_multi, family_form, solve_power_of_two
@@ -371,13 +371,13 @@ def _terms(x):
 def _disc_poly(param: FamilyParameter) -> _Poly:
     """disc(char_poly(X1*B1 + X2*B2 + X3*B3)), homogeneous of degree 12.
 
-    Bi multiplies by the basis element b(i+1); the expansion runs the
-    `charpoly4` and `disc_quartic_monic` of `index_oracle` over Z[X1, X2, X3].
+    Bi multiplies by b(i+1), read from the table behind `mult_matrix`; the
+    expansion runs the `charpoly4` and `disc_quartic_monic` of `index_oracle`
+    over Z[X1, X2, X3].
     """
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    bmats = [mult_matrix(AlgebraicInt((0, *u)), param) for u in units]
-    entries = [[_Poly({u: b[i][j] for u, b in zip(units, bmats) if b[i][j]})
-                for j in range(4)] for i in range(4)]
+    entries = [[_Poly({u: c for u, c in zip(units, coefs[1:]) if c}) for coefs in row]
+               for row in _mult_table(param)]
     c0, c1, c2, c3 = charpoly4(entries)
     return disc_quartic_monic(c3, c2, c1, c0)
 

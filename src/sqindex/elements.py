@@ -6,11 +6,19 @@ index-form machinery.  The index of an element is recovered from the
 discriminant of its characteristic polynomial:
 
     disc(char_poly(e)) = I(e)^2 * disc_K.
+
+M(e), the matrix of multiplication by e = X0*b1 + .. + X3*b4, is linear in
+the coordinates: M(e) = X0*B0 + X1*B1 + X2*B2 + X3*B3, Bi multiplying by
+b(i+1).  The Bi are built once per parameter, exactly, over the power
+basis, which certifies once that the basis spans a ring; every M(e) and
+every product is then integral by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 from .fieldmodel import FamilyParameter, disc_quartic_monic
@@ -108,54 +116,43 @@ def triple_from_xyz(x: int, y: int, z: int, param: FamilyParameter
     return tuple(out)
 
 
-def _reduce_mod_family(coeffs: list[int], t: int) -> list[int]:
-    """Reduce a polynomial in xi (ascending coeffs) mod xi^4 = t*xi^3 + 6*xi^2 - t*xi - 1."""
-    c = coeffs[:]
-    for k in range(len(c) - 1, 3, -1):
-        lead = c[k]
-        if lead:
-            c[k - 1] += lead * t
-            c[k - 2] += lead * 6
-            c[k - 3] -= lead * t
-            c[k - 4] -= lead
-        c.pop()
-    while len(c) < 4:
-        c.append(0)
-    return c
+@lru_cache(maxsize=16)
+def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry (i, j) of M(e) as its coefficients (B0[i][j], .., B3[i][j]) in X0..X3.
+
+    Column j of Bi holds b(i+1)*b(j+1), formed over the power basis;
+    `coords_from_power` raises NotIntegral unless the basis is closed.
+    """
+    rows, t = param.basis_num, param.t
+    cols = {}
+    for i, j in product(range(4), repeat=2):
+        prod = [0] * 7
+        for k, l in product(range(4), repeat=2):
+            prod[k + l] += rows[i][k] * rows[j][l]
+        for k in range(6, 3, -1):  # xi^4 = t*xi^3 + 6*xi^2 - t*xi - 1
+            c = prod.pop()
+            prod[k - 4:k] = [a + c * r for a, r in zip(prod[k - 4:k], (-1, -t, 6, t))]
+        cols[i, j] = coords_from_power(tuple(prod), param.g ** 2, param)
+    return tuple(tuple(tuple(cols[k, j][i] for k in range(4)) for j in range(4))
+                 for i in range(4))
 
 
 def multiply(u: AlgebraicInt, v: AlgebraicInt, param: FamilyParameter) -> AlgebraicInt:
-    """Exact product u*v; integer coordinates certify ring closure."""
-    pu = to_power_rep(u, param)
-    pv = to_power_rep(v, param)
-    prod = [0] * 7
-    for i, cu in enumerate(pu.vec):
-        if cu:
-            for j, cv in enumerate(pv.vec):
-                prod[i + j] += cu * cv
-    red = _reduce_mod_family(prod, param.t)
-    return AlgebraicInt(coords_from_power(tuple(red), pu.d * pv.d, param))
+    """Exact product u*v = M(u) v; integral because M(u) is (see module docstring)."""
+    return AlgebraicInt(tuple(sum(m * c for m, c in zip(row, v.coords))
+                              for row in mult_matrix(u, param)))
 
 
 def mult_matrix(e: AlgebraicInt, param: FamilyParameter) -> list[list[int]]:
     """Integer matrix of multiplication by e on the integral basis.
 
-    Column j holds the coordinates of e * b_{j+1}.
+    Column j holds the coordinates of e * b_{j+1}.  By linearity it is
+    X0*B0 + X1*B1 + X2*B2 + X3*B3 over the per-parameter table, so no
+    element is taken through the power basis.
     """
-    pe = to_power_rep(e, param)
-    m = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        basis_vec = param.basis_num[j]
-        prod = [0] * 7
-        for i, ce in enumerate(pe.vec):
-            if ce:
-                for k, cb in enumerate(basis_vec):
-                    prod[i + k] += ce * cb
-        red = _reduce_mod_family(prod, param.t)
-        col = coords_from_power(tuple(red), pe.d * param.g, param)
-        for i in range(4):
-            m[i][j] = col[i]
-    return m
+    x0, x1, x2, x3 = e.coords
+    return [[x0 * c0 + x1 * c1 + x2 * c2 + x3 * c3 for c0, c1, c2, c3 in row]
+            for row in _mult_table(param)]
 
 
 def charpoly4(m: list[list[int]]) -> tuple[int, int, int, int]:

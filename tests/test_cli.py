@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from sqindex.cli import main
+from sqindex.cli import MAX_BRUTE_BOX, main
 from sqindex.driver import DEFAULT_THUE_BOUND
+from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
 def run(capsys, *argv):
@@ -96,6 +97,20 @@ def test_box_flags_reject_values_below_one(capsys, argv):
     assert "must be >= 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, box", [
+    (("minimal-index", "12", "--brute-check", "--box", "10000"), 10000),
+    (("minimal-index", "1000", "--brute-check"), 1040),  # the default box t + 40
+])
+def test_brute_check_box_is_capped(capsys, argv, box):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --brute-check box {box} exceeds the cap {MAX_BRUTE_BOX}\n"
+
+
+def test_brute_check_cap_covers_golden_default_boxes():
+    assert MAX_BRUTE_BOX >= max(EXCEPTIONAL_T + GENERIC_SAMPLE_T) + 40
+
+
 def test_minimal_index_hypothesis_violation(capsys):
     assert run(capsys, "minimal-index", "28")[0] == 2
     code, out, _ = run(capsys, "--json", "minimal-index", "28",
@@ -160,6 +175,13 @@ def test_integer_lists_reject_non_integers(capsys, argv):
     assert exc.value.code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
     assert f"argument {argv[-2]}: invalid _int_list value: '{argv[-1]}'" in err
+
+
+@pytest.mark.parametrize("tlist", ["", ","])
+def test_verify_paper_rejects_empty_t_list(capsys, tlist):
+    code, out, err = run(capsys, "verify-paper", "--t", tlist)
+    assert code == 2 and out == ""
+    assert err == "error: --t needs at least one t\n"
 
 
 @pytest.mark.parametrize("workers", ["x", "0", "-1"])

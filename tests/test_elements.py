@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.fieldmodel import poly_discriminant, validate_parameter
+from sqindex.fieldmodel import odd_square_divisor, poly_discriminant, validate_parameter
 from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
                               canonical_triple, char_poly, from_power_rep,
-                              index_oracle, multiply, to_power_rep,
+                              index_oracle, mult_matrix, multiply, to_power_rep,
                               triple_from_xyz)
 
 XI = AlgebraicInt((0, 1, 0, 0))
@@ -125,6 +125,43 @@ def test_index_translation_and_sign_invariance(x1, x2, x3, c, sign):
     e = AlgebraicInt((0, x1, x2, x3))
     shifted = AlgebraicInt((c, sign * x1, sign * x2, sign * x3))
     assert index_oracle(e, param) == index_oracle(shifted, param)
+
+
+# valid t <= 10^4 of each 2-adic class (v2(t) = 0, 1, 2, >= 3), and the
+# hypothesis-violating t = 28 and 128
+_TABLE_T = st.one_of(
+    st.one_of(
+        st.integers(0, 4999).map(lambda k: 2 * k + 1),
+        st.integers(0, 2499).map(lambda k: 2 * (2 * k + 1)),
+        st.integers(0, 1249).map(lambda k: 4 * (2 * k + 1)),
+        st.integers(1, 1250).map(lambda k: 8 * k),
+    ).filter(lambda t: t != 3 and odd_square_divisor(t * t + 16) is None),
+    st.sampled_from((28, 128)))
+_COORDS = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_TABLE_T, u=_COORDS, v=_COORDS)
+@example(t=1, u=(0, 1, 0, 0), v=(0, 0, 0, 1))
+@example(t=2, u=(0, 0, 0, 1), v=(0, 0, 0, 1))
+@example(t=4, u=(0, 0, 1, 0), v=(0, 0, 0, 1))
+@example(t=8, u=(0, 0, 1, 1), v=(0, 0, 1, 0))
+@example(t=128, u=(10 ** 6, -10 ** 6, 10 ** 6, -10 ** 6), v=(1, 2, 3, 4))
+def test_mult_table_against_resultant(t, u, v):
+    # the multiplication table, checked against a route that does not use it:
+    # for e = (a + x*xi + y*xi^2 + z*xi^3)/d the characteristic polynomial is
+    # Res_Y(P_t(Y), d*X - (a + x*Y + y*Y^2 + z*Y^3)) / d^4
+    import sympy
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    e, f = AlgebraicInt(u), AlgebraicInt(v)
+    rep = to_power_rep(e, param)
+    X, Y = sympy.symbols("X Y")
+    res = sympy.resultant(Y ** 4 - t * Y ** 3 - 6 * Y ** 2 + t * Y + 1,
+                          rep.d * X - (rep.a + rep.x * Y + rep.y * Y ** 2 + rep.z * Y ** 3), Y)
+    want = sympy.Poly(res, X).all_coeffs()
+    assert [c * rep.d ** 4 for c in reversed(char_poly(e, param))] == want
+    me, mf = sympy.Matrix(mult_matrix(e, param)), sympy.Matrix(mult_matrix(f, param))
+    assert me * mf == sympy.Matrix(mult_matrix(multiply(e, f, param), param))
 
 
 def test_triple_from_xyz_filters_non_integral():
