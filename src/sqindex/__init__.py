@@ -7,10 +7,10 @@ equations for power-of-two right sides, and the minimal index of each
 field together with all elements attaining it.
 """
 
-from .fieldmodel import (FamilyParameter, IntegralBasis, V2Class,
+from .fieldmodel import (FamilyParameter, V2Class,
                          NonPositiveParameter, ExcludedParameter,
                          OddSquareFactor, ParameterError,
-                         integral_basis, poly_discriminant, validate_parameter)
+                         poly_discriminant, validate_parameter)
 from .elements import (AlgebraicInt, PowerRep, NotIntegral, canonical_triple,
                        char_poly, from_power_rep, index_oracle, multiply,
                        to_power_rep)

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, goldens
-from .fieldmodel import ParameterError, integral_basis, validate_parameter
+from .fieldmodel import ParameterError, validate_parameter
 from .elements import AlgebraicInt, NotIntegral, PowerRep, from_power_rep, \
     index_oracle, to_power_rep
 from .indexcore import index_via_forms
@@ -82,7 +82,6 @@ def _param(args):
 def cmd_basis(args) -> int:
     t0 = time.time()
     param = _param(args)
-    basis = integral_basis(param)
     rows = []
     for row in param.basis_num:
         g = _row_gcd(row, param.g)
@@ -96,7 +95,7 @@ def cmd_basis(args) -> int:
         "disc_K": param.disc_K,
         "odd_part_squarefree": param.odd_part_squarefree,
         "basis": rows,
-        "denom": basis.denom,
+        "denom": param.g,
     }
     _report(args, "basis", {"t": args.t}, results, t0)
     if not args.json:
@@ -162,7 +161,11 @@ def _element_str(e) -> str:
 
 def cmd_minimal_index(args) -> int:
     t0 = time.time()
+    if args.box is not None and not args.brute_check:
+        raise ParameterError("--box needs --brute-check")
     param = _param(args)
+    if args.box is None:
+        args.box = args.t + 40
     if args.brute_check and args.box > MAX_BRUTE_BOX:
         raise ParameterError(f"--brute-check box {args.box} exceeds the cap {MAX_BRUTE_BOX}")
     res = minimal_index(param, thue_bound=args.thue_bound)
@@ -354,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "box", None) is None and args.command == "minimal-index":
-        args.box = args.t + 40
     try:
         return args.func(args)
     except (ParameterError, NotIntegral, UnsupportedW) as exc:

@@ -14,14 +14,18 @@ primes p | 2*d3 can fail: for odd p not dividing d3 the Gram matrix is
 unimodular over Z_p, the smooth conic mod p has p + 1 points, and
 Hensel's lemma lifts them.  `obstruction` tests those places, with d3
 factored by trial division.  On the 108 case-II cones that
-`driver.enumerate_case2_triples(5000)` lists (all at t <= 256), |d3| is
+`driver.enumerate_case2_triples` lists (all at t <= 256), |d3| is
 64, 32, 1024 or 512 times m for the classes V0, V1, V2, V3+, so the
 places met are oo and the primes up to 13.
 
-`find_point` returns None exactly when Q0 is obstructed.  Otherwise a
-rational, hence a primitive integer, zero (x, y, z) exists, and the
-doubling radius scan meets one once the radius reaches max(|y|, |z|),
-so it always ends; its scan order fixes the base point.
+`find_point` returns None exactly when Q0 is obstructed.  A form with
+no x^2 term has the zero (1, 0, 0).  Otherwise a rational, hence a
+primitive integer, zero (x, y, z) exists, and the doubling radius scan
+meets one once the radius reaches max(|y|, |z|), so it always ends; its
+scan order fixes the base point.  The 108 cones above are all the
+family has (see `driver`); each has x^2 coefficient v != 0, and the 86
+unobstructed ones all parametrize, so `DegeneratePoint` is only a
+safety check.
 
 Given a nontrivial integer zero P of Q0, the line scheme through P turns
 every solution of Q0 = 0 into binary quadratics:  substituting
@@ -102,24 +106,6 @@ def _row_solutions_quadratic(q0: TernaryForm, z: int, radius: int):
     return out
 
 
-def _row_solutions_linear(q0: TernaryForm, z: int, radius: int):
-    """Same as above for forms with zero x^2 coefficient (x enters linearly)."""
-    cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
-    out = []
-    for mag in range(radius + 1):
-        for y in ((0,) if mag == 0 else (mag, -mag)):
-            lin = cxy * y + cxz * z
-            con = cyy * y * y + cyz * y * z + czz * z * z
-            if lin == 0:
-                if con == 0 and (y, z) != (0, 0):
-                    out.append((0, y))
-                continue
-            qx, r = divmod(-con, lin)
-            if r == 0:
-                out.append((qx, y))
-    return out
-
-
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n != 0, by trial division."""
     n = abs(n)
@@ -187,30 +173,28 @@ def obstruction(q0: TernaryForm) -> int | None:
 def find_point(q0: TernaryForm) -> tuple[int, int, int] | None:
     """A primitive nonzero integer solution of Q0 = 0, or None if there is none.
 
-    None is a proof: `obstruction` found a place without solutions.
-    Otherwise the scan is deterministic: it runs z = 0, 1, 2, ... and
-    |y| <= radius for radius = 64, 128, ..., and picks, in the first row
-    containing solutions, the one minimising (|y|, sign, |x|, sign).
+    A form without an x^2 term vanishes at (1, 0, 0), which is returned
+    as is.  Otherwise None is a proof: `obstruction` found a place without
+    solutions.  In the remaining case the scan is deterministic: it runs
+    z = 0, 1, 2, ... and |y| <= radius for radius = 64, 128, ..., and
+    picks, in the first row containing solutions, the one minimising
+    (|y|, sign, |x|, sign).
     """
     if all(c == 0 for c in q0.coeffs):
         raise ValueError("form is identically zero")
+    if q0.coeffs[0] == 0:
+        return (1, 0, 0)
     if obstruction(q0) is not None:
         return None
-    cxx = q0.coeffs[0]
     radius = _RADIUS_START
     while True:
         for z in range(radius + 1):
-            if cxx != 0:
-                sols = _row_solutions_quadratic(q0, z, radius)
-            else:
-                sols = _row_solutions_linear(q0, z, radius)
-            sols = [(x, y) for x, y in sols if (x, y, z) != (0, 0, 0)]
+            sols = [(x, y) for x, y in _row_solutions_quadratic(q0, z, radius)
+                    if (x, y, z) != (0, 0, 0)]
             if sols:
                 x, y = min(sols, key=lambda s: (abs(s[1]), s[1] < 0,
                                                 abs(s[0]), s[0] < 0))
                 return _primitive(x, y, z)
-        if cxx == 0:
-            return (1, 0, 0)
         radius *= 2
 
 
@@ -225,13 +209,6 @@ class Parametrization:
     def evaluate(self, p: int, q: int) -> tuple[int, int, int]:
         return tuple(c0 * p * p + c1 * p * q + c2 * q * q
                      for c0, c1, c2 in self.rows)
-
-    def entry_gcd(self) -> int:
-        g = 0
-        for row in self.rows:
-            for c in row:
-                g = gcd(g, abs(c))
-        return g
 
 
 def _det3(rows) -> int:

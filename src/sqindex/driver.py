@@ -4,15 +4,22 @@ For a given parameter t the minimal index m is found by trying
 m = 1, 2, ..., n and collecting, for each m, the elements produced by the
 two branches of the reduction:
 
-  Case I  (v = 0):  the Thue equations are the family form itself with a
-                    power-of-two right side; their solution sets are known
-                    completely, so this branch is rigorous.
+  Case I  (v = 0):  the cone is Q2 scaled, with the base point (-6, 0, 1)
+                    in closed form; the Thue equations are the family form
+                    itself with a power-of-two right side, whose solution
+                    sets are known completely, so this branch is rigorous.
   Case II (v != 0): finitely many (u, v) pairs survive an exact
                     divisor/perfect-square sweep; each cone without a
                     rational point (Legendre) is proven empty, the others
                     lead to a parametrization and quartic Thue equations
                     solved by bounded exhaustive search, so such a branch
-                    carries a search-box flag.
+                    carries the Thue box as its search-box flag.
+
+The case-II sweep is finite over the whole family: every sum of
+`_decompositions` is at most 2^24 + 1 (as a*2^l = g^6 m / n <= 2^12), so
+v^2 (t^2 + 16) <= 2^24 + 1 forces t <= 4095.  It yields 108 cones, all at
+t <= 256; 22 have no rational point and the other 86 all parametrize
+(the tests check each one), so every branch ends in a proof or a Thue search.
 
 Every emitted element is re-verified against both the characteristic
 polynomial oracle and the resolvent-form computation.  The box oracle
@@ -35,11 +42,9 @@ from .elements import (AlgebraicInt, _mult_table, canonical_triple, charpoly4,
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import bounded_search_multi, family_form, solve_power_of_two
-from .conic import (DegeneratePoint, divisors, find_point, parametrize,
-                    thue_reduction)
+from .conic import divisors, find_point, parametrize, thue_reduction
 
 DEFAULT_THUE_BOUND = 100_000
-_SYSTEM_SCAN_BOX = 48  # |x|, |y|, |z| box of `_system_box_scan`
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,20 @@ def _sort_elements(canon_set) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(canon_set, key=lambda c: (c[2], c[1], c[0])))
 
 
+def _decompositions(a: int, l: int):
+    """Yield (a1, a2, i, l, s, a1^2*4^i + s*a2*2^(l-i)) for a = a1*a2, 0 <= i <= l, s = +-1.
+
+    The one sweep behind both `candidate_uv_pairs` and
+    `enumerate_case2_triples`: each case-II (u, v) has
+    v^2*(t^2+16) equal to one of these sums.
+    """
+    for a1 in divisors(a):
+        a2 = a // a1
+        for i in range(l + 1):
+            for s in (1, -1):
+                yield a1, a2, i, l, s, a1 * a1 * (1 << (2 * i)) + s * a2 * (1 << (l - i))
+
+
 def candidate_uv_pairs(param: FamilyParameter, m: int) -> dict:
     """All (u, v) with v >= 1 compatible with index m, from the exact sweep.
 
@@ -106,23 +125,18 @@ def candidate_uv_pairs(param: FamilyParameter, m: int) -> dict:
     (a1, a2, i, s) whenever a1^2*4^i + s*a2*2^(l-i) equals v^2*(t^2+16)
     for a positive integer v; then u = +-a1*2^i - 2v.
     """
-    a, l = rhs_decompositions(param, m)
     tt16 = param.t * param.t + 16
     pairs = {}
-    for a1 in divisors(a):
-        a2 = a // a1
-        for i in range(l + 1):
-            for s in (1, -1):
-                val = a1 * a1 * (1 << (2 * i)) + s * a2 * (1 << (l - i))
-                if val <= 0 or val % tt16:
-                    continue
-                vv = val // tt16
-                v = isqrt(vv)
-                if v == 0 or v * v != vv:
-                    continue
-                for sigma in (1, -1):
-                    u = sigma * a1 * (1 << i) - 2 * v
-                    pairs.setdefault((u, v), (a1, a2, i, l, s, sigma))
+    for a1, a2, i, l, s, total in _decompositions(*rhs_decompositions(param, m)):
+        if total <= 0 or total % tt16:
+            continue
+        vv = total // tt16
+        v = isqrt(vv)
+        if v == 0 or v * v != vv:
+            continue
+        for sigma in (1, -1):
+            u = sigma * a1 * (1 << i) - 2 * v
+            pairs.setdefault((u, v), (a1, a2, i, l, s, sigma))
     return pairs
 
 
@@ -139,9 +153,7 @@ def case1_candidates(param: FamilyParameter, m: int) -> tuple[dict, Rigor]:
     i = l // 3
     t = param.t
     _, q1, q2 = family_forms(t)
-    q0 = q2.scaled(1 << i)
-    point = find_point(q0)
-    par = parametrize(q0, point)
+    par = parametrize(q2.scaled(1 << i), (-6, 0, 1))  # Q2(x, 0, 1) = -x - 6
     u = 1 << i
     red = thue_reduction(par, q1, u)
     if red.instances and red.instances[0].form != family_form(t):
@@ -184,9 +196,9 @@ def case2_candidates(param: FamilyParameter, m: int,
     Any solution of the system Q1 = +-u, Q2 = +-v lies on the cone
     Q0 = v*Q1 - u*Q2 = 0.  When Q0 has no rational point (a Hilbert
     symbol obstruction, see `conic`) the branch is proven empty; so is
-    one whose Thue equations have no integral right side.  The result is
-    bounded only by the searches that actually ran: the Thue box, or the
-    direct scan box for a cone without a parametrization.
+    one whose Thue equations have no integral right side.  Every other
+    cone of the family parametrizes (module docstring), and the result
+    is bounded only when a Thue search ran, by the Thue box.
     """
     _, q1, q2 = family_forms(param.t)
     out: dict = {}
@@ -196,14 +208,9 @@ def case2_candidates(param: FamilyParameter, m: int,
         point = find_point(q0)
         if point is None:
             continue
-        try:
-            par = parametrize(q0, point)
-            qform, target = (q1, u) if u != 0 else (q2, v)
-            red = thue_reduction(par, qform, target)
-        except DegeneratePoint:
-            _system_box_scan(param, u, v, _SYSTEM_SCAN_BOX, out)
-            rigor = rigor.merge(Rigor.bounded(_SYSTEM_SCAN_BOX))
-            continue
+        par = parametrize(q0, point)
+        qform, target = (q1, u) if u != 0 else (q2, v)
+        red = thue_reduction(par, qform, target)
         if not red.instances:
             continue
         targets = set()
@@ -216,28 +223,6 @@ def case2_candidates(param: FamilyParameter, m: int,
                 for p, q in sols[w]:
                     _collect_solution(param, par, inst.k, p, q, w, (u, v), "II", out)
     return out, rigor
-
-
-def _system_box_scan(param: FamilyParameter, u: int, v: int, box: int, out: dict):
-    """Direct scan for Q1 = +-u, Q2 = +-v when no parametrization exists.
-
-    Fallback for singular cones; same bounded-search semantics.
-    """
-    box = min(box, 48)
-    _, q1, q2 = family_forms(param.t)
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            for z in range(-box, box + 1):
-                if (q1(x, y, z), q2(x, y, z)) in ((u, v), (-u, -v)):
-                    trip = triple_from_xyz(x, y, z, param)
-                    if trip is None:
-                        continue
-                    canon = canonical_triple(trip)
-                    rec = {"case": "II-box", "u": u, "v": v, "k": 0,
-                           "p": x, "q": y, "w": z}
-                    out.setdefault(canon, [])
-                    if rec not in out[canon]:
-                        out[canon].append(rec)
 
 
 def minimal_index(param: FamilyParameter,
@@ -292,37 +277,31 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
     for cls, (g, n) in _CLASS_GN.items():
         for m in range(1, n + 1):
             val = g ** 6 * m // n
-            l = v2(val)
-            a = val >> l
-            for a1 in divisors(a):
-                a2 = a // a1
-                for i in range(l + 1):
-                    for s in (1, -1):
-                        total = a1 * a1 * (1 << (2 * i)) + s * a2 * (1 << (l - i))
-                        if total < 17:
-                            continue
-                        vmax = isqrt(total // 17)
-                        for v in range(1, vmax + 1):
-                            if total % (v * v):
-                                continue
-                            tt = total // (v * v) - 16
-                            if tt <= 0:
-                                continue
-                            t = isqrt(tt)
-                            if t * t != tt or t == 0 or t == 3 or t > t_max:
-                                continue
-                            if v2_class(t) is not cls:
-                                continue
-                            if t not in hypo_cache:
-                                hypo_cache[t] = odd_square_divisor(t * t + 16) is None
-                            for sigma in (1, -1):
-                                u = sigma * a1 * (1 << i) - 2 * v
-                                key = (t, u, v)
-                                if key not in found:
-                                    found[key] = CaseTwoTriple(
-                                        t=t, u=u, v=v, a1=a1, a2=a2, i=i, l=l,
-                                        sign_inner=s, sign_outer=sigma,
-                                        implied_m=m, hypothesis_ok=hypo_cache[t])
+            e = v2(val)
+            for a1, a2, i, l, s, total in _decompositions(val >> e, e):
+                if total < 17:
+                    continue
+                for v in range(1, isqrt(total // 17) + 1):
+                    if total % (v * v):
+                        continue
+                    tt = total // (v * v) - 16
+                    if tt <= 0:
+                        continue
+                    t = isqrt(tt)
+                    if t * t != tt or t == 0 or t == 3 or t > t_max:
+                        continue
+                    if v2_class(t) is not cls:
+                        continue
+                    if t not in hypo_cache:
+                        hypo_cache[t] = odd_square_divisor(t * t + 16) is None
+                    for sigma in (1, -1):
+                        u = sigma * a1 * (1 << i) - 2 * v
+                        key = (t, u, v)
+                        if key not in found:
+                            found[key] = CaseTwoTriple(
+                                t=t, u=u, v=v, a1=a1, a2=a2, i=i, l=l,
+                                sign_inner=s, sign_outer=sigma,
+                                implied_m=m, hypothesis_ok=hypo_cache[t])
     return sorted(found.values(), key=lambda c: (c.t, c.implied_m, c.v, -c.u))
 
 

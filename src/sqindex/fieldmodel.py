@@ -216,7 +216,8 @@ class FamilyParameter:
 
     @cached_property
     def basis_num(self) -> tuple[tuple[int, ...], ...]:
-        """Basis rows as integer numerators over the common denominator g."""
+        """The integral basis b1..b4 over the power basis, as integer
+        numerators over the common denominator g (its largest denominator)."""
         return _BASIS_NUM[self.v2_class]
 
     @cached_property
@@ -256,14 +257,6 @@ def _invert4(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-@dataclass(frozen=True)
-class IntegralBasis:
-    """The integral basis b_1..b_4 expressed over the power basis."""
-
-    denom: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-
 def validate_parameter(t: int, allow_hypothesis_violation: bool = False) -> FamilyParameter:
     """Validate t and return the populated FamilyParameter.
 
@@ -298,12 +291,3 @@ def validate_parameter(t: int, allow_hypothesis_violation: bool = False) -> Fami
         disc_P=disc_p,
         disc_K=q,
     )
-
-
-def integral_basis(param: FamilyParameter) -> IntegralBasis:
-    """The integral basis of the matching v_2(t) case."""
-    rows = tuple(
-        tuple(Fraction(x, param.g) for x in row) for row in param.basis_num
-    )
-    denom = max(e.denominator for row in rows for e in row)
-    return IntegralBasis(denom=int(denom), rows=rows)

@@ -107,6 +107,12 @@ def test_brute_check_box_is_capped(capsys, argv, box):
     assert err == f"error: --brute-check box {box} exceeds the cap {MAX_BRUTE_BOX}\n"
 
 
+def test_box_without_brute_check_is_rejected(capsys):
+    code, out, err = run(capsys, "minimal-index", "12", "--box", "5")
+    assert code == 2 and out == ""
+    assert err == "error: --box needs --brute-check\n"
+
+
 def test_brute_check_cap_covers_golden_default_boxes():
     assert MAX_BRUTE_BOX >= max(EXCEPTIONAL_T + GENERIC_SAMPLE_T) + 40
 

@@ -11,15 +11,69 @@ from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
 from sqindex.conic import (DegeneratePoint, divisors, find_point, obstruction,
                            parametrize, thue_reduction)
-from sqindex.driver import candidate_uv_pairs
+from sqindex.driver import candidate_uv_pairs, case1_candidates
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
+# case-I output at t = 1, 2, 4, 8 (one t per 2-adic class):
+# (t, m) -> (u, element -> its (k, p, q, w) records)
+_CASE1_PINNED = {
+    (1, 2): (4, {
+        (0, 1, 1): [(4, 3, 1, 4)],
+        (0, 3, -2): [(2, 2, -1, -1)],
+        (1, 0, 0): [(2, 1, 0, 1)],
+        (2, 1, -1): [(4, 1, -1, -4)],
+        (3, 0, -1): [(4, 1, 1, -4)],
+        (6, 1, -2): [(2, 0, 1, 1)],
+        (25, 2, -8): [(2, 1, 2, -1)],
+        (25, 6, -9): [(4, 1, -3, 4)],
+    }),
+    (2, 4): (4, {
+        (1, 0, 0): [(2, 1, 0, 1)],
+        (2, 3, -1): [(4, 1, -1, -4)],
+        (4, 1, -1): [(4, 1, 1, -4)],
+        (7, 4, -2): [(2, 0, 1, 1)],
+    }),
+    (4, 8): (16, {
+        (1, 0, -2): [(8, 5, 1, -4)],
+        (1, 0, 0): [(4, 1, 0, 1), (16, 2, 0, 16)],
+        (1, 6, -2): [(8, 1, -1, -4)],
+        (5, -52, 16): [(4, 3, -2, 1), (16, 6, -4, 16)],
+        (5, 4, -2): [(8, 1, 1, -4)],
+        (7, 10, -4): [(4, 0, 1, 1), (16, 0, 2, 16)],
+        (77, 130, -50): [(8, 1, -5, -4)],
+        (83, 78, -36): [(4, 2, 3, 1), (16, 4, 6, 16)],
+    }),
+    (8, 16): (16, {
+        (1, 0, 0): [(4, 1, 0, 1), (16, 2, 0, 16)],
+        (9, -20, -2): [(8, 1, -1, -4)],
+        (15, -16, -2): [(8, 1, 1, -4)],
+        (25, -36, -4): [(4, 0, 1, 1), (16, 0, 2, 16)],
+    }),
+}
+
+
 def test_find_point_case1():
-    for t in (1, 2, 7, 12):
+    # case I takes (-6, 0, 1) in closed form: Q2(x, 0, 1) = -x - 6 for every t
+    for t in (1, 2, 4, 7, 8, 12, 16, 9999):
+        _, _, q2 = family_forms(t)
         for i in (2, 3, 4):
-            _, _, q2 = family_forms(t)
-            assert find_point(q2.scaled(1 << i)) == (-6, 0, 1)
+            assert q2.scaled(1 << i)(-6, 0, 1) == 0
+            assert q2.scaled(1 << i).coeffs[0] == 0
+    # a form without an x^2 term vanishes at (1, 0, 0)
+    for coeffs in ((0, 1, 1, 1, 1, 1), (0, 0, 1, 0, 0, 1), (0, 0, 0, 0, 0, 1)):
+        assert find_point(TernaryForm(coeffs)) == (1, 0, 0)
+    # and case I still yields the same elements and records
+    for t in (1, 2, 4, 8):
+        param = validate_parameter(t)
+        for m in range(1, param.n + 1):
+            found, rigor = case1_candidates(param, m)
+            assert rigor.proven
+            u, pinned = _CASE1_PINNED.get((t, m), (None, {}))
+            assert found == {
+                canon: [{"case": "I", "u": u, "v": 0, "k": k, "p": p, "q": q, "w": w}
+                        for k, p, q, w in recs]
+                for canon, recs in pinned.items()}
 
 
 def test_find_point_worked_example():

@@ -1,12 +1,17 @@
+from math import isqrt
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.fieldmodel import disc_quartic_monic, odd_square_divisor, validate_parameter
+from sqindex.fieldmodel import (MAX_SUPPORTED_T, disc_quartic_monic, odd_square_divisor,
+                                validate_parameter)
 from sqindex.elements import (AlgebraicInt, canonical_triple, charpoly4, index_oracle,
                               mult_matrix)
-from sqindex.driver import (Rigor, _disc_poly, _disc_scan, brute_force_minimal,
-                            case1_candidates, case2_candidates, candidate_uv_pairs,
-                            enumerate_case2_triples, minimal_index_for)
+from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
+from sqindex.conic import _det3, find_point, obstruction, parametrize, thue_reduction
+from sqindex.driver import (Rigor, _decompositions, _disc_poly, _disc_scan,
+                            brute_force_minimal, case1_candidates, case2_candidates,
+                            candidate_uv_pairs, enumerate_case2_triples, minimal_index_for)
 from sqindex.goldens import case2_golden, expected_minimal
 
 
@@ -147,6 +152,44 @@ def test_enumerate_golden_subset():
     keys = {(c.t, c.u, c.v) for c in enumerate_case2_triples(256)}
     for t, u, v in case2_golden():
         assert (t, u, v) in keys or (t, -u, -v) in keys
+
+
+def test_case2_cones_of_the_whole_family():
+    # v^2 (t^2 + 16) is a decomposition sum and v >= 1, so the largest sum bounds t
+    reps = [validate_parameter(t) for t in (1, 2, 4, 8)]  # one t per 2-adic class
+    biggest = max(total for param in reps for m in range(1, param.n + 1)
+                  for *_, total in _decompositions(*rhs_decompositions(param, m)))
+    assert biggest == 2 ** 24 + 1
+    bound = isqrt(biggest - 16)
+    cones = enumerate_case2_triples(bound)
+    assert cones == enumerate_case2_triples(MAX_SUPPORTED_T)
+    assert len(cones) == 108 and len({c.t for c in cones}) == 26
+    assert max(c.t for c in cones) == 256
+
+    # the per-t sweep lists exactly the family's cones at each (t, m)
+    for t in sorted({c.t for c in cones}):
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        for m in range(1, param.n + 1):
+            assert set(candidate_uv_pairs(param, m)) == \
+                {(c.u, c.v) for c in cones if c.t == t and c.implied_m == m}
+
+    # each cone is nonsingular, and is obstructed or parametrizes: no other branch
+    obstructed = 0
+    for c in cones:
+        _, q1, q2 = family_forms(c.t)
+        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
+        cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
+        assert cxx == c.v != 0
+        assert _det3(((2 * cxx, cxy, cxz), (cxy, 2 * cyy, cyz), (cxz, cyz, 2 * czz))) != 0
+        if obstruction(q0) is not None:
+            assert find_point(q0) is None
+            obstructed += 1
+            continue
+        par = parametrize(q0, find_point(q0))
+        assert _det3(par.rows) != 0
+        qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
+        thue_reduction(par, qform, target)
+    assert obstructed == 22
 
 
 def test_brute_force_examples():

@@ -7,7 +7,7 @@ import sympy
 from sqindex.fieldmodel import (ExcludedParameter, NonPositiveParameter,
                                 NotMonic, OddSquareFactor, WrongDegree,
                                 V2Class, disc_quartic_monic, family_poly,
-                                integral_basis, odd_square_divisor,
+                                odd_square_divisor,
                                 poly_discriminant, sylvester_resultant,
                                 validate_parameter)
 
@@ -60,9 +60,11 @@ def test_basis_rows_match_known_cases():
         8: ((1, 0, 0, 0), (0, 1, 0, 0), (q, 2 * q, -q, 0), (q, q, q, q)),
     }
     for t, rows in expected.items():
-        basis = integral_basis(validate_parameter(t))
-        assert basis.rows == tuple(tuple(Fraction(c) for c in r) for r in rows)
-        assert basis.rows[0] == (1, 0, 0, 0)
+        param = validate_parameter(t)
+        basis = tuple(tuple(Fraction(c, param.g) for c in row) for row in param.basis_num)
+        assert basis == tuple(tuple(Fraction(c) for c in r) for r in rows)
+        assert basis[0] == (1, 0, 0, 0)
+        assert max(c.denominator for row in basis for c in row) == param.g
 
 
 def test_basis_determinant_is_inverse_index():
