@@ -17,12 +17,11 @@ from .elements import (AlgebraicInt, PowerRep, NotIntegral, canonical_triple,
 from .indexcore import (QuarticCoeffs, ResolventForm, TernaryForm,
                         build_forms, family_coeffs, family_forms,
                         index_via_forms, rhs_decompositions)
-from .thue import (BinaryQuarticForm, SolutionSet, UnsupportedW,
-                   base_solutions, bounded_search, family_form,
-                   solve_power_of_two)
+from .thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
+                   base_solutions, family_form, solve_power_of_two)
 from .conic import (DegeneratePoint, Parametrization, find_point, parametrize,
                     thue_reduction)
-from .driver import (CaseTwoTriple, MinimalIndexResult, Rigor,
+from .driver import (CaseTwoTriple, Hit, MinimalIndexResult,
                      brute_force_minimal, case1_candidates, case2_candidates,
                      enumerate_case2_triples, minimal_index, minimal_index_for)
 

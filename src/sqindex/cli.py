@@ -4,31 +4,31 @@ Subcommands: basis, index, minimal-index, thue, enumerate, verify-paper.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 Output is a human-readable table by default or a deterministic JSON
 document with --json (identical runs differ only in the timing field).
-The SQINDEX_WORKERS environment variable sets the verify-paper fan-out.
+Every Thue box (thue --bound, --thue-bound) is capped at MAX_THUE_BOUND:
+the root-window search costs time linear in the box.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, goldens
 from .fieldmodel import ParameterError, validate_parameter
 from .elements import AlgebraicInt, NotIntegral, PowerRep, from_power_rep, \
     index_oracle, to_power_rep
 from .indexcore import index_via_forms
-from .thue import UnsupportedW, bounded_search, family_form, solve_power_of_two
-from .driver import (DEFAULT_THUE_BOUND, brute_force_minimal,
-                     enumerate_case2_triples, minimal_index)
+from .thue import (DEFAULT_THUE_BOUND, UnsupportedW, bounded_search_multi, family_form,
+                   solve_power_of_two)
+from .driver import brute_force_minimal, enumerate_case2_triples, minimal_index
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 MAX_BRUTE_BOX = 300  # (2B+1)^3 points, (2B+1)^2 per X1 slice; >= t + 40 for every golden t
+MAX_THUE_BOUND = 10**7  # time linear in B (q = 1..B per root window): ~1 s per search on 2 cores
 
 
 def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
@@ -49,6 +49,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _thue_bound(text: str) -> int:
+    """argparse type for Thue boxes: an integer from 1 to MAX_THUE_BOUND."""
+    value = _positive_int(text)
+    if value > MAX_THUE_BOUND:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the cap {MAX_THUE_BOUND}")
     return value
 
 
@@ -174,7 +182,7 @@ def cmd_minimal_index(args) -> int:
         "elements": [list(e) for e in res.elements],
         "rigor": res.rigor.label(),
         "hypothesis_ok": res.hypothesis_ok,
-        "trace": {_element_str(k): [dict(r) for r in v] for k, v in sorted(res.trace.items())},
+        "trace": {_element_str(k): [h._asdict() for h in v] for k, v in sorted(res.trace.items())},
     }
     exit_code = EXIT_OK
     if args.brute_check:
@@ -198,20 +206,19 @@ def cmd_minimal_index(args) -> int:
 
 def cmd_thue(args) -> int:
     t0 = time.time()
-    if args.t <= 0 or args.t == 3:
-        raise ParameterError(f"t = {args.t} outside t > 0, t != 3")
+    validate_parameter(args.t, allow_hypothesis_violation=True)
     w = args.w
     if w == 0:
         raise ParameterError("w must be nonzero")
     if abs(w) & (abs(w) - 1) == 0:
         sols = solve_power_of_two(args.t, w)
     else:
-        sols = bounded_search(family_form(args.t), w, args.bound)
+        sols = bounded_search_multi(family_form(args.t), [w], args.bound)[w]
     results = {
         "w": w,
         "solutions": [list(p) for p in sols.pairs],
-        "complete": sols.proven,
-        "rigor": "Proven" if sols.proven else f"BoundedSearchOnly({sols.bound})",
+        "complete": sols.rigor.proven,
+        "rigor": sols.rigor.label(),
     }
     _report(args, "thue", {"t": args.t, "w": w}, results, t0)
     if not args.json:
@@ -254,8 +261,7 @@ def cmd_enumerate(args) -> int:
     return exit_code
 
 
-def _verify_one(job):
-    t, thue_bound = job
+def _verify_one(t: int, thue_bound: int) -> dict:
     param = validate_parameter(t, allow_hypothesis_violation=True)
     res = minimal_index(param, thue_bound=thue_bound)
     want_m, want_elems = goldens.expected_minimal(param)
@@ -275,20 +281,10 @@ def _verify_one(job):
 
 def cmd_verify_paper(args) -> int:
     t0 = time.time()
-    raw_workers = os.environ.get("SQINDEX_WORKERS", "1")
-    if not raw_workers.strip().isdecimal() or int(raw_workers) < 1:
-        raise ParameterError(f"SQINDEX_WORKERS must be an integer >= 1, got {raw_workers!r}")
     if args.t == []:
         raise ParameterError("--t needs at least one t")
     ts = sorted(set(args.t or goldens.EXCEPTIONAL_T + goldens.GENERIC_SAMPLE_T))
-    jobs = [(t, args.thue_bound) for t in ts]
-    workers = min(int(raw_workers), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_verify_one, jobs))
-    else:
-        rows = [_verify_one(j) for j in jobs]
-    rows.sort(key=lambda r: r["t"])
+    rows = [_verify_one(t, args.thue_bound) for t in ts]
     n_fail = sum(1 for r in rows if not r["ok"])
     results = {"rows": rows, "failures": n_fail}
     _report(args, "verify-paper", {"t_list": ts}, results, t0)
@@ -328,15 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the box oracle and require agreement")
     p.add_argument("--box", type=_positive_int, default=None,
                    help=f"box size for --brute-check (default t+40, at most {MAX_BRUTE_BOX})")
-    p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
+    p.add_argument("--thue-bound", type=_thue_bound, default=DEFAULT_THUE_BOUND)
     p.add_argument("--allow-hypothesis-violation", action="store_true")
     p.set_defaults(func=cmd_minimal_index)
 
     p = sub.add_parser("thue", help="solve F_t(p,q) = w")
     p.add_argument("t", type=int)
     p.add_argument("w", type=int)
-    p.add_argument("--bound", type=_positive_int, default=1000,
-                   help="search box for w not of the form +-2^e")
+    p.add_argument("--bound", type=_thue_bound, default=DEFAULT_THUE_BOUND,
+                   help=f"search box for w not of the form +-2^e (at most {MAX_THUE_BOUND})")
     p.set_defaults(func=cmd_thue)
 
     p = sub.add_parser("enumerate", help="all (t,u,v) candidates up to t-max")
@@ -346,11 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-paper", help="check solver output against golden tables")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--t", type=_int_list, help="comma-separated t list")
-    grp.add_argument("--all", action="store_true",
-                     help="run the full golden set (the default)")
-    p.add_argument("--thue-bound", type=_positive_int, default=DEFAULT_THUE_BOUND)
+    p.add_argument("--t", type=_int_list, help="comma-separated t list (default: the golden set)")
+    p.add_argument("--thue-bound", type=_thue_bound, default=DEFAULT_THUE_BOUND)
     p.set_defaults(func=cmd_verify_paper)
     return ap
 

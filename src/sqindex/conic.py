@@ -282,16 +282,18 @@ def _mul_quadratics(a, b):
 
 @dataclass(frozen=True)
 class ThueInstance:
-    """form(p, q) = +-rhs for the divisor k of the parametrization bound."""
+    """form(p, q) = +-rhs, with the reduction's form, for the divisor k of the bound."""
 
     k: int
-    form: BinaryQuarticForm
     rhs: int
 
 
 @dataclass(frozen=True)
 class ThueReduction:
+    """raw_form = content * form; one instance per divisor k with integral rhs."""
+
     raw_form: BinaryQuarticForm
+    form: BinaryQuarticForm
     instances: tuple[ThueInstance, ...]
 
 
@@ -335,5 +337,5 @@ def thue_reduction(par: Parametrization, q: TernaryForm, target: int) -> ThueRed
     for k in divisors(par.k_bound):
         rhs, rem = divmod(abs(target) * k * k, cont)
         if rem == 0:
-            instances.append(ThueInstance(k=k, form=prim, rhs=rhs))
-    return ThueReduction(raw_form=raw, instances=tuple(instances))
+            instances.append(ThueInstance(k=k, rhs=rhs))
+    return ThueReduction(raw_form=raw, form=prim, instances=tuple(instances))

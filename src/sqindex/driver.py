@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,36 +42,21 @@ from .elements import (AlgebraicInt, _mult_table, canonical_triple, charpoly4,
                        index_oracle, to_power_rep, triple_from_xyz)
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
-from .thue import bounded_search_multi, family_form, solve_power_of_two
+from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
+                   solve_power_of_two)
 from .conic import divisors, find_point, parametrize, thue_reduction
 
-DEFAULT_THUE_BOUND = 100_000
 
+class Hit(NamedTuple):
+    """One Thue solution (p, q) of form = w, divisor k, that gave an element."""
 
-@dataclass(frozen=True)
-class Rigor:
-    """Completeness status of a result (proven, or bounded by a search box)."""
-
-    proven: bool
-    bound: int | None = None
-
-    @staticmethod
-    def certain() -> "Rigor":
-        return Rigor(True)
-
-    @staticmethod
-    def bounded(bound: int) -> "Rigor":
-        return Rigor(False, bound)
-
-    def merge(self, other: "Rigor") -> "Rigor":
-        if self.proven:
-            return other
-        if other.proven:
-            return self
-        return Rigor(False, min(self.bound, other.bound))
-
-    def label(self) -> str:
-        return "Proven" if self.proven else f"BoundedSearchOnly({self.bound})"
+    case: str
+    u: int
+    v: int
+    k: int
+    p: int
+    q: int
+    w: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,7 @@ class MinimalIndexResult:
     m: int
     elements: tuple[tuple[int, int, int], ...]
     rigor: Rigor
-    trace: dict
+    trace: dict  # canonical element -> sorted tuple of its Hits
     hypothesis_ok: bool
 
 
@@ -118,15 +104,15 @@ def _decompositions(a: int, l: int):
                 yield a1, a2, i, l, s, a1 * a1 * (1 << (2 * i)) + s * a2 * (1 << (l - i))
 
 
-def candidate_uv_pairs(param: FamilyParameter, m: int) -> dict:
-    """All (u, v) with v >= 1 compatible with index m, from the exact sweep.
+def candidate_uv_pairs(param: FamilyParameter, m: int) -> list[tuple[int, int]]:
+    """All (u, v) with v >= 1 compatible with index m, from the exact sweep, sorted.
 
     Splits the odd part a of g^6 m / n = a*2^l as a1*a2, and keeps
     (a1, a2, i, s) whenever a1^2*4^i + s*a2*2^(l-i) equals v^2*(t^2+16)
     for a positive integer v; then u = +-a1*2^i - 2v.
     """
     tt16 = param.t * param.t + 16
-    pairs = {}
+    pairs = set()
     for a1, a2, i, l, s, total in _decompositions(*rhs_decompositions(param, m)):
         if total <= 0 or total % tt16:
             continue
@@ -136,12 +122,12 @@ def candidate_uv_pairs(param: FamilyParameter, m: int) -> dict:
             continue
         for sigma in (1, -1):
             u = sigma * a1 * (1 << i) - 2 * v
-            pairs.setdefault((u, v), (a1, a2, i, l, s, sigma))
-    return pairs
+            pairs.add((u, v))
+    return sorted(pairs)
 
 
-def case1_candidates(param: FamilyParameter, m: int) -> tuple[dict, Rigor]:
-    """Elements of index m coming from the v = 0 branch (complete).
+def case1_candidates(param: FamilyParameter, m: int) -> dict:
+    """Elements of index m coming from the v = 0 branch (complete, so always proven).
 
     Nonempty only when g^6 m / n = 2^l with l in {6, 9, 12}; then
     u = 2^i, i = l/3, and the Thue equations are F_t = +-k^2/2^i over
@@ -149,25 +135,25 @@ def case1_candidates(param: FamilyParameter, m: int) -> tuple[dict, Rigor]:
     """
     a, l = rhs_decompositions(param, m)
     if a != 1 or l not in (6, 9, 12):
-        return {}, Rigor.certain()
+        return {}
     i = l // 3
     t = param.t
     _, q1, q2 = family_forms(t)
     par = parametrize(q2.scaled(1 << i), (-6, 0, 1))  # Q2(x, 0, 1) = -x - 6
     u = 1 << i
     red = thue_reduction(par, q1, u)
-    if red.instances and red.instances[0].form != family_form(t):
+    if red.form != family_form(t):
         raise ArithmeticError("case I reduction did not return the family form")
     out: dict = {}
     for inst in red.instances:
         for w in (inst.rhs, -inst.rhs):
             for p, q in solve_power_of_two(t, w):
                 _collect_solution(param, par, inst.k, p, q, w, (u, 0), "I", out)
-    return out, Rigor.certain()
+    return out
 
 
 def _collect_solution(param, par, k, p, q, w, uv, case, out):
-    """Map a Thue solution through the parametrization and store it."""
+    """Map a Thue solution through the parametrization and add its Hit to out."""
     vec = par.evaluate(p, q)
     if any(c % k for c in vec):
         return
@@ -182,11 +168,7 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
     trip = triple_from_xyz(*xyz, param)
     if trip is None:
         return
-    canon = canonical_triple(trip)
-    rec = {"case": case, "u": u, "v": v, "k": k, "p": p, "q": q, "w": w}
-    out.setdefault(canon, [])
-    if rec not in out[canon]:
-        out[canon].append(rec)
+    out.setdefault(canonical_triple(trip), set()).add(Hit(case, u, v, k, p, q, w))
 
 
 def case2_candidates(param: FamilyParameter, m: int,
@@ -203,7 +185,7 @@ def case2_candidates(param: FamilyParameter, m: int,
     _, q1, q2 = family_forms(param.t)
     out: dict = {}
     rigor = Rigor.certain()
-    for (u, v), _prov in sorted(candidate_uv_pairs(param, m).items()):
+    for u, v in candidate_uv_pairs(param, m):
         q0 = TernaryForm.combine(v, q1, -u, q2)
         point = find_point(q0)
         if point is None:
@@ -216,8 +198,8 @@ def case2_candidates(param: FamilyParameter, m: int,
         targets = set()
         for inst in red.instances:
             targets.update((inst.rhs, -inst.rhs))
-        sols = bounded_search_multi(red.instances[0].form, targets, thue_bound)
-        rigor = rigor.merge(Rigor.bounded(thue_bound))
+        sols = bounded_search_multi(red.form, targets, thue_bound)
+        rigor = Rigor.bounded(thue_bound)
         for inst in red.instances:
             for w in (inst.rhs, -inst.rhs):
                 for p, q in sols[w]:
@@ -230,20 +212,19 @@ def minimal_index(param: FamilyParameter,
     """Minimal index of the field and every element attaining it.
 
     Tries m = 1, 2, ... and stops at the first m with solutions; the
-    rigor flag is the weakest one met at the successful m or below it.
+    result is bounded when a Thue search ran at the successful m or below
+    it (every such search has the one box thue_bound), else proven.
     Every element is re-verified with both index computations.
     """
     rigor = Rigor.certain()
     for m in range(1, param.n + 1):
-        found1, r1 = case1_candidates(param, m)
-        found2, r2 = case2_candidates(param, m, thue_bound)
-        rigor = rigor.merge(r1).merge(r2)
-        merged: dict = {}
-        for src in (found1, found2):
-            for canon, recs in src.items():
-                merged.setdefault(canon, [])
-                merged[canon].extend(r for r in recs if r not in merged[canon])
-        for canon in merged:
+        found = case1_candidates(param, m)
+        found2, rigor2 = case2_candidates(param, m, thue_bound)
+        if rigor.proven:
+            rigor = rigor2
+        for canon, hits in found2.items():
+            found.setdefault(canon, set()).update(hits)
+        for canon in found:
             e = AlgebraicInt((0, *canon))
             m_oracle = index_oracle(e, param)
             m_forms = index_via_forms(to_power_rep(e, param), param)
@@ -251,11 +232,10 @@ def minimal_index(param: FamilyParameter,
                 raise ArithmeticError(
                     f"verification failed for {canon} at t={param.t}: "
                     f"oracle={m_oracle}, forms={m_forms}, expected {m}")
-        if merged:
+        if found:
             return MinimalIndexResult(
-                t=param.t, m=m, elements=_sort_elements(merged),
-                rigor=rigor, trace={c: tuple(sorted(map(tuple, (r.items() for r in recs))))
-                                    for c, recs in merged.items()},
+                t=param.t, m=m, elements=_sort_elements(found), rigor=rigor,
+                trace={c: tuple(sorted(hits)) for c, hits in found.items()},
                 hypothesis_ok=param.odd_part_squarefree)
     raise ArithmeticError(f"no index <= n found for t={param.t}; I(xi) = n is always attained")
 

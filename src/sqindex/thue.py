@@ -9,7 +9,9 @@ them through two exact transforms:
 
 (the second is asserted symbolically in the tests), together with the
 mod-8 obstruction that rules out w = +-2.  Everything else goes through
-a bounded search that reports its box.
+a bounded search that reports its box.  That search is the only one a
+result can be bounded by, so `Rigor`, the completeness status carried
+from here through the minimal-index driver to the CLI, lives here too.
 
 The bounded search enumerates root windows instead of the whole box.  Let
 f(x) = G(x, 1) = a prod (x - alpha_i) have degree d, with the roots
@@ -71,18 +73,39 @@ def family_form(t: int) -> BinaryQuarticForm:
     return BinaryQuarticForm((1, -t, -6, t, 1))
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """Canonical-sign solution pairs plus a completeness flag."""
+DEFAULT_THUE_BOUND = 100_000
 
-    pairs: tuple[tuple[int, int], ...]
+
+@dataclass(frozen=True)
+class Rigor:
+    """Completeness status of a result (proven, or bounded by a search box)."""
+
     proven: bool
     bound: int | None = None
 
     @staticmethod
-    def of(pairs, proven: bool, bound: int | None = None) -> "SolutionSet":
+    def certain() -> "Rigor":
+        return Rigor(True)
+
+    @staticmethod
+    def bounded(bound: int) -> "Rigor":
+        return Rigor(False, bound)
+
+    def label(self) -> str:
+        return "Proven" if self.proven else f"BoundedSearchOnly({self.bound})"
+
+
+@dataclass(frozen=True)
+class SolutionSet:
+    """Canonical-sign solution pairs plus their completeness status."""
+
+    pairs: tuple[tuple[int, int], ...]
+    rigor: Rigor
+
+    @staticmethod
+    def of(pairs, rigor: Rigor) -> "SolutionSet":
         canon = sorted({canonical_pair(p, q) for p, q in pairs})
-        return SolutionSet(tuple(canon), proven, bound)
+        return SolutionSet(tuple(canon), rigor)
 
     def __contains__(self, pair) -> bool:
         return canonical_pair(*pair) in self.pairs
@@ -124,7 +147,7 @@ def base_solutions(t: int, w: int) -> SolutionSet:
         raise UnsupportedW(f"w = {w} has no tabulated base solutions")
     table = _BASE[w]
     pairs = list(table["any"]) + list(table.get(t, []))
-    return SolutionSet.of(pairs, proven=True)
+    return SolutionSet.of(pairs, Rigor.certain())
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +166,14 @@ def solve_power_of_two(t: int, w: int) -> SolutionSet:
     if e == 0:
         return base_solutions(t, sign)
     if e == 1:
-        return SolutionSet.of([], proven=True)
+        return SolutionSet.of([], Rigor.certain())
     pairs = set()
     if e >= 4:
         for p, q in solve_power_of_two(t, w // 16):
             pairs.add(canonical_pair(2 * p, 2 * q))
     for p, q in solve_power_of_two(t, -(w // 4)):
         pairs.add(canonical_pair(p - q, p + q))
-    return SolutionSet.of(pairs, proven=True)
+    return SolutionSet.of(pairs, Rigor.certain())
 
 
 # --- bounded search by root windows -------------------------------------------
@@ -426,7 +449,9 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     if not any(c):
         raise ValueError("the zero form has no bounded solution set")
     targets = sorted(set(int(v) for v in targets))
-    top = max((abs(v) for v in targets), default=0)
+    # |G(p, q)| <= sum |c| * bound^4 in the box, so larger targets have no solution there
+    reach = sum(abs(x) for x in c) * bound ** 4
+    top = max((abs(v) for v in targets if abs(v) <= reach), default=0)
     f = _trim(list(reversed(c)))  # f(x) = G(x, 1), lowest degree first
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
     for v in targets:
@@ -449,10 +474,4 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
             val = form(p, q)
             if val in hits:
                 hits[val].append((p, q))
-    return {v: SolutionSet.of(pairs, proven=False, bound=bound)
-            for v, pairs in hits.items()}
-
-
-def bounded_search(form: BinaryQuarticForm, rhs: int, bound: int) -> SolutionSet:
-    """All canonical pairs with |p|,|q| <= bound and form(p,q) = rhs."""
-    return bounded_search_multi(form, [rhs], bound)[int(rhs)]
+    return {v: SolutionSet.of(pairs, Rigor.bounded(bound)) for v, pairs in hits.items()}

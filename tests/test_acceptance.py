@@ -147,7 +147,7 @@ def test_criterion_7_thue_family():
             box = bounded_search_multi(family_form(t), ws, 1000)
             for w in ws:
                 proven = solve_power_of_two(t, w)
-                assert proven.proven
+                assert proven.rigor.proven
                 want = tuple(p for p in proven.pairs
                              if max(abs(p[0]), abs(p[1])) <= 1000)
                 assert box[w].pairs == want, (t, w)
@@ -194,7 +194,7 @@ def test_criterion_9_worked_example_regression():
         targets = set()
         for inst in red.instances:
             targets.update((inst.rhs, -inst.rhs))
-        sols = bounded_search_multi(red.instances[0].form, targets, 100)
+        sols = bounded_search_multi(red.form, targets, 100)
         table = set()
         for inst in red.instances:
             for w in (inst.rhs, -inst.rhs):

@@ -1,8 +1,14 @@
+import io
 import json
+import signal
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from sqindex.cli import MAX_BRUTE_BOX, main
+from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, build_parser, main
+from sqindex.fieldmodel import MAX_SUPPORTED_T
 from sqindex.driver import DEFAULT_THUE_BOUND
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
@@ -70,6 +76,23 @@ def test_thue_command(capsys):
     code, out, _ = run(capsys, "--json", "thue", "5", "12", "--bound", "50")
     doc = json.loads(out)
     assert code == 0 and doc["results"]["complete"] is False
+    assert doc["results"]["rigor"] == "BoundedSearchOnly(50)"
+    code, out, _ = run(capsys, "--json", "thue", "5", "12")
+    assert json.loads(out)["results"]["rigor"] == f"BoundedSearchOnly({DEFAULT_THUE_BOUND})"
+    # a right side beyond every value of F_5 in the box has no solution there
+    code, out, _ = run(capsys, "--json", "thue", "5", str(10 ** 400), "--bound", "5")
+    assert code == 0 and json.loads(out)["results"]["solutions"] == []
+
+
+@pytest.mark.parametrize("t, message", [
+    ("0", "t must be positive, got 0"),
+    ("3", "t = 3 is excluded (degenerate field)"),
+    (str(10 ** 400), f"t > {MAX_SUPPORTED_T} outside supported range"),
+])
+def test_thue_rejects_t_outside_the_family(capsys, t, message):
+    code, out, err = run(capsys, "thue", t, "12", "--bound", "5")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_minimal_index_command(capsys):
@@ -95,6 +118,30 @@ def test_box_flags_reject_values_below_one(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "must be >= 1" in err and "Traceback" not in err
+
+
+_THUE_BOUND_FLAGS = [
+    ("thue", "5", "12", "--bound"),
+    ("minimal-index", "12", "--thue-bound"),
+    ("verify-paper", "--t", "6", "--thue-bound"),
+]
+
+
+@pytest.mark.parametrize("value", [MAX_THUE_BOUND + 1, 10 ** 20])
+@pytest.mark.parametrize("argv", _THUE_BOUND_FLAGS)
+def test_thue_bounds_are_capped(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(value)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"argument {argv[-1]}: {value} exceeds the cap {MAX_THUE_BOUND}" in err
+
+
+@pytest.mark.parametrize("argv", _THUE_BOUND_FLAGS)
+def test_thue_bound_cap_is_accepted(argv):
+    args = build_parser().parse_args([*argv, str(MAX_THUE_BOUND)])
+    assert getattr(args, argv[-1].lstrip("-").replace("-", "_")) == MAX_THUE_BOUND
 
 
 @pytest.mark.parametrize("argv, box", [
@@ -143,14 +190,6 @@ def test_verify_paper_subset(capsys):
     assert all(r["ok"] for r in doc["results"]["rows"])
 
 
-def test_verify_paper_worker_pool(capsys, monkeypatch):
-    monkeypatch.setenv("SQINDEX_WORKERS", "2")
-    code, out, _ = run(capsys, "--json", "verify-paper", "--t", "5,6")
-    doc = json.loads(out)
-    assert code == 0
-    assert [r["t"] for r in doc["results"]["rows"]] == [5, 6]
-
-
 def test_json_determinism(capsys):
     docs = []
     for _ in range(2):
@@ -163,10 +202,11 @@ def test_json_determinism(capsys):
 
 
 def test_verify_paper_all_excludes_t(capsys):
+    # the no-op --all flag is gone: the golden set is the default without --t
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--all", "--t", "6"])
     assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "unrecognized arguments: --all" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,17 +230,79 @@ def test_verify_paper_rejects_empty_t_list(capsys, tlist):
     assert err == "error: --t needs at least one t\n"
 
 
-@pytest.mark.parametrize("workers", ["x", "0", "-1"])
-def test_verify_paper_rejects_bad_worker_count(capsys, monkeypatch, workers):
-    monkeypatch.setenv("SQINDEX_WORKERS", workers)
-    code, out, err = run(capsys, "verify-paper", "--t", "6")
-    assert code == 2 and out == ""
-    assert err == f"error: SQINDEX_WORKERS must be an integer >= 1, got '{workers}'\n"
-
-
 @pytest.mark.parametrize("flag", ["--point-radius", "--point-radius-cap"])
 def test_point_radius_flags_are_gone(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["minimal-index", "12", flag, "64"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- the exit-code contract over generated command lines ---------------------
+
+_INTS = st.one_of(st.integers(-50, 300),
+                  st.sampled_from([-10 ** 30, 3, 28, 4095, 10 ** 6, 10 ** 6 + 1,
+                                   10 ** 30, 10 ** 400]))
+_BOUNDS = st.one_of(st.integers(1, 1000), st.sampled_from([0, MAX_THUE_BOUND + 1, 10 ** 20]))
+
+
+@st.composite
+def _command_lines(draw):
+    def num():
+        return str(draw(_INTS))
+
+    def nums(n):
+        return ",".join(num() for _ in range(n))
+
+    def bound(flag):
+        value = draw(st.none() | _BOUNDS)
+        return [] if value is None else [flag, str(value)]
+
+    cmd = draw(st.sampled_from(["basis", "coords", "power", "thue", "enumerate",
+                                "minimal-index", "verify-paper"]))
+    if cmd == "basis":
+        argv = ["basis", num()]
+    elif cmd == "coords":
+        argv = ["index", num(), "--coords", nums(draw(st.integers(2, 5)))]
+    elif cmd == "power":
+        argv = ["index", num(), "--power", nums(draw(st.integers(4, 6)))]
+    elif cmd == "thue":
+        argv = ["thue", num(), num(), *bound("--bound")]
+    elif cmd == "enumerate":
+        argv = ["enumerate", "--t-max", num(), *(["--compare-paper"] * draw(st.booleans()))]
+    elif cmd == "minimal-index":
+        argv = ["minimal-index", num(), *bound("--thue-bound"),
+                *(["--allow-hypothesis-violation"] * draw(st.booleans()))]
+    else:
+        argv = ["verify-paper", "--t", num(), *bound("--thue-bound")]
+    return ["--json", *argv] if draw(st.booleans()) else argv
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Alarm("the command did not end within 10 s")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(argv=["thue", str(10 ** 400), "12", "--bound", "5"])
+@example(argv=["thue", "5", "12", "--bound", str(10 ** 20)])
+@example(argv=["minimal-index", "12", "--thue-bound", str(MAX_THUE_BOUND + 1)])
+@given(argv=_command_lines())
+def test_cli_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

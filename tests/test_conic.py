@@ -11,7 +11,7 @@ from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
 from sqindex.conic import (DegeneratePoint, divisors, find_point, obstruction,
                            parametrize, thue_reduction)
-from sqindex.driver import candidate_uv_pairs, case1_candidates
+from sqindex.driver import Hit, candidate_uv_pairs, case1_candidates
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
@@ -67,13 +67,10 @@ def test_find_point_case1():
     for t in (1, 2, 4, 8):
         param = validate_parameter(t)
         for m in range(1, param.n + 1):
-            found, rigor = case1_candidates(param, m)
-            assert rigor.proven
+            found = case1_candidates(param, m)
             u, pinned = _CASE1_PINNED.get((t, m), (None, {}))
-            assert found == {
-                canon: [{"case": "I", "u": u, "v": 0, "k": k, "p": p, "q": q, "w": w}
-                        for k, p, q, w in recs]
-                for canon, recs in pinned.items()}
+            assert found == {canon: {Hit("I", u, 0, k, p, q, w) for k, p, q, w in recs}
+                             for canon, recs in pinned.items()}
 
 
 def test_find_point_worked_example():
@@ -234,7 +231,7 @@ def test_thue_reduction_case1():
     red = thue_reduction(par, q1, 4)
     assert red.raw_form.coeffs == tuple(16 * c for c in family_form(t).coeffs)
     assert [(inst.k, inst.rhs) for inst in red.instances] == [(2, 1), (4, 4)]
-    assert all(inst.form == family_form(t) for inst in red.instances)
+    assert red.form == family_form(t)
 
 
 def test_thue_reduction_case1_i3_infeasible_or_unsolvable():

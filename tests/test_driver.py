@@ -9,7 +9,8 @@ from sqindex.elements import (AlgebraicInt, canonical_triple, charpoly4, index_o
                               mult_matrix)
 from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, find_point, obstruction, parametrize, thue_reduction
-from sqindex.driver import (Rigor, _decompositions, _disc_poly, _disc_scan,
+from sqindex.thue import Rigor
+from sqindex.driver import (Hit, _decompositions, _disc_poly, _disc_scan,
                             brute_force_minimal, case1_candidates, case2_candidates,
                             candidate_uv_pairs, enumerate_case2_triples, minimal_index_for)
 from sqindex.goldens import case2_golden, expected_minimal
@@ -21,16 +22,16 @@ def canon_set(rows):
 
 def test_case1_generic_v0():
     param = validate_parameter(5)
-    found, rigor = case1_candidates(param, 2)
-    assert rigor.proven
+    found = case1_candidates(param, 2)
     assert set(found) == canon_set([(1, 0, 0), (6, 5, -2), (5, 2, -1), (0, 3, -1)])
+    assert all(hits and {h.case for h in hits} == {"I"} for hits in found.values())
 
 
 def test_case1_generic_v3plus():
     t = 40
     param = validate_parameter(t)
-    found, rigor = case1_candidates(param, 16)
-    assert rigor.proven
+    found = case1_candidates(param, 16)
+    assert all(hits and {h.case for h in hits} == {"I"} for hits in found.values())
     assert set(found) == canon_set([
         (1, 0, 0), (9 + 2 * t, -4 - 4 * t, -4),
         ((10 + t) // 2, -4 - 2 * t, -2), ((6 + 3 * t) // 2, -2 * t, -2)])
@@ -38,26 +39,26 @@ def test_case1_generic_v3plus():
 
 def test_case1_empty_when_not_power_case():
     param = validate_parameter(5)
-    found, rigor = case1_candidates(param, 1)  # l = 5, no i
-    assert found == {} and rigor.proven
+    found = case1_candidates(param, 1)  # l = 5, no i
+    assert found == {}
 
 
 def test_case1_t1_extra_solutions():
     # the base Thue sets for t = 1 contribute four extra index-2 elements
     param = validate_parameter(1)
-    found, _ = case1_candidates(param, 2)
+    found = case1_candidates(param, 2)
     assert set(found) == canon_set([
         (1, 0, 0), (6, 1, -2), (3, 0, -1), (2, 1, -1),
         (0, 1, 1), (0, -3, 2), (-25, -2, 8), (-25, -6, 9)])
 
 
 def test_case2_uv_sweep_examples():
-    assert set(candidate_uv_pairs(validate_parameter(12), 3)) == \
-        {(20, 2), (-28, 2), (14, 1), (-18, 1)}
-    assert set(candidate_uv_pairs(validate_parameter(2), 1)) == {(2, 1), (-6, 1)}
-    assert set(candidate_uv_pairs(validate_parameter(7), 2)) == \
-        {(-1, 1), (-3, 1), (12, 2), (-20, 2)}
-    assert candidate_uv_pairs(validate_parameter(5), 2) == {}
+    assert candidate_uv_pairs(validate_parameter(12), 3) == \
+        [(-28, 2), (-18, 1), (14, 1), (20, 2)]
+    assert candidate_uv_pairs(validate_parameter(2), 1) == [(-6, 1), (2, 1)]
+    assert candidate_uv_pairs(validate_parameter(7), 2) == \
+        [(-20, 2), (-3, 1), (-1, 1), (12, 2)]
+    assert candidate_uv_pairs(validate_parameter(5), 2) == []
 
 
 def test_case2_t2_produces_all_ten_generators():
@@ -80,7 +81,7 @@ def test_case2_t7_empty():
 def test_case2_obstructed_branches_are_proven_empty():
     # both (u, v) at t = 8, m = 3 give cones with no rational point (at 2)
     param = validate_parameter(8)
-    assert set(candidate_uv_pairs(param, 3)) == {(-14, 1), (10, 1)}
+    assert candidate_uv_pairs(param, 3) == [(-14, 1), (10, 1)]
     assert case2_candidates(param, 3) == ({}, Rigor.certain())
 
 
@@ -126,8 +127,9 @@ def test_minimal_index_hypothesis_flag():
 def test_trace_provenance_present():
     res = minimal_index_for(12)
     assert set(res.trace) == set(res.elements)
-    for recs in res.trace.values():
-        assert recs
+    for hits in res.trace.values():
+        assert hits and hits == tuple(sorted(set(hits)))
+        assert all(isinstance(h, Hit) and h.case == "II" for h in hits)
 
 
 def test_enumerate_contains_key_triples():
@@ -261,12 +263,6 @@ def test_brute_force_matches_plain_scan(t, box):
     assert brute_force_minimal(param, box) == (m, want)
 
 
-def test_rigor_merge():
-    a = Rigor.certain()
-    b = Rigor.bounded(500)
-    c = Rigor.bounded(100)
-    assert a.merge(a).proven
-    assert a.merge(b) == b
-    assert b.merge(c).bound == 100
-    assert b.label() == "BoundedSearchOnly(500)"
-    assert a.label() == "Proven"
+def test_rigor_label():
+    assert Rigor.bounded(500).label() == "BoundedSearchOnly(500)"
+    assert Rigor.certain().label() == "Proven"

@@ -5,8 +5,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.thue import (BinaryQuarticForm, SolutionSet, UnsupportedW, base_solutions,
-                          bounded_search, bounded_search_multi, canonical_pair,
+from sqindex.thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
+                          base_solutions, bounded_search_multi, canonical_pair,
                           family_form, solve_power_of_two)
 from sqindex.goldens import thue_base_golden
 
@@ -119,18 +119,18 @@ def test_solver_vs_box_small():
         f = family_form(t)
         for w in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16):
             proven = solve_power_of_two(t, w)
-            box = bounded_search(f, w, 200)
+            box = bounded_search_multi(f, [w], 200)[w]
             want = tuple(p for p in proven.pairs if max(abs(p[0]), abs(p[1])) <= 200)
             assert box.pairs == want
-            assert not box.proven and box.bound == 200
-            assert proven.proven
+            assert box.rigor == Rigor.bounded(200)
+            assert proven.rigor == Rigor.certain()
 
 
 def test_bounded_search_examples():
     f = family_form(4)
-    assert bounded_search(f, 1, 10).pairs == canon([(1, 0), (0, 1), (2, 3), (3, -2)])
+    assert bounded_search_multi(f, [1], 10)[1].pairs == canon([(1, 0), (0, 1), (2, 3), (3, -2)])
     g = family_form(9)
-    assert (1, 0) in bounded_search(g, g(1, 0), 1)
+    assert (1, 0) in bounded_search_multi(g, [g(1, 0)], 1)[g(1, 0)]
 
 
 def test_bounded_search_worked_example_form():
@@ -155,12 +155,22 @@ def test_bounded_search_huge_coefficients_fallback():
     big = 10 ** 15
     f = BinaryQuarticForm((big, 0, -1, 0, big))
     rhs = f(7, 3)
-    sols = bounded_search(f, rhs, 50)
+    sols = bounded_search_multi(f, [rhs], 50)[rhs]
     assert (7, 3) in sols
 
 
+def test_bounded_search_targets_beyond_the_box():
+    # |G| <= sum |c| * B^4 in the box: 2 * 3^4 = G(3, 3) is still found, and
+    # right sides past float range are answered (empty) instead of overflowing
+    g = BinaryQuarticForm((1, 0, 0, 0, 1))
+    got = bounded_search_multi(g, [162, 163, 10 ** 400, -10 ** 400], 3)
+    assert got[162].pairs == ((3, -3), (3, 3))
+    assert got[163].pairs == got[10 ** 400].pairs == got[-10 ** 400].pairs == ()
+    assert got[10 ** 400].rigor == Rigor.bounded(3)
+
+
 def test_solution_set_canonical_storage():
-    s = SolutionSet.of([(1, 2), (-1, -2), (0, -3)], proven=True)
+    s = SolutionSet.of([(1, 2), (-1, -2), (0, -3)], Rigor.certain())
     assert s.pairs == ((0, 3), (1, 2))
     assert (-1, -2) in s
 
@@ -229,4 +239,4 @@ def test_bounded_search_matches_grid(coeffs, bound, zero, points, extra):
     got = bounded_search_multi(form, targets, bound)
     want = grid_search(form, targets, bound)
     assert {v: s.pairs for v, s in got.items()} == want
-    assert all(not s.proven and s.bound == bound for s in got.values())
+    assert all(s.rigor == Rigor.bounded(bound) for s in got.values())
