@@ -1,4 +1,4 @@
-"""Thue equations F_t(p,q) = w for the family form and general quartics.
+"""Thue equations F_t(p,q) = w for the family form and the reduced quartics.
 
 F_t(p,q) = p^4 - t p^3 q - 6 p^2 q^2 + t p q^3 + q^4.  The solution sets
 for w in {+1,-1,+4,-4} are known completely; every w = +-2^e reduces to
@@ -13,26 +13,32 @@ a bounded search that reports its box.  That search is the only one a
 result can be bounded by, so `Rigor`, the completeness status carried
 from here through the minimal-index driver to the CLI, lives here too.
 
-The bounded search enumerates root windows instead of the whole box.  Let
-f(x) = G(x, 1) = a prod (x - alpha_i) have degree d, with the roots
-repeated by multiplicity (c0 = 0 lowers d).  Take q != 0 with
-|G(p, q)| <= W, let alpha be the root nearest p/q, of multiplicity m, and
-let S be any set of the other distinct roots beta, of multiplicities m_b.
-Then
+The bounded search takes a form G with nonzero discriminant
+(4 I^3 - J^2) / 27 and nonzero right sides, and raises ValueError
+otherwise.  The program never leaves that domain: F_t has discriminant
+4 (t^2 + 16)^3, every reduced form of the family's soluble case-II cones
+has a nonzero one (tests/test_driver.py checks all of them), and every
+right side is +-|target| k^2 / content with target != 0.  So
+f(x) = G(x, 1) = a prod (x - alpha_i) has d simple roots, d = 4, or
+d = 3 when c0 = 0 (then c1 != 0).
 
-    |p - alpha q|^(m + m_S) prod_{beta not in S} (|alpha - beta| |q| / 2)^m_b <= W / |a|.
+The search enumerates root windows instead of the whole box.  Take
+q != 0 with |G(p, q)| <= W, let alpha be the root nearest p/q, and let S
+be any set of the other roots beta.  Then
+
+    |p - alpha q|^(1 + |S|) prod_{beta not in S} (|alpha - beta| |q| / 2) <= W / |a|.
 
 Proof: |a| prod |p - alpha_i q| = |G(p, q)| / |q|^(4-d) <= W;
 |p - beta q| >= |p - alpha q| since alpha is nearest; and
 |alpha - beta| |q| <= |p - alpha q| + |p - beta q| <= 2 |p - beta q|.
 
 S = all gives |p - alpha q| <= R = ceil((W/|a|)^(1/d)); S = {} gives
-|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|) for four simple
-roots; a non-real alpha needs |Im alpha| |q| <= R.  The windows are
-certified: every root sits in a disk proven in exact arithmetic to hold
-exactly one root, each p-range is widened by an explicit bound on its
-float64 rounding, and every candidate is re-checked with exact integers.
-As G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row is solved
+|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|) for d = 4; a
+non-real alpha needs |Im alpha| |q| <= R.  The windows are certified:
+every root sits in a disk proven in exact arithmetic to hold exactly one
+root, each p-range is widened by an explicit bound on its float64
+rounding, and every candidate is re-checked with exact integers.  As
+G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row is solved
 directly.
 """
 
@@ -67,6 +73,17 @@ class BinaryQuarticForm:
         for c in self.coeffs:
             g = gcd(g, abs(c))
         return g
+
+    def invariants(self) -> tuple[int, int]:
+        """The invariants I and J of the binary quartic."""
+        a, b, c, d, e = self.coeffs
+        return (12 * a * e - 3 * b * d + c * c,
+                72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c ** 3)
+
+    def discriminant(self) -> int:
+        """(4 I^3 - J^2) / 27: zero exactly when the form has a repeated linear factor."""
+        i, j = self.invariants()
+        return (4 * i ** 3 - j * j) // 27
 
 
 def family_form(t: int) -> BinaryQuarticForm:
@@ -187,18 +204,17 @@ _PREC_TRIES = 6           # precision doublings before root isolation gives up
 
 @dataclass(frozen=True)
 class _Root:
-    """Certified data of one distinct root alpha of f(x) = G(x, 1).
+    """Certified data of one (simple) root alpha of f(x) = G(x, 1).
 
     |Re alpha - x| <= rho and Im alpha >= y_lo >= 0: of a conjugate pair
-    only the root above the real axis is listed.  seps pairs a lower
-    bound on |alpha - beta| with the multiplicity of beta for every other
-    distinct root beta, conjugates included.
+    only the root above the real axis is listed.  seps holds a lower
+    bound on |alpha - beta| for every other root beta, conjugates included.
     """
 
     x: float
     rho: float
     y_lo: float
-    seps: tuple[tuple[float, int], ...]
+    seps: tuple[float, ...]
 
 
 def _below(v: Fraction) -> float:
@@ -207,72 +223,6 @@ def _below(v: Fraction) -> float:
 
 def _above(v: Fraction) -> float:
     return math.nextafter(float(v), math.inf)
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _deriv(a: list) -> list:
-    return _trim([i * a[i] for i in range(1, len(a))])
-
-
-def _sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _divmod(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of polynomials over Q (lowest degree first)."""
-    a, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c, s = a[-1] / b[-1], len(a) - len(b)
-        quot[s] = c
-        for i, bi in enumerate(b):
-            a[s + i] -= c * bi
-        a = _trim(a)
-    return _trim(quot), a
-
-
-def _gcd(a: list, b: list) -> list:
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return [c / a[-1] for c in a]
-
-
-def _primitive(a: list) -> list[int]:
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return [c // g for c in ints]
-
-
-def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm: f = lead * prod g^m with g squarefree and coprime.
-
-    Polynomials are integer coefficient lists, lowest degree first; each g
-    is returned primitive, with its multiplicity m.
-    """
-    f = [Fraction(c) for c in f]
-    df = _deriv(f)
-    a = _gcd(f, df)
-    b, c = _divmod(f, a)[0], _divmod(df, a)[0]
-    out, m = [], 1
-    while len(b) > 1:
-        d = _sub(c, _deriv(b))
-        a = _gcd(b, d)
-        if len(a) > 1:
-            out.append((_primitive(a), m))
-        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
-        m += 1
-    return out
 
 
 def _eval_scaled(g: list[int], x: int, y: int, k: int):
@@ -317,11 +267,12 @@ def _certify(g: list[int], zs: list[tuple[int, int]], k: int):
     return rad
 
 
-def _isolate(g: list[int]) -> list[tuple[int, int, int, int]]:
-    """Certified disks (x + iy, r) / 2^k, one per root of the squarefree g.
+def _isolate(g: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
+    """k and certified disks (x + iy, r) / 2^k, one per root of the squarefree g.
 
     Float roots are refined by Newton's method in exact Gaussian integers
-    and certified by `_certify`; the precision doubles until that succeeds.
+    and certified by `_certify`; the precision k doubles, for all disks at
+    once, until that succeeds.
     """
     k = _PREC_START
     zs = [(int(math.ldexp(z.real, k)), int(math.ldexp(z.imag, k)))
@@ -342,32 +293,28 @@ def _isolate(g: list[int]) -> list[tuple[int, int, int, int]]:
                 break
         rad = _certify(g, zs, k)
         if rad is not None:
-            return [(x, y, r, k) for (x, y), r in zip(zs, rad)]
+            return k, [(x, y, r) for (x, y), r in zip(zs, rad)]
         zs = [(x << k, y << k) for x, y in zs]
         k *= 2
     raise ArithmeticError(f"could not isolate the roots of {g}")
 
 
 def _roots(f: list[int]) -> list[_Root]:
-    """Certified enclosures of the distinct roots of f (lowest degree first)."""
-    disks = [(x, y, r, k, m) for g, m in _squarefree_factors(f) for x, y, r, k in _isolate(g)]
+    """Certified enclosures of the roots of the squarefree f (lowest degree first)."""
+    k, disks = _isolate(f)
+    one = 1 << k
     roots = []
-    for i, (x, y, r, k, _) in enumerate(disks):
+    for i, (x, y, r) in enumerate(disks):
         if y < -r:
             continue  # the conjugate of a root listed with y > r
-        xf = x / (1 << k)
-        seps = []
-        for j, (x2, y2, r2, k2, m2) in enumerate(disks):
-            if j != i:
-                kk = max(k, k2)
-                dx, dy = (x << (kk - k)) - (x2 << (kk - k2)), (y << (kk - k)) - (y2 << (kk - k2))
-                low = isqrt(dx * dx + dy * dy) - (r << (kk - k)) - (r2 << (kk - k2))
-                seps.append((max(_below(Fraction(low, 1 << kk)), 0.0), m2))
+        xf = x / one
+        seps = tuple(max(_below(Fraction(isqrt((x - x2) ** 2 + (y - y2) ** 2) - r - r2, one)), 0.0)
+                     for j, (x2, y2, r2) in enumerate(disks) if j != i)
         roots.append(_Root(
             x=xf,
-            rho=_above(Fraction(r, 1 << k) + abs(Fraction(x, 1 << k) - Fraction(xf))),
-            y_lo=max(_below(Fraction(y - r, 1 << k)), 0.0) if y > r else 0.0,
-            seps=tuple(seps)))
+            rho=_above(Fraction(r, one) + abs(Fraction(x, one) - Fraction(xf))),
+            y_lo=max(_below(Fraction(y - r, one)), 0.0) if y > r else 0.0,
+            seps=seps))
     return roots
 
 
@@ -393,8 +340,8 @@ def _fourth_root(v: int, c: int) -> int:
 
 
 def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
-    """Chunks of (p, q) arrays, q >= 1, holding every |p|, |q| <= bound with
-    |G(p, q)| <= top whose nearest root of f is `root`.
+    """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
+    with |G(p, q)| <= top whose nearest root of f is `root`.
     """
     big_r = _iroot_ceil(-(-top // abs(lead)), d)
     qmax = bound
@@ -402,16 +349,15 @@ def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
         qmax = min(qmax, int((bound + big_r + 2) / (abs(root.x) - root.rho)) + 1)
     if root.y_lo > 0:
         qmax = min(qmax, int(big_r / root.y_lo) + 1)
-    # one window (const / q^e)^(1/m) per set S of nearest other roots
-    # (module docstring); S = all of them is R itself
+    # one window (const / q^e)^(1/(1 + |S|)) per set S of nearest other
+    # roots (module docstring); S = all of them is R itself
     seps = sorted(root.seps)
     terms = []
     for k in range(len(seps)):
         rest = seps[k:]
-        prod = math.prod(s ** m2 for s, m2 in rest)
+        prod = math.prod(rest)
         if prod > 0:
-            e = sum(m2 for _, m2 in rest)
-            terms.append((2.0 ** e * top / abs(lead) / prod, e, d - e))
+            terms.append((2.0 ** len(rest) * top / abs(lead) / prod, len(rest), k + 1))
     y_lo = root.y_lo * (1 - 2.0 ** -30)
     size = (abs(root.x) + root.rho) * qmax + big_r + 2
     slack = (root.rho * qmax + 8 * _U * size) * _GROW
@@ -427,51 +373,41 @@ def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
         keep = lo <= hi
         if root.y_lo > 0:
             keep &= y_lo * q <= half
-        if not keep.any():
-            continue
-        lo, hi, q = lo[keep].astype(np.int64), hi[keep].astype(np.int64), q[keep].astype(np.int64)
-        counts = hi - lo + 1
-        offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield np.repeat(lo, counts) + offsets, np.repeat(q, counts)
+        yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
+                       hi[keep].astype(np.int64).tolist())
 
 
 def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
                          ) -> dict[int, SolutionSet]:
     """All canonical pairs with |p|,|q| <= bound and form(p,q) = v, for each target v.
 
-    Only the p allowed by the certified root windows of the module
-    docstring are tried, and every candidate is re-checked in exact
-    integer arithmetic.
+    The form must have nonzero discriminant and every target must be
+    nonzero (module docstring).  Only the p allowed by the certified root
+    windows are tried, row by row, and every candidate is re-checked in
+    exact integer arithmetic; a pair found from two roots counts once.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    c = form.coeffs
-    if not any(c):
-        raise ValueError("the zero form has no bounded solution set")
+    if form.discriminant() == 0:
+        raise ValueError(f"the form {form.coeffs} has a repeated linear factor")
     targets = sorted(set(int(v) for v in targets))
+    if 0 in targets:
+        raise ValueError("the right side 0 is not supported")
+    c = form.coeffs
     # |G(p, q)| <= sum |c| * bound^4 in the box, so larger targets have no solution there
     reach = sum(abs(x) for x in c) * bound ** 4
     top = max((abs(v) for v in targets if abs(v) <= reach), default=0)
-    f = _trim(list(reversed(c)))  # f(x) = G(x, 1), lowest degree first
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
     for v in targets:
         # the q = 0 row: G(p, 0) = c0 p^4 with p >= 1
-        if c[0] == 0 and v == 0:
-            hits[v].extend((p, 0) for p in range(1, bound + 1))
         r = _fourth_root(v, c[0])
         if 1 <= r <= bound:
             hits[v].append((r, 0))
-        # f constant: G = c4 q^4 whatever p is
-        r = _fourth_root(v, c[4]) if len(f) == 1 else 0
-        if 1 <= r <= bound:
-            hits[v].extend((p, r) for p in range(-bound, bound + 1))
-    if len(f) > 1:
-        candidates = set()
-        for root in _roots(f):
-            for ps, qs in _window_candidates(root, len(f) - 1, f[-1], top, bound):
-                candidates.update(zip(ps.tolist(), qs.tolist()))
-        for p, q in candidates:
-            val = form(p, q)
-            if val in hits:
-                hits[val].append((p, q))
+    f = list(reversed(c if c[0] else c[1:]))  # f(x) = G(x, 1), lowest degree first
+    for root in _roots(f):
+        for q, lo, hi in _window_candidates(root, len(f) - 1, f[-1], top, bound):
+            for p in range(lo, hi + 1):
+                val = form(p, q)
+                if val in hits:
+                    hits[val].append((p, q))
     return {v: SolutionSet.of(pairs, Rigor.bounded(bound)) for v, pairs in hits.items()}

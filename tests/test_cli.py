@@ -2,6 +2,7 @@ import io
 import json
 import signal
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -199,6 +200,17 @@ def test_json_determinism(capsys):
         doc.pop("timing_ms")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_minimal_index_json_matches_pinned_documents(capsys):
+    # m, elements, rigor and trace of `minimal-index --json` for the 24 golden t;
+    # a change that alters these documents must regenerate the file and say why
+    pinned = json.loads((Path(__file__).parent / "data" / "minimal_index_golden.json").read_text())
+    assert sorted(map(int, pinned)) == sorted(EXCEPTIONAL_T + GENERIC_SAMPLE_T)
+    for t, want in pinned.items():
+        code, out, _ = run(capsys, "--json", "minimal-index", t, "--allow-hypothesis-violation")
+        results = json.loads(out)["results"]
+        assert code == 0 and {k: results[k] for k in want} == want
 
 
 def test_verify_paper_all_excludes_t(capsys):

@@ -175,7 +175,8 @@ def test_case2_cones_of_the_whole_family():
             assert set(candidate_uv_pairs(param, m)) == \
                 {(c.u, c.v) for c in cones if c.t == t and c.implied_m == m}
 
-    # each cone is nonsingular, and is obstructed or parametrizes: no other branch
+    # each cone is nonsingular, and is obstructed or parametrizes: no other branch;
+    # each reduced Thue form has a nonzero discriminant, as the bounded search requires
     obstructed = 0
     for c in cones:
         _, q1, q2 = family_forms(c.t)
@@ -190,7 +191,7 @@ def test_case2_cones_of_the_whole_family():
         par = parametrize(q0, find_point(q0))
         assert _det3(par.rows) != 0
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
-        thue_reduction(par, qform, target)
+        assert thue_reduction(par, qform, target).form.discriminant() != 0
     assert obstructed == 22
 
 

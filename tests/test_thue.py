@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -206,37 +207,70 @@ _forms = st.one_of(
     # two real roots, and none
     st.tuples(_indefinite, _definite).map(lambda fs: form_product(*fs)),
     st.tuples(_definite, _definite).map(lambda fs: form_product(*fs)),
-    # c0 = 0 (a factor q), c0 = c4 = 0 (a factor p q), and a repeated root
+    # c0 = 0 (a factor q) and c0 = c4 = 0 (a factor p q)
     st.tuples(_linear, _quadratic).map(lambda fs: form_product((0, 1), *fs)),
     st.tuples(_linear, _linear).map(lambda fs: form_product((1, 0), (0, 1), *fs)),
-    st.tuples(_linear, _quadratic).map(lambda fs: form_product(fs[0], *fs)),
     st.tuples(*[st.integers(-20, 20)] * 5),
-).filter(any)
+).filter(lambda c: BinaryQuarticForm(c).discriminant() != 0)
 
 _golden_t256 = (1, 1024, 327664, 33677344, 32448496)
 _golden_t256_targets = [s * 2 * 4 ** i for i in range(12) for s in (1, -1)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(coeffs=_forms, bound=st.integers(1, 60), zero=st.booleans(),
+@given(coeffs=_forms, bound=st.integers(1, 60),
        points=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=3),
        extra=st.lists(st.integers(-3000, 3000), max_size=3))
-@example(coeffs=form_product((1, -1), (1, -1), (1, 0, 1)), bound=60, zero=True,
-         points=[(1, 1), (2, 1), (1, 0), (7, 5)], extra=[])
-@example(coeffs=form_product((1, -1), (1, -1), (1, -1), (1, -1)), bound=40, zero=True,
-         points=[(3, 1)], extra=[16])
-@example(coeffs=(0, 0, 0, 0, 3), bound=20, zero=True, points=[(5, 2)], extra=[])
-@example(coeffs=(0, 2, 0, 0, 0), bound=30, zero=True, points=[(3, 1)],
+@example(coeffs=form_product((0, 1), (1, 2), (1, 0, 1)), bound=40, points=[(1, 1), (3, -1)],
+         extra=[5])
+@example(coeffs=form_product((1, 0), (0, 1), (1, -1), (2, 3)), bound=40, points=[(2, 1), (4, -1)],
          extra=[])
-@example(coeffs=_golden_t256, bound=60, zero=True, points=[], extra=_golden_t256_targets)
-@example(coeffs=(8, 128, 128, -3072, 3328), bound=60, zero=False, points=[(2, 1), (10, -1)],
+@example(coeffs=_golden_t256, bound=60, points=[], extra=_golden_t256_targets)
+@example(coeffs=(8, 128, 128, -3072, 3328), bound=60, points=[(2, 1), (10, -1)],
          extra=[2 * k * k for k in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)])
-@example(coeffs=(-11, 32, 16, -32, -16), bound=60, zero=False, points=[],
+@example(coeffs=(-11, 32, 16, -32, -16), bound=60, points=[],
          extra=[s * 4 ** i for i in range(8) for s in (1, -1)])
-def test_bounded_search_matches_grid(coeffs, bound, zero, points, extra):
+def test_bounded_search_matches_grid(coeffs, bound, points, extra):
     form = BinaryQuarticForm(coeffs)
-    targets = {form(p, q) for p, q in points} | set(extra) | ({0} if zero else set())
+    targets = ({form(p, q) for p, q in points} | set(extra)) - {0}
     got = bounded_search_multi(form, targets, bound)
     want = grid_search(form, targets, bound)
     assert {v: s.pairs for v, s in got.items()} == want
     assert all(s.rigor == Rigor.bounded(bound) for s in got.values())
+
+
+@pytest.mark.parametrize("coeffs", [
+    form_product((1, -1), (1, -1), (1, 0, 1)),  # (x - 1)^2 (x^2 + 1)
+    form_product((1, -1), (1, -1), (1, -1), (1, -1)),  # (x - 1)^4
+    (0, 0, 0, 0, 3),  # 3 q^4
+    (0, 2, 0, 0, 0),  # 2 p^3 q
+    (0, 0, 0, 0, 0),
+])
+def test_bounded_search_rejects_repeated_factors(coeffs):
+    form = BinaryQuarticForm(coeffs)
+    assert form.discriminant() == 0
+    with pytest.raises(ValueError, match="repeated linear factor"):
+        bounded_search_multi(form, [1], 10)
+
+
+def test_bounded_search_rejects_the_right_side_zero():
+    with pytest.raises(ValueError, match="right side 0"):
+        bounded_search_multi(family_form(5), [12, 0], 10)
+
+
+def test_family_form_discriminant():
+    assert family_form(1).invariants() == (51, 0)
+    for t in (1, 2, 5, 12, 28, 256, 10 ** 6):
+        assert family_form(t).discriminant() == 4 * (t * t + 16) ** 3
+
+
+def test_bounded_search_streams_its_candidates():
+    # a right side attainable at every q: each window spans the whole p-range,
+    # so memory must not grow with the number of candidates
+    tracemalloc.start()
+    try:
+        bounded_search_multi(family_form(5), [10 ** 8], 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
