@@ -9,8 +9,7 @@ field together with all elements attaining it.
 
 from .fieldmodel import (FamilyParameter, V2Class,
                          NonPositiveParameter, ExcludedParameter,
-                         OddSquareFactor, ParameterError,
-                         poly_discriminant, validate_parameter)
+                         OddSquareFactor, ParameterError, validate_parameter)
 from .elements import (AlgebraicInt, PowerRep, NotIntegral, canonical_triple,
                        char_poly, from_power_rep, index_oracle, multiply,
                        to_power_rep)

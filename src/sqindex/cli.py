@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 Output is a human-readable table by default or a deterministic JSON
 document with --json (identical runs differ only in the timing field).
 Every Thue box (thue --bound, --thue-bound) is capped at MAX_THUE_BOUND:
-the root-window search costs time linear in the box.
+the root-window search costs time linear in the box.  A right side of
+`thue` that is not +-2^e and that the box reaches is capped at
+MAX_THUE_RHS in absolute value: the search also costs time growing like
+sqrt|w|.  One beyond the reach of the box has no solution there at once.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from math import gcd
 
 from . import __version__, goldens
 from .fieldmodel import ParameterError, validate_parameter
@@ -29,6 +33,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 MAX_BRUTE_BOX = 300  # (2B+1)^3 points, (2B+1)^2 per X1 slice; >= t + 40 for every golden t
 MAX_THUE_BOUND = 10**7  # time linear in B (q = 1..B per root window): ~1 s per search on 2 cores
+MAX_THUE_RHS = 10**12  # <= 10 s at B = 10^7 on 2 cores (time grows like sqrt|w|); own |w| < 2^29
 
 
 def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
@@ -93,8 +98,8 @@ def cmd_basis(args) -> int:
     rows = []
     for row in param.basis_num:
         g = _row_gcd(row, param.g)
-        rows.append({"num": [c // g for c in row], "den": param.g // g,
-                     "pretty": _poly_str([c // g for c in row], param.g // g)})
+        num, den = [c // g for c in row], param.g // g
+        rows.append({"num": num, "den": den, "pretty": _poly_str(num, den)})
     results = {
         "v2_class": param.v2_class.name,
         "g": param.g,
@@ -110,14 +115,12 @@ def cmd_basis(args) -> int:
         print(f"t = {args.t}  class {param.v2_class.name}  g = {param.g}  n = I(xi) = {param.n}")
         print(f"disc(P_t) = {param.disc_P}")
         print(f"disc(K)   = {param.disc_K}")
-        for i, row in enumerate(param.basis_num):
-            g = _row_gcd(row, param.g)
-            print(f"b{i+1} = {_poly_str([c // g for c in row], param.g // g)}")
+        for i, row in enumerate(rows):
+            print(f"b{i+1} = {row['pretty']}")
     return EXIT_OK
 
 
 def _row_gcd(row, den: int) -> int:
-    from math import gcd
     g = den
     for c in row:
         g = gcd(g, abs(c))
@@ -210,10 +213,14 @@ def cmd_thue(args) -> int:
     w = args.w
     if w == 0:
         raise ParameterError("w must be nonzero")
+    form = family_form(args.t)
     if abs(w) & (abs(w) - 1) == 0:
         sols = solve_power_of_two(args.t, w)
+    elif MAX_THUE_RHS < abs(w) <= form.reach(args.bound):
+        raise ParameterError(f"|w| exceeds the cap {MAX_THUE_RHS} for a w not +-2^e "
+                             f"within reach of the box {args.bound}")
     else:
-        sols = bounded_search_multi(family_form(args.t), [w], args.bound)[w]
+        sols = bounded_search_multi(form, [w], args.bound)[w]
     results = {
         "w": w,
         "solutions": [list(p) for p in sols.pairs],
@@ -330,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thue", help="solve F_t(p,q) = w")
     p.add_argument("t", type=int)
-    p.add_argument("w", type=int)
+    p.add_argument("w", type=int,
+                   help=f"right side; |w| at most {MAX_THUE_RHS} unless w = +-2^e "
+                        "or no point of the box reaches it")
     p.add_argument("--bound", type=_thue_bound, default=DEFAULT_THUE_BOUND,
                    help=f"search box for w not of the form +-2^e (at most {MAX_THUE_BOUND})")
     p.set_defaults(func=cmd_thue)

@@ -82,16 +82,22 @@ def to_power_rep(e: AlgebraicInt, param: FamilyParameter) -> PowerRep:
 
 def coords_from_power(vec: tuple[int, int, int, int], d: int,
                       param: FamilyParameter) -> tuple[int, int, int, int]:
-    """Integral-basis coordinates of (vec)/d, or raise NotIntegral."""
-    wmat, w = param.basis_inverse
-    coords = []
-    for i in range(4):
-        s = sum(vec[j] * wmat[j][i] for j in range(4))
-        q, r = divmod(s, w * d)
-        if r != 0:
-            raise NotIntegral(f"{vec}/{d} is not in Z_K")
-        coords.append(q)
-    return tuple(coords)
+    """Integral-basis coordinates of (vec)/d, or raise NotIntegral.
+
+    g*(vec)/d is an integer vector when (vec)/d is integral; its xi..xi^3
+    part gives X1..X3 as in `triple_from_xyz`, and its constant then X0.
+    """
+    g, rows = param.g, param.basis_num
+    scaled = [divmod(c * g, d) for c in vec]
+    if not any(r for _, r in scaled):
+        a, x, y, z = (q for q, _ in scaled)
+        triple = _back_substitute(x, y, z, param)
+        if triple is not None:
+            x1, x2, x3 = triple
+            x0, r = divmod(a - x1 * rows[1][0] - x2 * rows[2][0] - x3 * rows[3][0], rows[0][0])
+            if r == 0:
+                return (x0, x1, x2, x3)
+    raise NotIntegral(f"{vec}/{d} is not in Z_K")
 
 
 def from_power_rep(p: PowerRep, param: FamilyParameter) -> AlgebraicInt:
@@ -102,18 +108,26 @@ def triple_from_xyz(x: int, y: int, z: int, param: FamilyParameter
                     ) -> tuple[int, int, int] | None:
     """(X1, X2, X3) of any element with power part (x*xi+y*xi^2+z*xi^3)/g.
 
-    The basis matrices are lower triangular, so X1..X3 do not depend on
-    the constant term; None when no constant makes the value integral.
+    Back substitution over the basis rows, which are lower triangular with
+    nonzero diagonal: the xi^3 coordinate is X3 (b4 = (.. + xi^3)/g), then
+    xi^2 fixes X2 and xi fixes X1, one exact divmod each.  The constant
+    term enters X0 only, and over g every integral triple has an integral
+    X0, so None exactly when no constant makes the value integral.
     """
-    wmat, w = param.basis_inverse
-    out = []
-    for i in range(1, 4):
-        s = x * wmat[1][i] + y * wmat[2][i] + z * wmat[3][i]
-        q, r = divmod(s, w * param.g)
-        if r != 0:
-            return None
-        out.append(q)
-    return tuple(out)
+    return _back_substitute(x, y, z, param)
+
+
+def _back_substitute(x: int, y: int, z: int, param: FamilyParameter
+                     ) -> tuple[int, int, int] | None:
+    # triple_from_xyz's body, called by coords_from_power so perfbench counts stay per caller
+    _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = param.basis_num
+    x2, r = divmod(y - z * b32, b22)
+    if r:
+        return None
+    x1, r = divmod(x - z * b31 - x2 * b21, b11)
+    if r:
+        return None
+    return x1, x2, z
 
 
 @lru_cache(maxsize=16)

@@ -3,7 +3,9 @@
 For t > 0, t != 3, with the odd part of t^2 + 16 squarefree, the ring of
 integers of Q(xi) (xi a root of P_t) has one of four known integral bases,
 selected by v_2(t).  This module validates t, classifies it, and carries
-the exact basis data used everywhere else.
+the exact basis data used everywhere else.  The field data are the
+family's closed forms: disc(P_t) = 4*(t^2 + 16)^3 and disc(K) =
+disc(P_t) / n^2, with n = I(xi) fixed by the class.
 
 All arithmetic is arbitrary-precision integer / rational; no floats.
 """
@@ -12,10 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Sequence
 
 # Supported range for the trial-division squarefree test of the odd part
 # of t^2 + 16.  Enough for desk scale; raise deliberately, not silently.
@@ -42,7 +41,8 @@ _CLASS_GN = {
 
 # Basis numerators over the common denominator g.  Row i gives b_{i+1} in
 # the power basis 1, xi, xi^2, xi^3.  All four matrices are lower
-# triangular with nonzero diagonal, which the element arithmetic relies on.
+# triangular with nonzero diagonal and b4 = (.. + xi^3)/g, which the
+# element arithmetic relies on.
 _BASIS_NUM = {
     V2Class.V0: ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 0, 0, 1)),
     V2Class.V1: ((2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)),
@@ -69,18 +69,6 @@ class OddSquareFactor(ParameterError):
     def __init__(self, factor: int):
         self.factor = factor
         super().__init__(f"odd square factor {factor} divides t^2 + 16")
-
-
-class PolynomialError(ValueError):
-    pass
-
-
-class NotMonic(PolynomialError):
-    pass
-
-
-class WrongDegree(PolynomialError):
-    pass
 
 
 def v2(n: int) -> int:
@@ -114,73 +102,11 @@ def odd_square_divisor(n: int) -> int | None:
     return None
 
 
-def family_poly(t: int) -> tuple[int, int, int, int, int]:
-    """Coefficients of P_t in ascending order (constant first)."""
-    return (1, t, -6, -t, 1)
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def sylvester_resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Resultant of two integer polynomials given in ascending order."""
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    while fd and fd[0] == 0:
-        fd.pop(0)
-    while gd and gd[0] == 0:
-        gd.pop(0)
-    n, m = len(fd) - 1, len(gd) - 1
-    if n < 0 or m < 0:
-        return 0
-    size = n + m
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + fd + [0] * (m - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gd + [0] * (n - 1 - i))
-    return _bareiss_det(rows)
-
-
-def poly_discriminant(coeffs: Sequence[int]) -> int:
-    """Discriminant of a monic integer quartic, via resultant(f, f').
-
-    `coeffs` is ascending: (c0, c1, c2, c3, 1).  The degree-4 sign
-    convention makes disc = resultant(f, f') with no extra sign.
-    """
-    if len(coeffs) != 5:
-        raise WrongDegree(f"need 5 coefficients, got {len(coeffs)}")
-    if coeffs[4] != 1:
-        raise NotMonic(f"leading coefficient {coeffs[4]} != 1")
-    f = [int(c) for c in coeffs]
-    fprime = [f[1], 2 * f[2], 3 * f[3], 4 * f[4]]
-    return sylvester_resultant(f, fprime)
-
-
 def disc_quartic_monic(a: int, b: int, c: int, d: int) -> int:
-    """Closed-form discriminant of x^4 + a*x^3 + b*x^2 + c*x + d.
+    """Discriminant of x^4 + a*x^3 + b*x^2 + c*x + d, as the generic 16-term formula.
 
-    Same value as poly_discriminant((d, c, b, a, 1)); it uses only ring
-    operations, so the box oracle also runs it on polynomial coefficients.
+    It uses only ring operations, so the box oracle also runs it on
+    polynomial coefficients.
     """
     return (
         256 * d**3
@@ -220,41 +146,8 @@ class FamilyParameter:
         numerators over the common denominator g (its largest denominator)."""
         return _BASIS_NUM[self.v2_class]
 
-    @cached_property
-    def basis_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(W, w) with (basis_num/g)^-1 = W/w, both exact integers.
-
-        Used to pass from power-basis coordinates back to integral-basis
-        coordinates; divisibility by w certifies integrality.
-        """
-        rows = [[Fraction(x, self.g) for x in row] for row in self.basis_num]
-        inv = _invert4(rows)
-        den = 1
-        for row in inv:
-            for e in row:
-                den = den * e.denominator // gcd(den, e.denominator)
-        w = den
-        wmat = tuple(tuple(int(e * w) for e in row) for row in inv)
-        return wmat, w
-
     def __repr__(self) -> str:  # keep reports compact
         return f"FamilyParameter(t={self.t}, {self.v2_class.name}, n={self.n})"
-
-
-def _invert4(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Invert a 4x4 rational matrix by Gauss-Jordan elimination."""
-    n = 4
-    aug = [rows[i][:] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [er - f * ec for er, ec in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def validate_parameter(t: int, allow_hypothesis_violation: bool = False) -> FamilyParameter:
@@ -278,7 +171,7 @@ def validate_parameter(t: int, allow_hypothesis_violation: bool = False) -> Fami
         raise OddSquareFactor(sq)
     cls = v2_class(t)
     g, n = _CLASS_GN[cls]
-    disc_p = poly_discriminant(family_poly(t))
+    disc_p = 4 * (t * t + 16) ** 3  # closed form; the divmod checks n against it
     q, r = divmod(disc_p, n * n)
     if r != 0 or q == 0:
         raise ArithmeticError(f"disc(P_t) = {disc_p} not divisible by n^2 = {n*n}")

@@ -85,6 +85,10 @@ class BinaryQuarticForm:
         i, j = self.invariants()
         return (4 * i ** 3 - j * j) // 27
 
+    def reach(self, bound: int) -> int:
+        """sum |c| * bound^4 >= |G(p, q)| on the box |p|, |q| <= bound."""
+        return sum(abs(x) for x in self.coeffs) * bound ** 4
+
 
 def family_form(t: int) -> BinaryQuarticForm:
     return BinaryQuarticForm((1, -t, -6, t, 1))
@@ -394,8 +398,7 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     if 0 in targets:
         raise ValueError("the right side 0 is not supported")
     c = form.coeffs
-    # |G(p, q)| <= sum |c| * bound^4 in the box, so larger targets have no solution there
-    reach = sum(abs(x) for x in c) * bound ** 4
+    reach = form.reach(bound)  # larger targets have no solution in the box
     top = max((abs(v) for v in targets if abs(v) <= reach), default=0)
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
     for v in targets:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import sqindex as sq
-from sqindex.fieldmodel import odd_square_divisor, poly_discriminant, validate_parameter
+from sqindex.fieldmodel import odd_square_divisor, validate_parameter
 from sqindex.elements import (AlgebraicInt, char_poly, index_oracle,
                               to_power_rep)
 from sqindex.indexcore import TernaryForm, family_forms, index_via_forms
@@ -117,7 +117,7 @@ def test_criterion_5_brute_force_agreement():
             assert (bm, belems) == (res.m, inside), t
 
 
-def test_criterion_6_index_identity_suite():
+def test_criterion_6_index_identity_suite(quartic_disc):
     with criterion(6, "dual-oracle identity on 10^4 random elements", 300.0):
         rng = random.Random(20260810)
         checked = 0
@@ -129,7 +129,7 @@ def test_criterion_6_index_identity_suite():
                 m_oracle = index_oracle(e, param)
                 m_forms = index_via_forms(to_power_rep(e, param), param)
                 assert m_oracle == m_forms
-                disc = poly_discriminant(char_poly(e, param))
+                disc = quartic_disc(char_poly(e, param))
                 if m_oracle is None:
                     assert disc == 0
                 else:

@@ -1,6 +1,7 @@
 import io
 import json
 import signal
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, build_parser, main
+from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, MAX_THUE_RHS, build_parser, main
 from sqindex.fieldmodel import MAX_SUPPORTED_T
 from sqindex.driver import DEFAULT_THUE_BOUND
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
@@ -83,6 +84,23 @@ def test_thue_command(capsys):
     # a right side beyond every value of F_5 in the box has no solution there
     code, out, _ = run(capsys, "--json", "thue", "5", str(10 ** 400), "--bound", "5")
     assert code == 0 and json.loads(out)["results"]["solutions"] == []
+
+
+def test_thue_caps_a_right_side_the_box_reaches(capsys):
+    # the search costs time growing like sqrt|w|: without the cap this call
+    # was still running after 30 s
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "thue", "5", str(10 ** 20), "--bound", str(10 ** 6))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"exceeds the cap {MAX_THUE_RHS}" in err
+    assert run(capsys, "thue", "5", str(MAX_THUE_RHS + 1), "--bound", "1000")[0] == 2
+    # past the reach of the box the answer is empty at once; +-2^e is solved completely
+    code, out, _ = run(capsys, "--json", "thue", "5", str(MAX_THUE_RHS + 1), "--bound", "10")
+    assert code == 0 and json.loads(out)["results"]["rigor"] == "BoundedSearchOnly(10)"
+    code, out, _ = run(capsys, "--json", "thue", "5", str(2 ** 60))
+    assert code == 0 and json.loads(out)["results"]["complete"] is True
 
 
 @pytest.mark.parametrize("t, message", [
@@ -301,6 +319,7 @@ def _alarm(signum, frame):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(argv=["thue", str(10 ** 400), "12", "--bound", "5"])
 @example(argv=["thue", "5", "12", "--bound", str(10 ** 20)])
+@example(argv=["thue", "5", str(10 ** 20), "--bound", str(10 ** 6)])
 @example(argv=["minimal-index", "12", "--thue-bound", str(MAX_THUE_BOUND + 1)])
 @given(argv=_command_lines())
 def test_cli_exit_code_contract(argv):

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.fieldmodel import odd_square_divisor, poly_discriminant, validate_parameter
+from sqindex.fieldmodel import odd_square_divisor, validate_parameter
 from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
-                              canonical_triple, char_poly, from_power_rep,
+                              canonical_triple, char_poly, coords_from_power,
+                              from_power_rep,
                               index_oracle, mult_matrix, multiply, to_power_rep,
                               triple_from_xyz)
 
@@ -82,7 +84,7 @@ def test_basis_square_integral_t2():
     assert all(isinstance(c, int) for c in sq.coords)
 
 
-def test_char_poly_examples():
+def test_char_poly_examples(quartic_disc):
     for t in (1, 2, 12):
         param = validate_parameter(t)
         assert char_poly(XI, param) == (1, t, -6, -t, 1)
@@ -91,7 +93,7 @@ def test_char_poly_examples():
             (c ** 4, -4 * c ** 3, 6 * c * c, -4 * c, 1)
     param = validate_parameter(1)
     cp = char_poly(AlgebraicInt((0, 6, 1, -2)), param)
-    assert poly_discriminant(cp) == 4 * param.disc_K
+    assert quartic_disc(cp) == 4 * param.disc_K
 
 
 def test_index_oracle_examples():
@@ -102,7 +104,7 @@ def test_index_oracle_examples():
     assert index_oracle(AlgebraicInt((0, 1, 1, 0)), param) == 1
 
 
-def test_disc_identity_random():
+def test_disc_identity_random(quartic_disc):
     rng = random.Random(3)
     for t in (1, 2, 12, 40):
         param = validate_parameter(t)
@@ -110,7 +112,7 @@ def test_disc_identity_random():
             e = AlgebraicInt((0, rng.randint(-9, 9), rng.randint(-9, 9),
                               rng.randint(-9, 9)))
             m = index_oracle(e, param)
-            disc = poly_discriminant(char_poly(e, param))
+            disc = quartic_disc(char_poly(e, param))
             if m is None:
                 assert disc == 0
             else:
@@ -168,6 +170,55 @@ def test_triple_from_xyz_filters_non_integral():
     param = validate_parameter(1)  # v2(t)=0 needs x, y even over d=2
     assert triple_from_xyz(2, 0, 0, param) == (1, 0, 0)
     assert triple_from_xyz(1, 0, 0, param) is None
+
+
+@pytest.mark.parametrize("t", (1, 2, 4, 8))  # v2(t) = 0, 1, 2, >= 3
+def test_coordinate_solve_against_sympy_inverse(t):
+    # the triangular solve, checked against sympy's exact inverse of
+    # basis_num / g: (vec)/d has coordinates (vec/d) * (basis_num / g)^-1
+    import sympy
+    param = validate_parameter(t)
+    g, basis = param.g, param.basis_num
+    inv = [[Fraction(int(c.p), int(c.q)) for c in row]
+           for row in (sympy.Matrix(basis) / g).inv().tolist()]
+    rng = random.Random(t)
+
+    def expected(vec, d):
+        xs = [sum(v * inv[i][j] for i, v in enumerate(vec)) / d for j in range(4)]
+        return tuple(int(x) for x in xs) if all(x.denominator == 1 for x in xs) else None
+
+    def solved(vec, d):
+        try:
+            return coords_from_power(vec, d, param)
+        except NotIntegral:
+            return None
+
+    def element(d):  # d times a random integral element, when that is integral
+        xs = [rng.randint(-30, 30) for _ in range(4)]
+        vec = [Fraction(d * sum(x * basis[i][j] for i, x in enumerate(xs)), g) for j in range(4)]
+        return tuple(int(v) for v in vec) if all(v.denominator == 1 for v in vec) else None
+
+    seen = {True: 0, False: 0}
+    for d in range(1, 17):
+        for _ in range(40):
+            vecs = [tuple(rng.randint(-60, 60) for _ in range(4))]
+            vec = element(d)
+            if vec is not None:  # and a near miss in each coordinate
+                vecs += [vec] + [vec[:j] + (vec[j] + 1,) + vec[j + 1:] for j in range(4)]
+            for vec in vecs:
+                want = expected(vec, d)
+                assert solved(vec, d) == want, (vec, d)
+                seen[want is None] += 1
+    assert min(seen.values()) > 100, seen
+
+    # triple_from_xyz is the same solve over g, without the constant term:
+    # X0 = (a - const)/g, so some a in 0..g-1 makes the value integral or none does
+    for _ in range(400):
+        vec = element(g) if rng.random() < 0.5 else None
+        x, y, z = vec[1:] if vec else (rng.randint(-60, 60) for _ in range(3))
+        a = next((a for a in range(g) if expected((a, x, y, z), g) is not None), None)
+        want = None if a is None else coords_from_power((a, x, y, z), g, param)[1:]
+        assert triple_from_xyz(x, y, z, param) == want, (x, y, z)
 
 
 def test_charpoly4_matches_sympy():

@@ -5,11 +5,8 @@ import pytest
 import sympy
 
 from sqindex.fieldmodel import (ExcludedParameter, NonPositiveParameter,
-                                NotMonic, OddSquareFactor, WrongDegree,
-                                V2Class, disc_quartic_monic, family_poly,
-                                odd_square_divisor,
-                                poly_discriminant, sylvester_resultant,
-                                validate_parameter)
+                                OddSquareFactor, V2Class, disc_quartic_monic,
+                                odd_square_divisor, validate_parameter)
 
 
 def valid_t(limit):
@@ -75,24 +72,11 @@ def test_basis_determinant_is_inverse_index():
         assert abs(det) == Fraction(1, p.n)
 
 
-def test_poly_discriminant_degenerate():
-    assert poly_discriminant((0, 0, 0, 0, 1)) == 0  # x^4
-    assert poly_discriminant((1, 0, -2, 0, 1)) == 0  # (x^2-1)^2
-
-
-def test_poly_discriminant_input_checks():
-    with pytest.raises(WrongDegree):
-        poly_discriminant((1, 2, 3, 4))
-    with pytest.raises(NotMonic):
-        poly_discriminant((1, 2, 3, 4, 5))
-
-
 def test_family_discriminant_against_float_roots():
     # independent 200-bit computation: product of squared root differences
     mpmath.mp.prec = 200
     for t in (1, 2, 5, 12):
-        coeffs = family_poly(t)
-        exact = poly_discriminant(coeffs)
+        exact = validate_parameter(t).disc_P
         roots = mpmath.polyroots([1, -t, -6, t, 1], maxsteps=200)
         prod = mpmath.mpf(1)
         for i in range(4):
@@ -102,28 +86,19 @@ def test_family_discriminant_against_float_roots():
 
 
 def test_resultant_and_closed_form_agree_with_sympy():
+    # disc_quartic_monic against sympy's discriminant and against sympy's
+    # resultant(f, f'), which equals the discriminant for a monic quartic
     import random
     rng = random.Random(1)
     x = sympy.symbols("x")
-    for _ in range(40):
-        c = [rng.randint(-9, 9) for _ in range(4)]
+    cases = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(40)]
+    cases += [[0, 0, 0, 0], [1, 0, -2, 0]]  # x^4 and (x^2-1)^2: discriminant 0
+    for c in cases:
         poly = x ** 4 + c[3] * x ** 3 + c[2] * x ** 2 + c[1] * x + c[0]
         want = sympy.discriminant(poly, x)
-        assert poly_discriminant((c[0], c[1], c[2], c[3], 1)) == want
+        assert sympy.resultant(poly, sympy.diff(poly, x), x) == want
         assert disc_quartic_monic(c[3], c[2], c[1], c[0]) == want
-
-
-def test_resultant_multiplicative():
-    # res(f*g, h) = res(f, h) * res(g, h)
-    f = (1, 2, 1)        # (x+1)^2
-    g = (2, 3, 0, 1)     # x^3 + 3x + 2
-    h = (1, 1, 1)        # x^2 + x + 1
-    fg = [0] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        for j, cj in enumerate(g):
-            fg[i + j] += ci * cj
-    assert sylvester_resultant(fg, h) == \
-        sylvester_resultant(f, h) * sylvester_resultant(g, h) != 0
+    assert disc_quartic_monic(0, 0, 0, 0) == disc_quartic_monic(0, -2, 0, 1) == 0
 
 
 def test_disc_ratio_and_formula_for_all_small_t():
