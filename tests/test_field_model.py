@@ -92,13 +92,18 @@ def test_resultant_and_closed_form_agree_with_sympy():
     rng = random.Random(1)
     x = sympy.symbols("x")
     cases = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(40)]
-    cases += [[0, 0, 0, 0], [1, 0, -2, 0]]  # x^4 and (x^2-1)^2: discriminant 0
     for c in cases:
         poly = x ** 4 + c[3] * x ** 3 + c[2] * x ** 2 + c[1] * x + c[0]
         want = sympy.discriminant(poly, x)
         assert sympy.resultant(poly, sympy.diff(poly, x), x) == want
         assert disc_quartic_monic(c[3], c[2], c[1], c[0]) == want
-    assert disc_quartic_monic(0, 0, 0, 0) == disc_quartic_monic(0, -2, 0, 1) == 0
+
+
+def test_poly_discriminant_degenerate():
+    # repeated roots: the quartic discriminant vanishes
+    assert disc_quartic_monic(0, 0, 0, 0) == 0  # x^4
+    assert disc_quartic_monic(0, -2, 0, 1) == 0  # (x^2-1)^2
+    assert disc_quartic_monic(-2, -3, 4, 4) == 0  # (x-2)^2 (x+1)^2
 
 
 def test_disc_ratio_and_formula_for_all_small_t():
