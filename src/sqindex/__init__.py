@@ -17,7 +17,7 @@ from .indexcore import (QuarticCoeffs, ResolventForm, TernaryForm,
                         build_forms, family_coeffs, family_forms,
                         index_via_forms, rhs_decompositions)
 from .thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
-                   base_solutions, family_form, solve_power_of_two)
+                   family_form, solve_power_of_two)
 from .conic import (DegeneratePoint, Parametrization, find_point, parametrize,
                     thue_reduction)
 from .driver import (CaseTwoTriple, Hit, MinimalIndexResult,

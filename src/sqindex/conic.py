@@ -42,6 +42,7 @@ the system Q1 = +-u, Q2 = +-v to quartic Thue equations, one per divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -52,21 +53,21 @@ from .thue import BinaryQuarticForm
 _RADIUS_START = 64
 
 _QR_MOD = 720720  # 2^4 * 3^2 * 5 * 7 * 11 * 13; sparse square residues
-_QR_TABLE = None
 
 
 class DegeneratePoint(ValueError):
     """No coordinate scheme through the point gives a parametrization."""
 
 
+@cache
 def _qr_table():
-    global _QR_TABLE
-    if _QR_TABLE is None:
-        t = np.zeros(_QR_MOD, dtype=bool)
-        r = (np.arange(_QR_MOD, dtype=np.int64) ** 2) % _QR_MOD
-        t[r] = True
-        _QR_TABLE = t
-    return _QR_TABLE
+    # x^2 = (M - x)^2 (mod M), so x <= M/2 reaches every square residue
+    r = np.arange(_QR_MOD // 2 + 1, dtype=np.int64)
+    r *= r
+    r %= _QR_MOD
+    table = np.zeros(_QR_MOD, dtype=bool)
+    table[r] = True
+    return table
 
 
 def _primitive(x: int, y: int, z: int) -> tuple[int, int, int]:

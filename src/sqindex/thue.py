@@ -1,17 +1,24 @@
 """Thue equations F_t(p,q) = w for the family form and the reduced quartics.
 
-F_t(p,q) = p^4 - t p^3 q - 6 p^2 q^2 + t p q^3 + q^4.  The solution sets
-for w in {+1,-1,+4,-4} are known completely; every w = +-2^e reduces to
-them through two exact transforms:
+F_t(p,q) = p^4 - t p^3 q - 6 p^2 q^2 + t p q^3 + q^4.  Only F_t = +-1 is
+tabulated (`_BASE`).  Its solution sets are complete by the theorem of
+Lettl, Petho and Voutier (1999) on the Thue inequalities |F_t(x, y)| <= 6t + 7;
+that citation could not be checked offline, and the tests cross-check the
+table against the bounded search.  Every w = +-2^e follows by parity:
 
-    F_t(2p, 2q)      = 16 F_t(p, q)
-    F_t(p-q, p+q)    = -4 F_t(p, q)
+- a pair of mixed parity gives an odd F_t, so for e >= 1 every solution
+  has p = q (mod 2) and is L(P, Q) = (P - Q, P + Q) with P = (p + q)/2,
+  Q = (q - p)/2 and F_t(P, Q) = -w/4 (F_t(L(P, Q)) = -4 F_t(P, Q) is
+  asserted symbolically in the tests);
+- so odd e has no solution, and for e = 2h the solutions are L^h of the
+  solutions of F_t = sign(w) (-1)^h;
+- L(L(p, q)) = 2 (-q, p) and F_t(-q, p) = F_t(p, q), so L^h acts on a
+  solution set as 2^(h//2) L^(h%2).
 
-(the second is asserted symbolically in the tests), together with the
-mod-8 obstruction that rules out w = +-2.  Everything else goes through
-a bounded search that reports its box.  That search is the only one a
-result can be bounded by, so `Rigor`, the completeness status carried
-from here through the minimal-index driver to the CLI, lives here too.
+Everything else goes through a bounded search that reports its box.
+That search is the only one a result can be bounded by, so `Rigor`, the
+completeness status carried from here through the minimal-index driver
+to the CLI, lives here too.
 
 The bounded search takes a form G with nonzero discriminant
 (4 I^3 - J^2) / 27 and nonzero right sides, and raises ValueError
@@ -47,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -150,51 +156,32 @@ def _check_t(t: int):
         raise ValueError(f"family parameter t = {t} outside t > 0, t != 3")
 
 
-# Complete solution sets for the four base right-hand sides.  The entries
-# for |w| = 4 coincide with what the lifting transform produces from
-# |w| = 1; both routes are kept and cross-checked in the tests.
+# The complete solution sets of F_t(p, q) = +-1 (module docstring): the
+# pairs for every t, plus the extra pairs at t = 4 (for +1) and t = 1 (for -1).
 _BASE = {
     1: {"any": [(1, 0), (0, 1)], 4: [(2, 3), (3, -2)]},
     -1: {"any": [], 1: [(1, 2), (2, -1)]},
-    4: {"any": [], 1: [(3, 1), (1, -3)]},
-    -4: {"any": [(1, 1), (1, -1)], 4: [(5, 1), (1, -5)]},
 }
 
 
-def base_solutions(t: int, w: int) -> SolutionSet:
-    """All solutions of F_t(p,q) = w for w in {+1,-1,+4,-4} (complete)."""
-    _check_t(t)
-    if w not in _BASE:
-        raise UnsupportedW(f"w = {w} has no tabulated base solutions")
-    table = _BASE[w]
-    pairs = list(table["any"]) + list(table.get(t, []))
-    return SolutionSet.of(pairs, Rigor.certain())
-
-
-@lru_cache(maxsize=None)
 def solve_power_of_two(t: int, w: int) -> SolutionSet:
-    """Complete solutions of F_t(p,q) = w for w = +-2^e.
+    """Complete solutions of F_t(p,q) = w for w = +-2^e, in closed form.
 
-    e = 0 is the tabulated base case, e = 1 is empty by the mod-8
-    obstruction, and e >= 2 recurses through the doubling and lifting
-    transforms (each solution of -w/4 lifts via (p,q) -> (p-q, p+q)).
+    Odd e has none; for e = 2h they are 2^(h//2) L^(h%2) of the solutions
+    of sign(w) (-1)^h, with L(p, q) = (p - q, p + q) (module docstring).
     """
     _check_t(t)
     if w == 0 or abs(w) & (abs(w) - 1):
         raise UnsupportedW(f"w = {w} is not +-2^e")
-    e = abs(w).bit_length() - 1
-    sign = 1 if w > 0 else -1
-    if e == 0:
-        return base_solutions(t, sign)
-    if e == 1:
+    h, odd = divmod(abs(w).bit_length() - 1, 2)
+    if odd:
         return SolutionSet.of([], Rigor.certain())
-    pairs = set()
-    if e >= 4:
-        for p, q in solve_power_of_two(t, w // 16):
-            pairs.add(canonical_pair(2 * p, 2 * q))
-    for p, q in solve_power_of_two(t, -(w // 4)):
-        pairs.add(canonical_pair(p - q, p + q))
-    return SolutionSet.of(pairs, Rigor.certain())
+    row = _BASE[(1 if w > 0 else -1) * (-1) ** h]
+    pairs = row["any"] + row.get(t, [])
+    if h % 2:
+        pairs = [(p - q, p + q) for p, q in pairs]
+    s = 1 << h // 2
+    return SolutionSet.of([(s * p, s * q) for p, q in pairs], Rigor.certain())
 
 
 # --- bounded search by root windows -------------------------------------------

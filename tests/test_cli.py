@@ -103,6 +103,17 @@ def test_thue_caps_a_right_side_the_box_reaches(capsys):
     assert code == 0 and json.loads(out)["results"]["complete"] is True
 
 
+def test_thue_huge_power_of_two(capsys):
+    # the closed form answers at once; a recursion over e once died here
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "thue", "5", str(2 ** 2100))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and "Traceback" not in err
+    assert "2 solution pair(s), Proven" in out
+    big = 2 ** 525
+    assert f"(p,q) = (0,{big})" in out and f"(p,q) = ({big},0)" in out
+
+
 @pytest.mark.parametrize("t, message", [
     ("0", "t must be positive, got 0"),
     ("3", "t = 3 is excluded (degenerate field)"),
@@ -321,6 +332,7 @@ def _alarm(signum, frame):
 @example(argv=["thue", "5", "12", "--bound", str(10 ** 20)])
 @example(argv=["thue", "5", str(10 ** 20), "--bound", str(10 ** 6)])
 @example(argv=["minimal-index", "12", "--thue-bound", str(MAX_THUE_BOUND + 1)])
+@example(argv=["thue", "5", str(2 ** 2100)])
 @given(argv=_command_lines())
 def test_cli_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
-from sqindex.conic import (DegeneratePoint, divisors, find_point, obstruction,
-                           parametrize, thue_reduction)
+from sqindex.conic import (_QR_MOD, DegeneratePoint, _qr_table, divisors, find_point,
+                           obstruction, parametrize, thue_reduction)
 from sqindex.driver import Hit, candidate_uv_pairs, case1_candidates
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
@@ -84,6 +84,12 @@ def test_find_point_definite_form():
     assert find_point(TernaryForm((1, 0, 1, 0, 0, 1))) is None
     assert obstruction(TernaryForm((1, 0, 1, 0, 0, 1))) == 0
     assert obstruction(TernaryForm((-1, 0, -1, 0, 0, -1))) == 0
+
+
+def test_qr_table_holds_every_square_residue():
+    # a missing residue would silently drop rows of the conic point search
+    squares = {x * x % _QR_MOD for x in range(_QR_MOD)}
+    assert set(np.nonzero(_qr_table())[0].tolist()) == squares
 
 
 def test_obstruction_classical_examples():

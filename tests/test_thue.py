@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqindex.thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
-                          base_solutions, bounded_search_multi, canonical_pair,
-                          family_form, solve_power_of_two)
+                          bounded_search_multi, canonical_pair, family_form,
+                          solve_power_of_two)
 from sqindex.goldens import thue_base_golden
 
 
@@ -17,16 +17,14 @@ def canon(pairs):
 
 
 def test_base_solutions_table():
-    assert base_solutions(7, 1).pairs == canon([(1, 0), (0, 1)])
-    assert base_solutions(4, 1).pairs == canon([(1, 0), (0, 1), (2, 3), (3, -2)])
-    assert base_solutions(1, -1).pairs == canon([(1, 2), (2, -1)])
-    assert base_solutions(5, -1).pairs == ()
-    assert base_solutions(1, 4).pairs == canon([(3, 1), (1, -3)])
-    assert base_solutions(4, -4).pairs == canon([(1, 1), (1, -1), (5, 1), (1, -5)])
-    with pytest.raises(UnsupportedW):
-        base_solutions(5, 2)
+    assert solve_power_of_two(7, 1).pairs == canon([(1, 0), (0, 1)])
+    assert solve_power_of_two(4, 1).pairs == canon([(1, 0), (0, 1), (2, 3), (3, -2)])
+    assert solve_power_of_two(1, -1).pairs == canon([(1, 2), (2, -1)])
+    assert solve_power_of_two(5, -1).pairs == ()
+    assert solve_power_of_two(1, 4).pairs == canon([(3, 1), (1, -3)])
+    assert solve_power_of_two(4, -4).pairs == canon([(1, 1), (1, -1), (5, 1), (1, -5)])
     with pytest.raises(ValueError):
-        base_solutions(3, 1)
+        solve_power_of_two(3, 1)
 
 
 def test_base_solutions_match_golden_fixture():
@@ -36,14 +34,14 @@ def test_base_solutions_match_golden_fixture():
         for t in (1, 2, 4, 5, 7, 10):
             want = [tuple(p) for p in table["any"]]
             want += [tuple(p) for p in table.get(str(t), [])]
-            assert base_solutions(t, w).pairs == canon(want)
+            assert solve_power_of_two(t, w).pairs == canon(want)
 
 
 def test_base_pairs_evaluate_to_w():
     for w in (1, -1, 4, -4):
         for t in (1, 2, 4, 5, 7):
             f = family_form(t)
-            for p, q in base_solutions(t, w):
+            for p, q in solve_power_of_two(t, w):
                 assert f(p, q) == w
 
 
@@ -57,13 +55,12 @@ def test_solve_power_of_two_examples():
         solve_power_of_two(5, 12)
     with pytest.raises(UnsupportedW):
         solve_power_of_two(5, 0)
-
-
-def test_lift_consistency_with_base_four():
-    # the recursion derives w = +-4 from w = -+1; must equal the table
-    for t in (1, 2, 4, 5, 7, 9):
-        for w in (4, -4):
-            assert solve_power_of_two(t, w).pairs == base_solutions(t, w).pairs
+    # closed form: nothing grows with e (a recursion once died at 2^2100)
+    big = 2 ** 525
+    assert solve_power_of_two(5, 2 ** 2100).pairs == ((0, big), (big, 0))
+    assert solve_power_of_two(5, 2 ** 2101).pairs == ()
+    assert solve_power_of_two(5, -2 ** 2102).pairs == ((big, -big), (big, big))
+    assert family_form(5)(big, big) == -2 ** 2102
 
 
 def test_transform_identity_symbolic():
@@ -116,14 +113,15 @@ def test_scaling(t, p, q, c):
 
 
 def test_solver_vs_box_small():
-    for t in (1, 2, 4, 5, 7, 12):
-        f = family_form(t)
-        for w in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16):
+    # cross-checks the +-1 table and the lift against the root-window search
+    ws = [s * 2 ** e for e in range(7) for s in (1, -1)]
+    for t in (t for t in range(1, 257) if t != 3):
+        box = bounded_search_multi(family_form(t), ws, 1000)
+        for w in ws:
             proven = solve_power_of_two(t, w)
-            box = bounded_search_multi(f, [w], 200)[w]
-            want = tuple(p for p in proven.pairs if max(abs(p[0]), abs(p[1])) <= 200)
-            assert box.pairs == want
-            assert box.rigor == Rigor.bounded(200)
+            want = tuple(p for p in proven.pairs if max(abs(p[0]), abs(p[1])) <= 1000)
+            assert box[w].pairs == want, (t, w)
+            assert box[w].rigor == Rigor.bounded(1000)
             assert proven.rigor == Rigor.certain()
 
 
