@@ -47,6 +47,24 @@ root, each p-range is widened by an explicit bound on its float64
 rounding, and every candidate is re-checked with exact integers.  As
 G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row is solved
 directly.
+
+Past a threshold q* the rows of a real root come from a theorem instead.
+For d = 4, S = {} reads |p - alpha q| <= C / q^3 with
+C = 8 W / (|a| prod |alpha - beta|), so q^2 > 2C gives
+|alpha - p/q| < 1 / (2 q^2), and by Legendre's theorem on continued
+fractions p/q is then a convergent p'/q' of alpha: (p, q) = g (p', q').
+q* = isqrt(floor(2C)) + 1 bounds that threshold from above, with C taken
+from the separation lower bounds and widened for rounding.  The
+convergents come from Euclid's algorithm run in integers on both ends
+of the root's exact dyadic enclosure at once.  A partial quotient counts
+only where the two ends agree and neither end is the convergent itself,
+so every number in between, alpha included, shares it, and p'/q' lies
+outside the enclosure: |p' - alpha q'| >= delta > 0, with delta exact
+from the ends.  Then g |p' - alpha q'| = |p - alpha q| < 1 / (2 g q')
+gives g^2 < 1 / (2 q' delta).  When the ends part before the
+denominators pass the box (at a rational root, say), the windows run
+on to the box instead.  So a search costs a scan to min(B, q*) plus
+O(log B) rows per real root; complex roots and d = 3 keep the windows.
 """
 
 from __future__ import annotations
@@ -200,12 +218,15 @@ class _Root:
     |Re alpha - x| <= rho and Im alpha >= y_lo >= 0: of a conjugate pair
     only the root above the real axis is listed.  seps holds a lower
     bound on |alpha - beta| for every other root beta, conjugates included.
+    A real alpha lies in [lo, hi] / 2^k, enclosure = (lo, hi, k); a
+    non-real one has enclosure None.
     """
 
     x: float
     rho: float
     y_lo: float
     seps: tuple[float, ...]
+    enclosure: tuple[int, int, int] | None
 
 
 def _below(v: Fraction) -> float:
@@ -305,7 +326,8 @@ def _roots(f: list[int]) -> list[_Root]:
             x=xf,
             rho=_above(Fraction(r, one) + abs(Fraction(x, one) - Fraction(xf))),
             y_lo=max(_below(Fraction(y - r, one)), 0.0) if y > r else 0.0,
-            seps=seps))
+            seps=seps,
+            enclosure=None if y > r else (x - r, x + r, k)))
     return roots
 
 
@@ -330,9 +352,37 @@ def _fourth_root(v: int, c: int) -> int:
     return r if r ** 4 == v // c else 0
 
 
+def _convergents(lo: int, hi: int, k: int, qmax: int):
+    """Convergents (p, q), q <= qmax, of every number in [lo, hi] / 2^k, or None.
+
+    Euclid runs on both ends at once; a partial quotient counts only where
+    the two agree and neither end is the convergent itself (module
+    docstring).  None when the ends part before the denominators pass qmax.
+    """
+    (n0, d0), (n1, d1) = (lo, 1 << k), (hi, 1 << k)
+    p0, q0, p1, q1 = 0, 1, 1, 0  # the two previous convergents
+    out = []
+    while q0 + q1 <= qmax:  # the next denominator is at least q0 + q1
+        a, r0 = divmod(n0, d0)
+        b, r1 = divmod(n1, d1)
+        if a != b or r0 == 0 or r1 == 0:
+            return None
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > qmax:
+            break
+        out.append((p1, q1))
+        n0, d0, n1, d1 = d0, r0, d1, r1
+    return out
+
+
 def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
     """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
     with |G(p, q)| <= top whose nearest root of f is `root`.
+
+    Rows q < q* are the root windows.  For a real root and d = 4, every
+    row q >= q* is a multiple of a certified convergent (module docstring);
+    when the convergents cannot be certified up to the box the windows
+    run on to it.
     """
     big_r = _iroot_ceil(-(-top // abs(lead)), d)
     qmax = bound
@@ -349,11 +399,20 @@ def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
         prod = math.prod(rest)
         if prod > 0:
             terms.append((2.0 ** len(rest) * top / abs(lead) / prod, len(rest), k + 1))
+    end, tail = qmax, None
+    # terms[0] with 1 + |S| = 1 is S = {}: |p - alpha q| <= C / q^3
+    if d == 4 and root.enclosure and terms and terms[0][2] == 1:
+        twice_c = 2 * terms[0][0] * _GROW
+        if twice_c < qmax * qmax:
+            qstar = isqrt(math.floor(twice_c)) + 1
+            tail = _convergents(*root.enclosure, qmax)
+            if tail is not None:
+                end = qstar - 1
     y_lo = root.y_lo * (1 - 2.0 ** -30)
     size = (abs(root.x) + root.rho) * qmax + big_r + 2
     slack = (root.rho * qmax + 8 * _U * size) * _GROW
-    for start in range(1, qmax + 1, _Q_CHUNK):
-        q = np.arange(start, min(start + _Q_CHUNK, qmax + 1), dtype=np.float64)
+    for start in range(1, end + 1, _Q_CHUNK):
+        q = np.arange(start, min(start + _Q_CHUNK, end + 1), dtype=np.float64)
         half = np.full_like(q, float(big_r))
         with np.errstate(over="ignore"):
             for const, e, m in terms:
@@ -366,6 +425,15 @@ def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
             keep &= y_lo * q <= half
         yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
                        hi[keep].astype(np.int64).tolist())
+    if tail:
+        a_lo, a_hi, k = root.enclosure
+        for p1, q1 in tail:
+            # g^2 < 1 / (2 q1 delta), delta = m / 2^k <= |p1 - alpha q1|
+            m = min(abs((p1 << k) - a_lo * q1), abs((p1 << k) - a_hi * q1))
+            for g in range(-(-qstar // q1), min(isqrt(((1 << k) - 1) // (2 * q1 * m)),
+                                                  qmax // q1) + 1):
+                if abs(g * p1) <= bound:
+                    yield g * q1, g * p1, g * p1
 
 
 def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int

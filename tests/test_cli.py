@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -112,6 +115,15 @@ def test_thue_huge_power_of_two(capsys):
     assert "2 solution pair(s), Proven" in out
     big = 2 ** 525
     assert f"(p,q) = (0,{big})" in out and f"(p,q) = ({big},0)" in out
+
+
+def test_thue_largest_box_answers_at_once(capsys):
+    # rows past q* hold only multiples of convergents: scanning every q up
+    # to the box took about 1 s
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "thue", "5", "12", "--bound", str(10 ** 7))
+    assert time.perf_counter() - t0 < 0.3
+    assert code == 0 and "0 solution pair(s), BoundedSearchOnly(10000000)" in out
 
 
 @pytest.mark.parametrize("t, message", [
@@ -327,12 +339,16 @@ def _alarm(signum, frame):
     raise _Alarm("the command did not end within 10 s")
 
 
+_CONTRACT_EXAMPLES = [
+    ["thue", str(10 ** 400), "12", "--bound", "5"],
+    ["thue", "5", "12", "--bound", str(10 ** 20)],
+    ["thue", "5", str(10 ** 20), "--bound", str(10 ** 6)],
+    ["minimal-index", "12", "--thue-bound", str(MAX_THUE_BOUND + 1)],
+    ["thue", "5", str(2 ** 2100)],
+]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@example(argv=["thue", str(10 ** 400), "12", "--bound", "5"])
-@example(argv=["thue", "5", "12", "--bound", str(10 ** 20)])
-@example(argv=["thue", "5", str(10 ** 20), "--bound", str(10 ** 6)])
-@example(argv=["minimal-index", "12", "--thue-bound", str(MAX_THUE_BOUND + 1)])
-@example(argv=["thue", "5", str(2 ** 2100)])
 @given(argv=_command_lines())
 def test_cli_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -349,3 +365,18 @@ def test_cli_exit_code_contract(argv):
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+for _argv in _CONTRACT_EXAMPLES:
+    test_cli_exit_code_contract = example(argv=_argv)(test_cli_exit_code_contract)
+
+
+@pytest.mark.parametrize("argv", _CONTRACT_EXAMPLES)
+def test_cli_exit_code_contract_in_a_fresh_process(argv):
+    # Hypothesis raises the recursion limit while a test runs, so a fault
+    # that depends on the default depth shows only in a process of its own
+    src = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "sqindex.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode in (0, 1, 2), (argv, done.returncode)
+    assert "Traceback" not in done.stderr

@@ -1,13 +1,18 @@
 import random
 import tracemalloc
+from math import isqrt
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqindex import thue
+from sqindex.conic import find_point, parametrize, thue_reduction
+from sqindex.driver import enumerate_case2_triples
+from sqindex.indexcore import TernaryForm, family_forms
 from sqindex.thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
-                          bounded_search_multi, canonical_pair, family_form,
+                          _convergents, bounded_search_multi, canonical_pair, family_form,
                           solve_power_of_two)
 from sqindex.goldens import thue_base_golden
 
@@ -272,3 +277,98 @@ def test_bounded_search_streams_its_candidates():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_convergents_of_a_root_enclosure():
+    k = 64
+    lo = isqrt(2 << 2 * k)  # lo / 2^k < sqrt 2 < (lo + 1) / 2^k
+    want = [(1, 1), (3, 2)]
+    while 2 * want[-1][1] + want[-2][1] <= 10 ** 6:
+        (p0, q0), (p1, q1) = want[-2:]
+        want.append((2 * p1 + p0, 2 * q1 + q0))
+    got = _convergents(lo, lo + 1, k, 10 ** 6)
+    assert got[:3] == [(1, 1), (3, 2), (7, 5)] and got == want
+    assert _convergents(lo, lo + 1, k, 4) == [(1, 1), (3, 2)]
+    # an enclosure that straddles an integer certifies no partial quotient,
+    # nor one with an end on a convergent (3/2 ends that end's expansion)
+    assert _convergents((1 << k) - 1, (1 << k) + 1, k, 10) is None
+    assert _convergents(3 << k - 1, (3 << k - 1) + 1, k, 10) is None
+
+
+def tail_and_scan(form, targets, bound):
+    """The search with its convergent tail, the search with windows only, and
+    what `_convergents` returned on the first."""
+    tails = []
+
+    def spy(*args):
+        tails.append(real(*args))
+        return tails[-1]
+
+    real = thue._convergents
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thue, "_convergents", spy)
+        tail = bounded_search_multi(form, targets, bound)
+        patch.setattr(thue, "_convergents", lambda *args: None)
+        scan = bounded_search_multi(form, targets, bound)
+    return tail, scan, tails
+
+
+def test_convergent_tail_matches_the_scan_on_the_family_cones():
+    # the reduced form and right sides of every soluble case-II cone of the
+    # family (tests/test_driver.py pins these 108 cones as all of them)
+    searched, tails = 0, []
+    for c in enumerate_case2_triples(4096):
+        _, q1, q2 = family_forms(c.t)
+        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
+        point = find_point(q0)
+        if point is None:
+            continue
+        qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
+        red = thue_reduction(parametrize(q0, point), qform, target)
+        targets = {s * inst.rhs for inst in red.instances for s in (1, -1)}
+        if not targets:
+            continue
+        tail, scan, taken = tail_and_scan(red.form, targets, 100_000)
+        assert tail == scan, (c, red.form)
+        searched += 1
+        tails += taken
+    assert searched == 86
+    assert tails and None not in tails
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=_forms, bound=st.integers(10 ** 3, 10 ** 4),
+       points=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4),
+       extra=st.lists(st.integers(-50, 50), max_size=4))
+def test_convergent_tail_matches_the_scan(coeffs, bound, points, extra):
+    form = BinaryQuarticForm(coeffs)
+    targets = {v for v in {form(p, q) for p, q in points} | set(extra) if 0 < abs(v) <= 50}
+    tail, scan, _ = tail_and_scan(form, targets, bound)
+    assert tail == scan
+
+
+@pytest.mark.parametrize("coeffs, targets", [
+    # at t = 130 the root near 1 has q* = 2, so (2, 2) = 2 * (1, 1) is only
+    # reached as a multiple of the convergent 1/1
+    (family_form(130).coeffs, [-64, -4, 1, 16]),
+    # (2, -1) lies below q* = 3 of its root -sqrt 7, and -2/1 is no convergent
+    # of -sqrt 7: a threshold half as large misses it
+    ((-2, 3, 6, -21, 56), [30, -34, 42, 56, 66, -70]),
+])
+def test_convergent_tail_matches_the_grid(coeffs, targets):
+    form = BinaryQuarticForm(coeffs)
+    got, _, tails = tail_and_scan(form, targets, 150)
+    assert any(tails)
+    assert {v: s.pairs for v, s in got.items()} == grid_search(form, targets, 150)
+
+
+@pytest.mark.parametrize("coeffs, targets", [
+    # 101/201 = [0; 1, 1, 100]: (2, 4) lies past q* = 4 of that root
+    (form_product((201, -101), (1, -3), (1, 0, 1)), [25, 400, -3, 7]),
+    (form_product((1, -1), (1, 2), (2, -3), (1, 1)), [6, 12, 72, 96, -60, -70, 5]),
+])
+def test_rational_roots_fall_back_to_the_windows(coeffs, targets):
+    form = BinaryQuarticForm(coeffs)
+    got, _, tails = tail_and_scan(form, targets, 150)
+    assert None in tails
+    assert {v: s.pairs for v, s in got.items()} == grid_search(form, targets, 150)
