@@ -22,6 +22,7 @@ from .conic import (DegeneratePoint, Parametrization, find_point, parametrize,
                     thue_reduction)
 from .driver import (CaseTwoTriple, Hit, MinimalIndexResult,
                      brute_force_minimal, case1_candidates, case2_candidates,
-                     enumerate_case2_triples, minimal_index, minimal_index_for)
+                     enumerate_case2_triples, local_sieve, minimal_index,
+                     minimal_index_for)
 
 __version__ = "0.1.0"

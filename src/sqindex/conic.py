@@ -51,6 +51,7 @@ from .indexcore import TernaryForm
 from .thue import BinaryQuarticForm
 
 _RADIUS_START = 64
+_BLOCK_CELLS = 1 << 15  # cap on the rows x |y| cells of one prefilter block
 
 _QR_MOD = 720720  # 2^4 * 3^2 * 5 * 7 * 11 * 13; sparse square residues
 
@@ -75,23 +76,30 @@ def _primitive(x: int, y: int, z: int) -> tuple[int, int, int]:
     return (x // g, y // g, z // g)
 
 
-def _row_solutions_quadratic(q0: TernaryForm, z: int, radius: int):
-    """Solutions (x, y) of Q0(x, y, z) = 0 with |y| <= radius, x^2 coeff != 0.
+def _first_row_solutions(q0: TernaryForm, z0: int, z1: int, radius: int):
+    """(z, solutions) for the first row z0 <= z < z1 in which Q0(x, y, z) = 0
+    has a nonzero solution with |y| <= radius, or None; x^2 coeff != 0.
 
-    Vectorised over y with a quadratic-residue prefilter so the exact
-    perfect-square checks only run on a sparse set of candidates.
+    The quadratic-residue prefilter runs on the whole block of rows as one
+    2-D numpy pass, so the exact perfect-square checks, row by row in z
+    order, only run on a sparse set of candidates.
     """
+    m = _QR_MOD
     cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
     ys = np.arange(-radius, radius + 1, dtype=np.int64)
-    ym = ys % _QR_MOD
-    lin_m = ((cxy % _QR_MOD) * ym + (cxz * z) % _QR_MOD) % _QR_MOD
-    con_m = ((cyy % _QR_MOD) * ((ys * ys) % _QR_MOD)
-             + ((cyz * z) % _QR_MOD) * ym + (czz * z * z) % _QR_MOD) % _QR_MOD
-    disc_m = (lin_m * lin_m - 4 * (cxx % _QR_MOD) * con_m) % _QR_MOD
-    candidates = np.nonzero(_qr_table()[disc_m])[0]
-    out = []
-    for i in candidates:
-        y = int(ys[i])
+    ym = (ys % m)[None, :]
+    zm = (np.arange(z0, z1, dtype=np.int64) % m)[:, None]
+    lin_m = (cxy % m * ym + cxz % m * zm) % m
+    con_m = (cyy % m * (ym * ym % m) + cyz % m * (ym * zm % m)
+             + czz % m * (zm * zm % m)) % m
+    disc_m = (lin_m * lin_m - 4 * (cxx % m) * con_m) % m
+    rows, cols = np.nonzero(_qr_table()[disc_m])
+    out, row = [], None
+    for z, y in zip((rows + z0).tolist(), ys[cols].tolist()):
+        if z != row:
+            if out:
+                break
+            row = z
         lin = cxy * y + cxz * z
         con = cyy * y * y + cyz * y * z + czz * z * z
         disc = lin * lin - 4 * cxx * con
@@ -102,9 +110,9 @@ def _row_solutions_quadratic(q0: TernaryForm, z: int, radius: int):
             continue
         for num in (-lin + s, -lin - s):
             qx, r = divmod(num, 2 * cxx)
-            if r == 0:
+            if r == 0 and (qx, y, z) != (0, 0, 0):
                 out.append((qx, y))
-    return out
+    return (row, out) if out else None
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -179,7 +187,8 @@ def find_point(q0: TernaryForm) -> tuple[int, int, int] | None:
     solutions.  In the remaining case the scan is deterministic: it runs
     z = 0, 1, 2, ... and |y| <= radius for radius = 64, 128, ..., and
     picks, in the first row containing solutions, the one minimising
-    (|y|, sign, |x|, sign).
+    (|y|, sign, |x|, sign).  The rows of one radius pass the residue
+    prefilter in blocks of doubling height (1, 2, 4, ... rows).
     """
     if all(c == 0 for c in q0.coeffs):
         raise ValueError("form is identically zero")
@@ -189,13 +198,16 @@ def find_point(q0: TernaryForm) -> tuple[int, int, int] | None:
         return None
     radius = _RADIUS_START
     while True:
-        for z in range(radius + 1):
-            sols = [(x, y) for x, y in _row_solutions_quadratic(q0, z, radius)
-                    if (x, y, z) != (0, 0, 0)]
-            if sols:
+        z0, height = 0, 1
+        while z0 <= radius:
+            z1 = min(z0 + height, radius + 1)
+            found = _first_row_solutions(q0, z0, z1, radius)
+            if found:
+                z, sols = found
                 x, y = min(sols, key=lambda s: (abs(s[1]), s[1] < 0,
                                                 abs(s[0]), s[0] < 0))
                 return _primitive(x, y, z)
+            z0, height = z1, min(2 * height, max(1, _BLOCK_CELLS // (2 * radius + 1)))
         radius *= 2
 
 

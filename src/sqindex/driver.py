@@ -9,17 +9,22 @@ two branches of the reduction:
                     itself with a power-of-two right side, whose solution
                     sets are known completely, so this branch is rigorous.
   Case II (v != 0): finitely many (u, v) pairs survive an exact
-                    divisor/perfect-square sweep; each cone without a
-                    rational point (Legendre) is proven empty, the others
-                    lead to a parametrization and quartic Thue equations
+                    divisor/perfect-square sweep.  A system with no
+                    solution mod N has no integer solution, so a local
+                    sieve mod 32 and then mod 5 (`local_sieve`) proves
+                    a branch empty before any conic work; so does a cone
+                    without a rational point (Legendre).  The others lead
+                    to a parametrization and quartic Thue equations
                     solved by bounded exhaustive search, so such a branch
                     carries the Thue box as its search-box flag.
 
 The case-II sweep is finite over the whole family: every sum of
 `_decompositions` is at most 2^24 + 1 (as a*2^l = g^6 m / n <= 2^12), so
 v^2 (t^2 + 16) <= 2^24 + 1 forces t <= 4095.  It yields 108 cones, all at
-t <= 256; 22 have no rational point and the other 86 all parametrize
-(the tests check each one), so every branch ends in a proof or a Thue search.
+t <= 256.  The sieve closes 74 of them: the 22 without a rational point
+and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  The 34 residual
+cones all parametrize (the tests check each one), so every branch ends
+in a proof or a Thue search.
 
 Every emitted element is re-verified against both the characteristic
 polynomial oracle and the resolvent-form computation.  The box oracle
@@ -171,21 +176,78 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
     out.setdefault(canonical_triple(trip), set()).add(Hit(case, u, v, k, p, q, w))
 
 
+# Moduli of `local_sieve`, in the order tried: 32 closes 46 of the family's
+# 86 soluble cones and 5 closes 6 more.
+_SIEVE_MODULI = (32, 5)
+
+
+def _reachable_pairs(param: FamilyParameter, n: int) -> np.ndarray:
+    """Boolean n x n table: entry (a, b) is set when Q1 = a, Q2 = b mod n somewhere.
+
+    The points run over the whole grid (Z/n)^3; when b11*b22 divides n they
+    must also pass the `triple_from_xyz` congruences y = z*b32 (mod b22) and
+    x = z*b31 + X2*b21 (mod b11), which X2 = (y - z*b32)/b22 mod n/b22 decides.
+    """
+    _, q1, q2 = family_forms(param.t)
+    x, y, z = (c.ravel() for c in np.indices((n, n, n), dtype=np.int32))
+    _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = param.basis_num
+    if n % (b11 * b22) == 0:
+        d = (y - z * b32) % n
+        keep = (d % b22 == 0) & ((x - z * b31 - d // b22 * b21) % b11 == 0)
+        x, y, z = x[keep], y[keep], z[keep]
+    monomials = (x * x, x * y, y * y, x * z, y * z, z * z)
+
+    def values(q):
+        return sum(c % n * mono for c, mono in zip(q.coeffs, monomials)) % n
+
+    table = np.zeros(n * n, dtype=bool)
+    table[values(q1) * n + values(q2)] = True
+    return table.reshape(n, n)
+
+
+def local_sieve(param: FamilyParameter):
+    """The closing modulus of each case-II branch of param: (u, v) -> N or None.
+
+    A system with no solution mod N has no integer solution.  The returned
+    function gives the first N in (32, 5) at which neither Q1 = u, Q2 = v
+    nor Q1 = -u, Q2 = -v has a solution in (Z/N)^3 that also passes the
+    `triple_from_xyz` congruences (those apply when b11*b22 divides N), or
+    None when both moduli leave the branch open.  Each modulus's table of
+    reachable (Q1, Q2) residues is built once, on first use.
+    """
+    tables: dict[int, np.ndarray] = {}
+
+    def closing_modulus(u: int, v: int) -> int | None:
+        for n in _SIEVE_MODULI:
+            if n not in tables:
+                tables[n] = _reachable_pairs(param, n)
+            if not (tables[n][u % n, v % n] or tables[n][-u % n, -v % n]):
+                return n
+        return None
+
+    return closing_modulus
+
+
 def case2_candidates(param: FamilyParameter, m: int,
-                     thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
+                     thue_bound: int = DEFAULT_THUE_BOUND, sieve=None) -> tuple[dict, Rigor]:
     """Elements of index m from the v != 0 branch.
 
     Any solution of the system Q1 = +-u, Q2 = +-v lies on the cone
-    Q0 = v*Q1 - u*Q2 = 0.  When Q0 has no rational point (a Hilbert
-    symbol obstruction, see `conic`) the branch is proven empty; so is
-    one whose Thue equations have no integral right side.  Every other
-    cone of the family parametrizes (module docstring), and the result
-    is bounded only when a Thue search ran, by the Thue box.
+    Q0 = v*Q1 - u*Q2 = 0.  The branch is proven empty when the system
+    has no admissible solution mod 32 or mod 5 (`local_sieve`; pass one
+    to share its tables across m), when Q0 has no rational point (a
+    Hilbert symbol obstruction, see `conic`), or when its Thue equations
+    have no integral right side.  Every other cone of the family
+    parametrizes (module docstring), and the result is bounded only when
+    a Thue search ran, by the Thue box.
     """
     _, q1, q2 = family_forms(param.t)
+    closing_modulus = sieve or local_sieve(param)
     out: dict = {}
     rigor = Rigor.certain()
     for u, v in candidate_uv_pairs(param, m):
+        if closing_modulus(u, v) is not None:
+            continue
         q0 = TernaryForm.combine(v, q1, -u, q2)
         point = find_point(q0)
         if point is None:
@@ -217,9 +279,10 @@ def minimal_index(param: FamilyParameter,
     Every element is re-verified with both index computations.
     """
     rigor = Rigor.certain()
+    sieve = local_sieve(param)
     for m in range(1, param.n + 1):
         found = case1_candidates(param, m)
-        found2, rigor2 = case2_candidates(param, m, thue_bound)
+        found2, rigor2 = case2_candidates(param, m, thue_bound, sieve)
         if rigor.proven:
             rigor = rigor2
         for canon, hits in found2.items():

@@ -1,6 +1,6 @@
 import signal
 from contextlib import contextmanager
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
 from sqindex.conic import (_QR_MOD, DegeneratePoint, _qr_table, divisors, find_point,
                            obstruction, parametrize, thue_reduction)
-from sqindex.driver import Hit, candidate_uv_pairs, case1_candidates
+from sqindex.driver import Hit, candidate_uv_pairs, case1_candidates, enumerate_case2_triples
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
@@ -144,8 +144,49 @@ def test_obstruction_matches_brute_zeros(coeffs):
     else:
         with _time_limit(10):
             x, y, z = find_point(q0)
+            if coeffs[0] != 0:
+                assert (x, y, z) == _find_point_by_rows(q0)
         assert q0(x, y, z) == 0 and (x, y, z) != (0, 0, 0)
         assert gcd(gcd(x, y), z) == 1
+
+
+def _find_point_by_rows(q0):
+    """find_point's scan in plain Python, one row and one y at a time (x^2 coeff != 0).
+
+    Radius 64, 128, ...; rows z = 0..radius with |y| <= radius; in the first
+    row holding a nonzero zero, the one minimising (|y|, sign, |x|, sign).
+    """
+    cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
+    radius = 64
+    while True:
+        for z in range(radius + 1):
+            sols = []
+            for y in range(-radius, radius + 1):
+                lin = cxy * y + cxz * z
+                disc = lin * lin - 4 * cxx * (cyy * y * y + cyz * y * z + czz * z * z)
+                if disc < 0 or isqrt(disc) ** 2 != disc:
+                    continue
+                for num in (-lin + isqrt(disc), -lin - isqrt(disc)):
+                    x, r = divmod(num, 2 * cxx)
+                    if r == 0 and (x, y, z) != (0, 0, 0):
+                        sols.append((x, y))
+            if sols:
+                x, y = min(sols, key=lambda s: (abs(s[1]), s[1] < 0, abs(s[0]), s[0] < 0))
+                g = gcd(gcd(x, y), z)
+                return (x // g, y // g, z // g)
+        radius *= 2
+
+
+def test_find_point_matches_row_by_row_reference():
+    # the blocked prefilter keeps the row-by-row choice on every soluble family cone
+    soluble = 0
+    for c in enumerate_case2_triples(256):
+        _, q1, q2 = family_forms(c.t)
+        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
+        if obstruction(q0) is None:
+            assert find_point(q0) == _find_point_by_rows(q0), (c.t, c.u, c.v)
+            soluble += 1
+    assert soluble == 86
 
 
 # (t, m, u, v) -> place of every Legendre-obstructed cone met on the golden set

@@ -1,18 +1,22 @@
+from functools import cache
+from itertools import product
 from math import isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqindex.fieldmodel import (MAX_SUPPORTED_T, disc_quartic_monic, odd_square_divisor,
                                 validate_parameter)
 from sqindex.elements import (AlgebraicInt, canonical_triple, charpoly4, index_oracle,
-                              mult_matrix)
+                              mult_matrix, triple_from_xyz)
 from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, find_point, obstruction, parametrize, thue_reduction
-from sqindex.thue import Rigor
-from sqindex.driver import (Hit, _decompositions, _disc_poly, _disc_scan,
-                            brute_force_minimal, case1_candidates, case2_candidates,
-                            candidate_uv_pairs, enumerate_case2_triples, minimal_index_for)
+from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
+from sqindex.driver import (Hit, _collect_solution, _decompositions, _disc_poly, _disc_scan,
+                            _reachable_pairs, brute_force_minimal, case1_candidates,
+                            case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
+                            local_sieve, minimal_index_for)
 from sqindex.goldens import case2_golden, expected_minimal
 
 
@@ -115,8 +119,12 @@ def test_minimal_index_verifies_both_oracles():
 
 def test_minimal_index_rigor_flags():
     assert minimal_index_for(6).rigor.proven
-    assert not minimal_index_for(5).rigor.proven  # m=1 had a (u,v) candidate
-    assert not minimal_index_for(2).rigor.proven
+    # every case-II branch at or below m is closed by the local sieve
+    assert minimal_index_for(5).rigor.proven  # the m = 1 pair closes mod 32
+    assert minimal_index_for(48).rigor.proven
+    # a residual cone ran a Thue search
+    assert minimal_index_for(2).rigor == Rigor.bounded(DEFAULT_THUE_BOUND)
+    assert minimal_index_for(64).rigor == Rigor.bounded(DEFAULT_THUE_BOUND)
 
 
 def test_minimal_index_hypothesis_flag():
@@ -176,23 +184,132 @@ def test_case2_cones_of_the_whole_family():
                 {(c.u, c.v) for c in cones if c.t == t and c.implied_m == m}
 
     # each cone is nonsingular, and is obstructed or parametrizes: no other branch;
-    # each reduced Thue form has a nonzero discriminant, as the bounded search requires
-    obstructed = 0
+    # each reduced Thue form has a nonzero discriminant, as the bounded search requires;
+    # the local sieve closes every obstructed cone and 52 of the 86 soluble ones
+    obstructed = closed = residual = 0
     for c in cones:
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
         cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
         assert cxx == c.v != 0
         assert _det3(((2 * cxx, cxy, cxz), (cxy, 2 * cyy, cyz), (cxz, cyz, 2 * czz))) != 0
+        modulus = local_sieve(validate_parameter(c.t, allow_hypothesis_violation=True))(c.u, c.v)
         if obstruction(q0) is not None:
-            assert find_point(q0) is None
+            assert find_point(q0) is None and modulus == 32
             obstructed += 1
             continue
+        closed += modulus is not None
+        residual += modulus is None
         par = parametrize(q0, find_point(q0))
         assert _det3(par.rows) != 0
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
         assert thue_reduction(par, qform, target).form.discriminant() != 0
-    assert obstructed == 22
+    assert (obstructed, closed, residual) == (22, 52, 34)
+
+
+# (t, m, u, v) -> modulus of every soluble case-II cone of the family the local sieve closes
+_SIEVE_CLOSED = {
+    (1, 1, -12, 2): 32, (1, 1, 4, 2): 32, (2, 2, -4, 1): 32, (2, 2, 0, 1): 32,
+    (4, 1, -22, 3): 32, (4, 1, 10, 3): 32, (4, 4, -20, 2): 32, (4, 4, 12, 2): 32,
+    (4, 8, -44, 6): 32, (4, 8, 20, 6): 32, (5, 1, -42, 5): 32, (5, 1, 22, 5): 32,
+    (7, 2, -20, 2): 32, (7, 2, -3, 1): 32, (7, 2, -1, 1): 32, (7, 2, 12, 2): 32,
+    (8, 1, -6, 1): 32, (8, 1, 2, 1): 32, (8, 8, -12, 2): 32, (8, 8, 4, 2): 32,
+    (8, 11, -54, 5): 32, (8, 11, -10, 3): 32, (8, 11, -2, 3): 32, (8, 11, 34, 5): 32,
+    (16, 1, -18, 1): 32, (16, 1, 14, 1): 32, (16, 4, -6, 1): 32, (16, 4, 2, 1): 32,
+    (24, 9, -6, 1): 32, (24, 9, 2, 1): 32, (32, 2, -34, 1): 5, (32, 2, 30, 1): 5,
+    (32, 16, -6, 1): 32, (32, 16, 2, 1): 32, (48, 3, -50, 1): 32, (48, 3, 46, 1): 32,
+    (80, 5, -82, 1): 32, (80, 5, 78, 1): 32, (112, 7, -114, 1): 32, (112, 7, 110, 1): 32,
+    (128, 8, -130, 1): 5, (128, 8, 126, 1): 5, (144, 9, -146, 1): 32, (144, 9, 142, 1): 32,
+    (176, 11, -178, 1): 32, (176, 11, 174, 1): 32, (192, 12, -194, 1): 5,
+    (192, 12, 190, 1): 5, (208, 13, -210, 1): 32, (208, 13, 206, 1): 32,
+    (240, 15, -242, 1): 32, (240, 15, 238, 1): 32,
+}
+
+
+@cache
+def _soluble_cones():
+    """(cone, param, Q0, closing modulus) for the 86 family cones with a rational point."""
+    out = []
+    for c in enumerate_case2_triples(256):
+        param = validate_parameter(c.t, allow_hypothesis_violation=True)
+        _, q1, q2 = family_forms(c.t)
+        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
+        if obstruction(q0) is None:
+            out.append((c, param, q0, local_sieve(param)(c.u, c.v)))
+    return tuple(out)
+
+
+def test_local_sieve_closes_exactly_the_pinned_cones():
+    closed = {(c.t, c.implied_m, c.u, c.v): modulus
+              for c, _, _, modulus in _soluble_cones() if modulus is not None}
+    assert closed == _SIEVE_CLOSED
+    # the closed branches never reach the conic: case2_candidates proves them empty
+    param = validate_parameter(5)
+    assert candidate_uv_pairs(param, 1) == [(-42, 5), (22, 5)]
+    assert case2_candidates(param, 1) == ({}, Rigor.certain())
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 8])  # one t per 2-adic class
+def test_local_sieve_tables_match_brute_force(t):
+    # every residue point in pure Python; triple_from_xyz on the representative
+    # decides the congruences, which only depend on x, y, z mod b11*b22
+    param = validate_parameter(t)
+    _, q1, q2 = family_forms(t)
+    _, (_, b11, _, _), (_, _, b22, _), _ = param.basis_num
+    reached = {}
+    for n in (32, 5):
+        want = set()
+        for x, y, z in product(range(n), repeat=3):
+            if n % (b11 * b22) == 0 and triple_from_xyz(x, y, z, param) is None:
+                continue
+            want.add((q1(x, y, z) % n, q2(x, y, z) % n))
+        table = _reachable_pairs(param, n)
+        assert {(a, b) for a in range(n) for b in range(n) if table[a, b]} == want
+        reached[n] = want
+    # the verdict tests both signs; mod 32 some (a, b) is reached while (-a, -b) is not
+    assert any(((-a) % 32, (-b) % 32) not in reached[32] for a, b in reached[32])
+    closing_modulus = local_sieve(param)
+    for u, v in product(range(-32, 33), repeat=2):
+        want = next((n for n in (32, 5)
+                     if (u % n, v % n) not in reached[n]
+                     and (-u % n, -v % n) not in reached[n]), None)
+        assert closing_modulus(u, v) == want, (u, v)
+
+
+def test_local_sieve_same_verdict_on_sigma_pairs():
+    # u = sigma*a1*2^i - 2v: the partner of (u, v) is (-u - 4v, v)
+    verdicts = {}
+    for c in enumerate_case2_triples(256):
+        param = validate_parameter(c.t, allow_hypothesis_violation=True)
+        verdicts[(c.t, c.u, c.v)] = local_sieve(param)(c.u, c.v)
+    assert len(verdicts) == 108
+    for (t, u, v), modulus in verdicts.items():
+        assert verdicts[(t, -u - 4 * v, v)] == modulus
+
+
+def test_local_sieve_closed_branches_have_no_bounded_thue_solutions():
+    # differential: the search the sieve skips finds nothing that maps to an element
+    bound = 10 ** 3
+    searched = 0
+    for c, param, q0, modulus in _soluble_cones():
+        if modulus is None:
+            continue
+        _, q1, q2 = family_forms(c.t)
+        par = parametrize(q0, find_point(q0))
+        qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
+        red = thue_reduction(par, qform, target)
+        if not red.instances:
+            continue
+        targets = {w for inst in red.instances for w in (inst.rhs, -inst.rhs)}
+        sols = bounded_search_multi(red.form, targets, bound)
+        out = {}
+        for inst in red.instances:
+            for w in (inst.rhs, -inst.rhs):
+                for p, q in sols[w]:
+                    _collect_solution(param, par, inst.k, p, q, w, (c.u, c.v), "II", out)
+        assert out == {}, (c.t, c.u, c.v)
+        searched += 1
+    assert searched > 0
 
 
 def test_brute_force_examples():
