@@ -99,7 +99,7 @@ def cmd_basis(args) -> int:
     param = _param(args)
     rows = []
     for row in param.basis_num:
-        g = _row_gcd(row, param.g)
+        g = gcd(param.g, *row)
         num, den = [c // g for c in row], param.g // g
         rows.append({"num": num, "den": den, "pretty": _poly_str(num, den)})
     results = {
@@ -120,13 +120,6 @@ def cmd_basis(args) -> int:
         for i, row in enumerate(rows):
             print(f"b{i+1} = {row['pretty']}")
     return EXIT_OK
-
-
-def _row_gcd(row, den: int) -> int:
-    g = den
-    for c in row:
-        g = gcd(g, abs(c))
-    return g
 
 
 def cmd_index(args) -> int:
@@ -163,8 +156,8 @@ def cmd_index(args) -> int:
         if m_oracle is None:
             print("degenerate: element does not generate the field")
         else:
-            print(f"index (char-poly oracle) = {m_oracle}")
-            print(f"index (resolvent forms)  = {m_forms}")
+            print(f"index (basis-determinant oracle) = {m_oracle}")
+            print(f"index (resolvent forms)          = {m_forms}")
     return EXIT_OK if m_oracle == m_forms else EXIT_VERIFY
 
 

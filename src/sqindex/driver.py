@@ -26,11 +26,11 @@ and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  The 34 residual
 cones all parametrize (the tests check each one), so every branch ends
 in a proof or a Thue search.
 
-Every emitted element is re-verified against both the characteristic
-polynomial oracle and the resolvent-form computation.  The box oracle
-`brute_force_minimal` shares no step with either branch: it scans
+Every emitted element is re-verified against both the basis-determinant
+oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
+oracle `brute_force_minimal` shares no step with either branch: it scans
 disc(char_poly) over a box in Z/2^64, where disc = m^2 disc_K is a
-necessary congruence, and rechecks every match in exact arithmetic.
+necessary congruence, and rechecks every match by the determinant.
 """
 
 from __future__ import annotations
@@ -394,8 +394,7 @@ def _disc_poly(param: FamilyParameter) -> _Poly:
     """disc(char_poly(X1*B1 + X2*B2 + X3*B3)), homogeneous of degree 12.
 
     Bi multiplies by b(i+1), read from the table behind `mult_matrix`; the
-    expansion runs the `charpoly4` and `disc_quartic_monic` of `index_oracle`
-    over Z[X1, X2, X3].
+    expansion runs `charpoly4` and `disc_quartic_monic` over Z[X1, X2, X3].
     """
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     entries = [[_Poly({u: c for u, c in zip(units, coefs[1:]) if c}) for coefs in row]
@@ -404,8 +403,8 @@ def _disc_poly(param: FamilyParameter) -> _Poly:
     return disc_quartic_monic(c3, c2, c1, c0)
 
 
-def _disc_scan(poly: _Poly, xs):
-    """Yield (x1, D) for x1 in xs, with D[a, b] = poly(x1, xs[a], xs[b]) mod 2^64.
+def _disc_scan(poly: _Poly, xs, start: int = 0):
+    """Yield (x1, D) for x1 in xs[start:], with D[a, b] = poly(x1, xs[a], xs[b]) mod 2^64.
 
     Coefficients are reduced in Python before they become uint64, so the
     wrapping numpy products and sums are exact in Z/2^64.  For each x1
@@ -416,8 +415,8 @@ def _disc_scan(poly: _Poly, xs):
     coef = np.zeros((13, 13, 13), dtype=np.uint64)
     for (i, j, k), c in poly.items():
         coef[i, j, k] = c % _WORD
-    by_x1 = vander @ coef.reshape(13, 169)
-    for x1, row in zip(xs, by_x1):
+    by_x1 = vander[start:] @ coef.reshape(13, 169)
+    for x1, row in zip(xs[start:], by_x1):
         yield x1, vander @ row.reshape(13, 13) @ vander.T
 
 
@@ -426,17 +425,17 @@ def brute_force_minimal(param: FamilyParameter, box: int
     """Minimum index over all elements with |X1|,|X2|,|X3| <= box, X0 = 0.
 
     Independent oracle: disc(char_poly), expanded once as an integer
-    polynomial in (X1, X2, X3), is evaluated on the whole box in Z/2^64.
-    An element of index m <= n has disc = m^2 * disc_K, so its residue
-    matches and it is never missed; each match is re-verified by
-    `index_oracle` in exact arithmetic, so the result is exact.
+    polynomial in (X1, X2, X3) and evaluated on the box in Z/2^64, gives the
+    congruence disc = m^2 * disc_K, so no element of index m <= n is missed;
+    the determinant (`index_oracle`) rechecks each match exactly.  e and -e
+    share both, and canonical triples have X1 >= 0, so only X1 >= 0 is scanned.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
     hits: dict[int, set] = {m: set() for m in range(1, param.n + 1)}
     keys = np.array([m * m * param.disc_K % _WORD for m in hits], dtype=np.uint64)
     xs = range(-box, box + 1)
-    for x1, vals in _disc_scan(_disc_poly(param), xs):
+    for x1, vals in _disc_scan(_disc_poly(param), xs, box):
         for a, b in zip(*np.nonzero(np.isin(vals, keys))):
             cand = (x1, xs[a], xs[b])
             m = index_oracle(AlgebraicInt((0, *cand)), param)

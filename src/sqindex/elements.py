@@ -2,10 +2,10 @@
 
 Elements live in integral-basis coordinates (X0, X1, X2, X3); the power
 representation (a + x*xi + y*xi^2 + z*xi^3)/d is the bridge to the
-index-form machinery.  The index of an element is recovered from the
-discriminant of its characteristic polynomial:
+index-form machinery.  The index of an element is its definition, the
+determinant of the integral-basis coordinates of 1, e, e^2, e^3:
 
-    disc(char_poly(e)) = I(e)^2 * disc_K.
+    I(e) = |det(1, e, e^2, e^3)|,  so disc(char_poly(e)) = I(e)^2 * disc_K.
 
 M(e), the matrix of multiplication by e = X0*b1 + .. + X3*b4, is linear in
 the coordinates: M(e) = X0*B0 + X1*B1 + X2*B2 + X3*B3, Bi multiplying by
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
-from .fieldmodel import FamilyParameter, disc_quartic_monic
+from .fieldmodel import FamilyParameter
 
 
 class NotIntegral(ValueError):
@@ -135,7 +135,8 @@ def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ..
     """Entry (i, j) of M(e) as its coefficients (B0[i][j], .., B3[i][j]) in X0..X3.
 
     Column j of Bi holds b(i+1)*b(j+1), formed over the power basis;
-    `coords_from_power` raises NotIntegral unless the basis is closed.
+    `coords_from_power` raises NotIntegral unless the basis is closed, and
+    ArithmeticError unless the table gives I(xi) = n, the class's closed form.
     """
     rows, t = param.basis_num, param.t
     cols = {}
@@ -147,8 +148,12 @@ def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ..
             c = prod.pop()
             prod[k - 4:k] = [a + c * r for a, r in zip(prod[k - 4:k], (-1, -t, 6, t))]
         cols[i, j] = coords_from_power(tuple(prod), param.g ** 2, param)
-    return tuple(tuple(tuple(cols[k, j][i] for k in range(4)) for j in range(4))
-                 for i in range(4))
+    table = tuple(tuple(tuple(cols[k, j][i] for k in range(4)) for j in range(4))
+                  for i in range(4))
+    # xi = b2 in every class, so M(xi) = B1
+    if _basis_det([[c[1] for c in row] for row in table], (0, 1, 0, 0)) != param.n:
+        raise ArithmeticError(f"multiplication table of {param} does not give I(xi) = n")
+    return table
 
 
 def multiply(u: AlgebraicInt, v: AlgebraicInt, param: FamilyParameter) -> AlgebraicInt:
@@ -213,18 +218,21 @@ def char_poly(e: AlgebraicInt, param: FamilyParameter) -> tuple[int, int, int, i
 
 
 def index_oracle(e: AlgebraicInt, param: FamilyParameter) -> int | None:
-    """I(e) = sqrt(disc(char_poly(e)) / disc_K); None when e does not generate K."""
-    c0, c1, c2, c3, _ = char_poly(e, param)
-    disc = disc_quartic_monic(c3, c2, c1, c0)
-    if disc == 0:
-        return None
-    q, r = divmod(disc, param.disc_K)
-    if r != 0 or q < 0:
-        raise ArithmeticError(f"disc {disc} not a multiple of disc_K for {e}")
-    m = isqrt(q)
-    if m * m != q:
-        raise ArithmeticError(f"disc ratio {q} is not a perfect square for {e}")
-    return m
+    """I(e) = |det(1, e, e^2, e^3)| on the integral basis; None when e does not generate K.
+
+    e^2 = M(e) e and e^3 = M(e) e^2.  b1 = 1 in all four classes (row 0 of
+    the basis is (g, 0, 0, 0)), so the determinant is the 3x3 minor of rows 1..3.
+    """
+    return _basis_det(mult_matrix(e, param), e.coords)
+
+
+def _basis_det(m: list[list[int]], x) -> int | None:
+    # index_oracle's body on a given M(e): the _mult_table check runs it before the table is cached
+    y = [r0 * x[0] + r1 * x[1] + r2 * x[2] + r3 * x[3] for r0, r1, r2, r3 in m]
+    z1, z2, z3 = (r0 * y[0] + r1 * y[1] + r2 * y[2] + r3 * y[3] for r0, r1, r2, r3 in m[1:])
+    _, x1, x2, x3 = x
+    return abs(x1 * (y[2] * z3 - y[3] * z2) - x2 * (y[1] * z3 - y[3] * z1)
+               + x3 * (y[1] * z2 - y[2] * z1)) or None
 
 
 def canonical_triple(triple: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -41,8 +41,8 @@ _CLASS_GN = {
 
 # Basis numerators over the common denominator g.  Row i gives b_{i+1} in
 # the power basis 1, xi, xi^2, xi^3.  All four matrices are lower
-# triangular with nonzero diagonal and b4 = (.. + xi^3)/g, which the
-# element arithmetic relies on.
+# triangular with nonzero diagonal, b1 = 1, b2 = xi and b4 = (.. + xi^3)/g,
+# which the element arithmetic relies on.
 _BASIS_NUM = {
     V2Class.V0: ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 0, 0, 1)),
     V2Class.V1: ((2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)),

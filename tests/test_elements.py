@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqindex.fieldmodel import odd_square_divisor, validate_parameter
+from sqindex.indexcore import index_via_forms
 from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
                               canonical_triple, char_poly, coords_from_power,
                               from_power_rep,
@@ -164,6 +166,47 @@ def test_mult_table_against_resultant(t, u, v):
     assert [c * rep.d ** 4 for c in reversed(char_poly(e, param))] == want
     me, mf = sympy.Matrix(mult_matrix(e, param)), sympy.Matrix(mult_matrix(f, param))
     assert me * mf == sympy.Matrix(mult_matrix(multiply(e, f, param), param))
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_TABLE_T, u=_COORDS)
+@example(t=9_999, u=(10 ** 6, -10 ** 6, 10 ** 6, -10 ** 6))
+@example(t=8, u=(-10 ** 6, 0, 0, 0))
+@example(t=28, u=(3, 0, 0, 0))
+def test_index_oracle_at_benchmark_scale(quartic_disc, t, u):
+    # the determinant against sympy's discriminant of the characteristic
+    # polynomial, at the coordinate and parameter sizes of the benchmark
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    e = AlgebraicInt(u)
+    m = index_oracle(e, param)
+    disc = quartic_disc(char_poly(e, param))
+    assert (m is None) == (disc == 0)
+    assert disc == (m or 0) ** 2 * param.disc_K
+
+
+@pytest.mark.parametrize("t", (1, 2, 12, 40))
+def test_quadratic_subfield_elements_are_degenerate(t):
+    # 1/xi = -xi^3 + t*xi^2 + 6*xi - t, so xi - 1/xi = xi^3 - t*xi^2 - 5*xi + t;
+    # it is fixed by xi -> -1/xi and lies in the quadratic subfield
+    param = validate_parameter(t)
+    e = from_power_rep(PowerRep.reduced(t, -5, -t, 1, 1), param)
+    assert e.triple != (0, 0, 0)
+    for c in (0, 1, -7):
+        for k in (1, -1, 3):
+            f = AlgebraicInt((k * e.coords[0] + c, *(k * x for x in e.triple)))
+            assert index_oracle(f, param) is None
+            assert index_via_forms(to_power_rep(f, param), param) is None
+
+
+def test_mult_table_check_rejects_wrong_n():
+    for t in (1, 2, 4, 8):
+        param = validate_parameter(t)
+        assert index_oracle(XI, param) == param.n
+        bad = dataclasses.replace(param, n=2 * param.n)
+        with pytest.raises(ArithmeticError):
+            index_oracle(XI, bad)
+        with pytest.raises(ArithmeticError):
+            mult_matrix(XI, bad)
 
 
 def test_triple_from_xyz_filters_non_integral():
