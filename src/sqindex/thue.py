@@ -20,14 +20,14 @@ That search is the only one a result can be bounded by, so `Rigor`, the
 completeness status carried from here through the minimal-index driver
 to the CLI, lives here too.
 
-The bounded search takes a form G with nonzero discriminant
-(4 I^3 - J^2) / 27 and nonzero right sides, and raises ValueError
-otherwise.  The program never leaves that domain: F_t has discriminant
-4 (t^2 + 16)^3, every reduced form of the family's soluble case-II cones
-has a nonzero one (tests/test_driver.py checks all of them), and every
-right side is +-|target| k^2 / content with target != 0.  So
-f(x) = G(x, 1) = a prod (x - alpha_i) has d simple roots, d = 4, or
-d = 3 when c0 = 0 (then c1 != 0).
+The bounded search takes a totally real form G with c0 != 0, that is
+f(x) = G(x, 1) = a prod (x - alpha_i) with a = c0 and four distinct real
+roots, and nonzero right sides; it raises ValueError otherwise.  The
+program never leaves that domain: its fields are totally real, F_t has
+discriminant 4 (t^2 + 16)^3 and c0 = 1, and every reduced form of the
+family's soluble case-II cones is totally real with c0 != 0
+(tests/test_driver.py checks all of them); every right side is
++-|target| k^2 / content with target != 0.
 
 The search enumerates root windows instead of the whole box.  Take
 q != 0 with |G(p, q)| <= W, let alpha be the root nearest p/q, and let S
@@ -35,21 +35,20 @@ be any set of the other roots beta.  Then
 
     |p - alpha q|^(1 + |S|) prod_{beta not in S} (|alpha - beta| |q| / 2) <= W / |a|.
 
-Proof: |a| prod |p - alpha_i q| = |G(p, q)| / |q|^(4-d) <= W;
+Proof: |a| prod |p - alpha_i q| = |G(p, q)| <= W;
 |p - beta q| >= |p - alpha q| since alpha is nearest; and
 |alpha - beta| |q| <= |p - alpha q| + |p - beta q| <= 2 |p - beta q|.
 
-S = all gives |p - alpha q| <= R = ceil((W/|a|)^(1/d)); S = {} gives
-|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|) for d = 4; a
-non-real alpha needs |Im alpha| |q| <= R.  The windows are certified:
-every root sits in a disk proven in exact arithmetic to hold exactly one
-root, each p-range is widened by an explicit bound on its float64
-rounding, and every candidate is re-checked with exact integers.  As
-G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row is solved
-directly.
+S = all gives |p - alpha q| <= R = ceil((W/|a|)^(1/4)); S = {} gives
+|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|).  The windows are
+certified: every root sits in an interval proven in exact arithmetic to
+hold exactly one root, each p-range is widened by an explicit bound on
+its float64 rounding, and every candidate is re-checked with exact
+integers.  As G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row
+is solved directly.
 
-Past a threshold q* the rows of a real root come from a theorem instead.
-For d = 4, S = {} reads |p - alpha q| <= C / q^3 with
+Past a threshold q* the rows of a root come from a theorem instead.
+S = {} reads |p - alpha q| <= C / q^3 with
 C = 8 W / (|a| prod |alpha - beta|), so q^2 > 2C gives
 |alpha - p/q| < 1 / (2 q^2), and by Legendre's theorem on continued
 fractions p/q is then a convergent p'/q' of alpha: (p, q) = g (p', q').
@@ -64,7 +63,7 @@ from the ends.  Then g |p' - alpha q'| = |p - alpha q| < 1 / (2 g q')
 gives g^2 < 1 / (2 q' delta).  When the ends part before the
 denominators pass the box (at a rational root, say), the windows run
 on to the box instead.  So a search costs a scan to min(B, q*) plus
-O(log B) rows per real root; complex roots and d = 3 keep the windows.
+O(log B) rows per root.
 """
 
 from __future__ import annotations
@@ -108,6 +107,19 @@ class BinaryQuarticForm:
         """(4 I^3 - J^2) / 27: zero exactly when the form has a repeated linear factor."""
         i, j = self.invariants()
         return (4 * i ** 3 - j * j) // 27
+
+    def totally_real(self) -> bool:
+        """True exactly when c0 != 0 and f(x) = G(x, 1) has four distinct real roots.
+
+        With (a, b, c, d, e) = coeffs and a != 0 that holds exactly when
+        the discriminant (4 I^3 - J^2) / 27 is positive, P = 8ac - 3b^2 < 0
+        and D = 64 a^3 e - 16 a^2 c^2 + 16 a b^2 c - 16 a^2 b d - 3 b^4 < 0
+        (Rees, Amer. Math. Monthly 29, 1922).
+        """
+        a, b, c, d, e = self.coeffs
+        return (a != 0 and self.discriminant() > 0 and 8 * a * c - 3 * b * b < 0
+                and 64 * a ** 3 * e - 16 * a * a * c * c + 16 * a * b * b * c
+                - 16 * a * a * b * d - 3 * b ** 4 < 0)
 
     def reach(self, bound: int) -> int:
         """sum |c| * bound^4 >= |G(p, q)| on the box |p|, |q| <= bound."""
@@ -213,20 +225,17 @@ _PREC_TRIES = 6           # precision doublings before root isolation gives up
 
 @dataclass(frozen=True)
 class _Root:
-    """Certified data of one (simple) root alpha of f(x) = G(x, 1).
+    """Certified data of one (simple, real) root alpha of f(x) = G(x, 1).
 
-    |Re alpha - x| <= rho and Im alpha >= y_lo >= 0: of a conjugate pair
-    only the root above the real axis is listed.  seps holds a lower
-    bound on |alpha - beta| for every other root beta, conjugates included.
-    A real alpha lies in [lo, hi] / 2^k, enclosure = (lo, hi, k); a
-    non-real one has enclosure None.
+    |alpha - x| <= rho, and alpha lies in [lo, hi] / 2^k with
+    enclosure = (lo, hi, k).  seps holds a lower bound on |alpha - beta|
+    for every other root beta.
     """
 
     x: float
     rho: float
-    y_lo: float
     seps: tuple[float, ...]
-    enclosure: tuple[int, int, int] | None
+    enclosure: tuple[int, int, int]
 
 
 def _below(v: Fraction) -> float:
@@ -237,97 +246,91 @@ def _above(v: Fraction) -> float:
     return math.nextafter(float(v), math.inf)
 
 
-def _eval_scaled(g: list[int], x: int, y: int, k: int):
-    """2^(k n) g(z) and 2^(k (n-1)) g'(z) as Gaussian integers, z = (x + iy) / 2^k."""
-    vr, vi, ur, ui = g[-1], 0, 0, 0
+def _eval_scaled(g: list[int], x: int, k: int) -> tuple[int, int]:
+    """2^(k n) g(z) and 2^(k (n-1)) g'(z) at z = x / 2^k, by integer Horner."""
+    v, u = g[-1], 0
     scale = 1
     for c in reversed(g[:-1]):
         scale <<= k
-        ur, ui = ur * x - ui * y + vr, ur * y + ui * x + vi
-        vr, vi = vr * x - vi * y + c * scale, vr * y + vi * x
-    return vr, vi, ur, ui
+        u = u * x + v
+        v = v * x + c * scale
+    return v, u
 
 
-def _certify(g: list[int], zs: list[tuple[int, int]], k: int):
-    """Radii (in units 2^-k) of disjoint disks each holding one root of g, or None.
+def _certify(g: list[int], xs: list[int], k: int):
+    """Radii (in units 2^-k) of disjoint intervals each holding one root of g, or None.
 
-    A disk |w - z| <= n |g(z) / g'(z)| holds a root of g (n = deg g), since
-    g'/g = sum 1/(z - alpha_i).  n pairwise disjoint such disks hold one
-    root each, so they account for every root.
+    A disk |w - x| <= n |g(x) / g'(x)| holds a root of g (n = deg g), since
+    g'/g = sum 1/(x - alpha_i).  n pairwise disjoint such disks hold one
+    root each, so they account for every root.  A disk centred on the real
+    line is its own mirror image, so its one root is its own conjugate:
+    it is real and lies on the diameter, and the disks are disjoint
+    exactly when their diameters are.
     """
     n = len(g) - 1
     rad = []
-    for x, y in zs:
-        vr, vi, ur, ui = _eval_scaled(g, x, y, k)
-        den = ur * ur + ui * ui
-        if den == 0:
+    for x in xs:
+        v, u = _eval_scaled(g, x, k)
+        if u == 0:
             return None
-        rad.append(isqrt(-(-n * n * (vr * vr + vi * vi) // den)) + 1)
-
-    def apart(z, j, r):
-        return (z[0] - zs[j][0]) ** 2 + (z[1] - zs[j][1]) ** 2 > (r + rad[j]) ** 2
-
-    for i in range(n):
-        if not all(apart(zs[i], j, rad[i]) for j in range(i + 1, n)):
-            return None
-        # a disk meeting the real axis holds a real root when its mirror
-        # image meets no other disk: the conjugate root must lie in it
-        mirror = (zs[i][0], -zs[i][1])
-        if abs(zs[i][1]) <= rad[i] and not all(apart(mirror, j, rad[i])
-                                               for j in range(n) if j != i):
-            return None
-    return rad
+        rad.append(n * abs(v) // abs(u) + 1)
+    if all(abs(xs[i] - xs[j]) > rad[i] + rad[j] for i in range(n) for j in range(i + 1, n)):
+        return rad
+    return None
 
 
-def _isolate(g: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
-    """k and certified disks (x + iy, r) / 2^k, one per root of the squarefree g.
+def _isolate(g: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """k and certified intervals [x - r, x + r] / 2^k, one per root of g.
 
-    Float roots are refined by Newton's method in exact Gaussian integers
-    and certified by `_certify`; the precision k doubles, for all disks at
-    once, until that succeeds.
+    g must have deg g distinct real roots.  The real parts of its float
+    roots, sorted and made distinct, are refined in exact integers by
+    Aberth's method, Newton's method on g(x) / prod (x - x_j) over the
+    other iterates x_j: it stays on the real line and keeps the iterates
+    apart where the float roots cannot tell a cluster apart.  `_certify`
+    then proves the intervals; the precision k doubles, for all intervals
+    at once, until that succeeds.
     """
     k = _PREC_START
-    zs = [(int(math.ldexp(z.real, k)), int(math.ldexp(z.imag, k)))
-          for z in np.roots([float(c) for c in reversed(g)])]
+    xs = sorted(int(math.ldexp(z.real, k)) for z in np.roots([float(c) for c in reversed(g)]))
+    xs = [x + i for i, x in enumerate(xs)]
     for _ in range(_PREC_TRIES):
         for _ in range(100):
             moved = False
-            for i, (x, y) in enumerate(zs):
-                vr, vi, ur, ui = _eval_scaled(g, x, y, k)
-                den = ur * ur + ui * ui
+            for i, x in enumerate(xs):
+                v, u = _eval_scaled(g, x, k)
+                # Aberth's step v / (u - v sum 1 / (x - x_j)), both sides times prod (x - x_j)
+                ds = [x - y for y in xs if y != x]
+                prod = math.prod(ds)
+                den = u * prod - v * sum(prod // d for d in ds)
                 if den == 0:
                     continue
-                dx = (2 * (vr * ur + vi * ui) + den) // (2 * den)
-                dy = (2 * (vi * ur - vr * ui) + den) // (2 * den)
-                zs[i] = (x - dx, y - dy)
-                moved |= abs(dx) > 1 or abs(dy) > 1
+                dx = (2 * v * prod + den) // (2 * den)  # rounded
+                xs[i] = x - dx
+                moved |= abs(dx) > 1
             if not moved:
                 break
-        rad = _certify(g, zs, k)
+        rad = _certify(g, xs, k)
         if rad is not None:
-            return k, [(x, y, r) for (x, y), r in zip(zs, rad)]
-        zs = [(x << k, y << k) for x, y in zs]
+            return k, list(zip(xs, rad))
+        xs = [x << k for x in xs]
         k *= 2
     raise ArithmeticError(f"could not isolate the roots of {g}")
 
 
 def _roots(f: list[int]) -> list[_Root]:
-    """Certified enclosures of the roots of the squarefree f (lowest degree first)."""
-    k, disks = _isolate(f)
+    """Certified enclosures of the roots of f (lowest degree first), all real and simple."""
+    k, intervals = _isolate(f)
     one = 1 << k
     roots = []
-    for i, (x, y, r) in enumerate(disks):
-        if y < -r:
-            continue  # the conjugate of a root listed with y > r
+    for i, (x, r) in enumerate(intervals):
         xf = x / one
-        seps = tuple(max(_below(Fraction(isqrt((x - x2) ** 2 + (y - y2) ** 2) - r - r2, one)), 0.0)
-                     for j, (x2, y2, r2) in enumerate(disks) if j != i)
+        seps = tuple(max(_below(Fraction(abs(x - x2) - r - r2, one)), 0.0)
+                     for j, (x2, r2) in enumerate(intervals) if j != i)
         roots.append(_Root(
             x=xf,
             rho=_above(Fraction(r, one) + abs(Fraction(x, one) - Fraction(xf))),
-            y_lo=max(_below(Fraction(y - r, one)), 0.0) if y > r else 0.0,
             seps=seps,
-            enclosure=None if y > r else (x - r, x + r, k)))
+            enclosure=(x - r, x + r, k)))
     return roots
 
 
@@ -345,8 +348,8 @@ def _iroot_ceil(n: int, d: int) -> int:
 
 
 def _fourth_root(v: int, c: int) -> int:
-    """r >= 1 with c r^4 = v, or 0 when there is none."""
-    if c == 0 or v % c:
+    """r >= 1 with c r^4 = v, or 0 when there is none (c != 0)."""
+    if v % c:
         return 0
     r = _iroot_ceil(v // c, 4)
     return r if r ** 4 == v // c else 0
@@ -375,21 +378,18 @@ def _convergents(lo: int, hi: int, k: int, qmax: int):
     return out
 
 
-def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
+def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
     with |G(p, q)| <= top whose nearest root of f is `root`.
 
-    Rows q < q* are the root windows.  For a real root and d = 4, every
-    row q >= q* is a multiple of a certified convergent (module docstring);
-    when the convergents cannot be certified up to the box the windows
-    run on to it.
+    Rows q < q* are the root windows.  Every row q >= q* is a multiple of
+    a certified convergent (module docstring); when the convergents cannot
+    be certified up to the box the windows run on to it.
     """
-    big_r = _iroot_ceil(-(-top // abs(lead)), d)
+    big_r = _iroot_ceil(-(-top // abs(lead)), 4)
     qmax = bound
     if abs(root.x) > root.rho:
         qmax = min(qmax, int((bound + big_r + 2) / (abs(root.x) - root.rho)) + 1)
-    if root.y_lo > 0:
-        qmax = min(qmax, int(big_r / root.y_lo) + 1)
     # one window (const / q^e)^(1/(1 + |S|)) per set S of nearest other
     # roots (module docstring); S = all of them is R itself
     seps = sorted(root.seps)
@@ -401,14 +401,13 @@ def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
             terms.append((2.0 ** len(rest) * top / abs(lead) / prod, len(rest), k + 1))
     end, tail = qmax, None
     # terms[0] with 1 + |S| = 1 is S = {}: |p - alpha q| <= C / q^3
-    if d == 4 and root.enclosure and terms and terms[0][2] == 1:
+    if terms and terms[0][2] == 1:
         twice_c = 2 * terms[0][0] * _GROW
         if twice_c < qmax * qmax:
             qstar = isqrt(math.floor(twice_c)) + 1
             tail = _convergents(*root.enclosure, qmax)
             if tail is not None:
                 end = qstar - 1
-    y_lo = root.y_lo * (1 - 2.0 ** -30)
     size = (abs(root.x) + root.rho) * qmax + big_r + 2
     slack = (root.rho * qmax + 8 * _U * size) * _GROW
     for start in range(1, end + 1, _Q_CHUNK):
@@ -421,8 +420,6 @@ def _window_candidates(root: _Root, d: int, lead: int, top: int, bound: int):
         lo = np.maximum(np.ceil(centre - half - slack), -bound)
         hi = np.minimum(np.floor(centre + half + slack), bound)
         keep = lo <= hi
-        if root.y_lo > 0:
-            keep &= y_lo * q <= half
         yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
                        hi[keep].astype(np.int64).tolist())
     if tail:
@@ -440,7 +437,7 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
                          ) -> dict[int, SolutionSet]:
     """All canonical pairs with |p|,|q| <= bound and form(p,q) = v, for each target v.
 
-    The form must have nonzero discriminant and every target must be
+    The form must be totally real with c0 != 0 and every target must be
     nonzero (module docstring).  Only the p allowed by the certified root
     windows are tried, row by row, and every candidate is re-checked in
     exact integer arithmetic; a pair found from two roots counts once.
@@ -449,6 +446,8 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
         raise ValueError("bound must be >= 1")
     if form.discriminant() == 0:
         raise ValueError(f"the form {form.coeffs} has a repeated linear factor")
+    if not form.totally_real():
+        raise ValueError(f"the form {form.coeffs} is not totally real with c0 != 0")
     targets = sorted(set(int(v) for v in targets))
     if 0 in targets:
         raise ValueError("the right side 0 is not supported")
@@ -461,9 +460,8 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
         r = _fourth_root(v, c[0])
         if 1 <= r <= bound:
             hits[v].append((r, 0))
-    f = list(reversed(c if c[0] else c[1:]))  # f(x) = G(x, 1), lowest degree first
-    for root in _roots(f):
-        for q, lo, hi in _window_candidates(root, len(f) - 1, f[-1], top, bound):
+    for root in _roots(list(reversed(c))):  # f(x) = G(x, 1), lowest degree first
+        for q, lo, hi in _window_candidates(root, c[0], top, bound):
             for p in range(lo, hi + 1):
                 val = form(p, q)
                 if val in hits:

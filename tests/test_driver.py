@@ -184,7 +184,7 @@ def test_case2_cones_of_the_whole_family():
                 {(c.u, c.v) for c in cones if c.t == t and c.implied_m == m}
 
     # each cone is nonsingular, and is obstructed or parametrizes: no other branch;
-    # each reduced Thue form has a nonzero discriminant, as the bounded search requires;
+    # each reduced Thue form is totally real with c0 != 0, as the bounded search requires;
     # the local sieve closes every obstructed cone and 52 of the 86 soluble ones
     obstructed = closed = residual = 0
     for c in cones:
@@ -203,7 +203,7 @@ def test_case2_cones_of_the_whole_family():
         par = parametrize(q0, find_point(q0))
         assert _det3(par.rows) != 0
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
-        assert thue_reduction(par, qform, target).form.discriminant() != 0
+        assert thue_reduction(par, qform, target).form.totally_real()
     assert (obstructed, closed, residual) == (22, 52, 34)
 
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import cache
 from math import isqrt
 
 import pytest
@@ -11,9 +12,9 @@ from sqindex import thue
 from sqindex.conic import find_point, parametrize, thue_reduction
 from sqindex.driver import enumerate_case2_triples
 from sqindex.indexcore import TernaryForm, family_forms
-from sqindex.thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
-                          _convergents, bounded_search_multi, canonical_pair, family_form,
-                          solve_power_of_two)
+from sqindex.thue import (DEFAULT_THUE_BOUND, BinaryQuarticForm, Rigor, SolutionSet,
+                          UnsupportedW, _convergents, _roots, bounded_search_multi,
+                          canonical_pair, family_form, solve_power_of_two)
 from sqindex.goldens import thue_base_golden
 
 
@@ -154,22 +155,24 @@ def test_bounded_search_worked_example_form():
 
 
 def test_bounded_search_huge_coefficients_fallback():
-    # exercises the float-prefilter path: values exceed int64
-    from sqindex.thue import BinaryQuarticForm
+    # (10^15 x^2 - 1)(x^2 - 10^15): coefficients and values exceed int64 and the
+    # float mantissa, so only the exact recheck tells the solutions apart
     big = 10 ** 15
-    f = BinaryQuarticForm((big, 0, -1, 0, big))
+    f = BinaryQuarticForm((big, 0, -big * big - 1, 0, big))
     rhs = f(7, 3)
     sols = bounded_search_multi(f, [rhs], 50)[rhs]
     assert (7, 3) in sols
 
 
 def test_bounded_search_targets_beyond_the_box():
-    # |G| <= sum |c| * B^4 in the box: 2 * 3^4 = G(3, 3) is still found, and
-    # right sides past float range are answered (empty) instead of overflowing
-    g = BinaryQuarticForm((1, 0, 0, 0, 1))
-    got = bounded_search_multi(g, [162, 163, 10 ** 400, -10 ** 400], 3)
-    assert got[162].pairs == ((3, -3), (3, 3))
-    assert got[163].pairs == got[10 ** 400].pairs == got[-10 ** 400].pairs == ()
+    # |G| <= sum |c| * B^4 in the box, with equality at G(3, 3) = 120 * 3^4 for
+    # (p + q)(p + 2q)(p + 3q)(p + 4q): that pair is still found, and right
+    # sides past float range are answered (empty) instead of overflowing
+    g = BinaryQuarticForm((1, 10, 35, 50, 24))
+    assert g.reach(3) == g(3, 3) == 9720
+    got = bounded_search_multi(g, [9720, 9721, 10 ** 400, -10 ** 400], 3)
+    assert got[9720].pairs == ((3, 3),)
+    assert got[9721].pairs == got[10 ** 400].pairs == got[-10 ** 400].pairs == ()
     assert got[10 ** 400].rigor == Rigor.bounded(3)
 
 
@@ -199,22 +202,76 @@ def form_product(*factors):
     return tuple(out)
 
 
-_linear = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+def form_image(coeffs, m):
+    """Coefficients of G(a p + b q, c p + d q) for m = ((a, b), (c, d))."""
+    (a, b), (c, d) = m
+    terms = [form_product(*[(a, b)] * (4 - i), *[(c, d)] * i) for i in range(5)]
+    return tuple(sum(ci * term[j] for ci, term in zip(coeffs, terms)) for j in range(5))
+
+
+def _unimodular(swap_and_steps):
+    """A product of elementary matrices of GL_2(Z), after an optional swap."""
+    swap, steps = swap_and_steps
+    (a, b), (c, d) = ((0, 1), (1, 0)) if swap else ((1, 0), (0, 1))
+    for lower, k in steps:
+        if lower:
+            a, c = a + k * b, c + k * d
+        else:
+            b, d = b + k * a, d + k * c
+    return (a, b), (c, d)
+
+
+@cache
+def family_cones():
+    """Reduced form and right sides of every soluble case-II cone of the family
+    (tests/test_driver.py pins these 108 cones as all of them)."""
+    cones = []
+    for c in enumerate_case2_triples(4096):
+        _, q1, q2 = family_forms(c.t)
+        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
+        point = find_point(q0)
+        if point is None:
+            continue
+        qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
+        red = thue_reduction(parametrize(q0, point), qform, target)
+        targets = {s * inst.rhs for inst in red.instances for s in (1, -1)}
+        if targets:
+            cones.append((red.form, targets))
+    return cones
+
+
+_any_linear = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+_linear = st.tuples(st.integers(-5, 5).filter(bool), st.integers(-5, 5))  # c0 != 0
 _quadratic = st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(-6, 6))
 _definite = _quadratic.filter(lambda f: f[1] ** 2 < 4 * f[0] * f[2])
 _indefinite = _quadratic.filter(lambda f: f[0] and f[1] ** 2 > 4 * f[0] * f[2])
+_gl2 = st.tuples(st.booleans(), st.lists(st.tuples(st.booleans(), st.integers(-3, 3)),
+                                         max_size=3)).map(_unimodular)
+# the bounded search's domain: totally real with c0 != 0
 _forms = st.one_of(
-    # totally real: rational roots, and irrational ones from two real quadratics
+    # rational roots, and irrational ones from two real quadratics
     st.tuples(_linear, _linear, _linear, _linear).map(lambda fs: form_product(*fs)),
     st.tuples(_indefinite, _indefinite).map(lambda fs: form_product(*fs)),
-    # two real roots, and none
+    # irreducible: F_t and the family's reduced forms under GL_2(Z), which keeps
+    # both properties (c0 = G(a, c) != 0 without a rational root)
+    st.tuples(st.integers(1, 300).filter(lambda t: t != 3), _gl2).map(
+        lambda a: form_image(family_form(a[0]).coeffs, a[1])),
+    st.tuples(st.integers(0, 85), _gl2).map(
+        lambda a: form_image(family_cones()[a[0]][0].coeffs, a[1])),
+    # two roots 1/1000 apart
+    st.just(form_product((1, -1), (1000, -1001), (1, 2), (1, -3))),
+).filter(lambda c: BinaryQuarticForm(c).discriminant() != 0)
+# every shape of quartic: the domain, two real roots, none, c0 = 0, c0 = c4 = 0,
+# a repeated factor, and no structure at all
+_quartics = st.one_of(
+    _forms,
     st.tuples(_indefinite, _definite).map(lambda fs: form_product(*fs)),
     st.tuples(_definite, _definite).map(lambda fs: form_product(*fs)),
-    # c0 = 0 (a factor q) and c0 = c4 = 0 (a factor p q)
-    st.tuples(_linear, _quadratic).map(lambda fs: form_product((0, 1), *fs)),
-    st.tuples(_linear, _linear).map(lambda fs: form_product((1, 0), (0, 1), *fs)),
+    st.tuples(_any_linear, _quadratic).map(lambda fs: form_product((0, 1), *fs)),
+    st.tuples(_any_linear, _any_linear).map(lambda fs: form_product((1, 0), (0, 1), *fs)),
+    st.tuples(_any_linear, _quadratic).map(lambda fs: form_product(fs[0], *fs)),
     st.tuples(*[st.integers(-20, 20)] * 5),
-).filter(lambda c: BinaryQuarticForm(c).discriminant() != 0)
+)
 
 _golden_t256 = (1, 1024, 327664, 33677344, 32448496)
 _golden_t256_targets = [s * 2 * 4 ** i for i in range(12) for s in (1, -1)]
@@ -224,11 +281,10 @@ _golden_t256_targets = [s * 2 * 4 ** i for i in range(12) for s in (1, -1)]
 @given(coeffs=_forms, bound=st.integers(1, 60),
        points=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=3),
        extra=st.lists(st.integers(-3000, 3000), max_size=3))
-@example(coeffs=form_product((0, 1), (1, 2), (1, 0, 1)), bound=40, points=[(1, 1), (3, -1)],
-         extra=[5])
-@example(coeffs=form_product((1, 0), (0, 1), (1, -1), (2, 3)), bound=40, points=[(2, 1), (4, -1)],
-         extra=[])
 @example(coeffs=_golden_t256, bound=60, points=[], extra=_golden_t256_targets)
+# its image with three roots within 10^-5, two of them 4 * 10^-10 apart
+@example(coeffs=form_image(_golden_t256, ((10, 3), (-17, -5))), bound=60,
+         points=[(1, 0), (2, -7)], extra=[])
 @example(coeffs=(8, 128, 128, -3072, 3328), bound=60, points=[(2, 1), (10, -1)],
          extra=[2 * k * k for k in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)])
 @example(coeffs=(-11, 32, 16, -32, -16), bound=60, points=[],
@@ -256,6 +312,29 @@ def test_bounded_search_rejects_repeated_factors(coeffs):
         bounded_search_multi(form, [1], 10)
 
 
+@pytest.mark.parametrize("coeffs", [
+    form_product((1, 0, 1), (1, 0, -2)),  # two real roots
+    form_product((1, 0, 1), (1, 0, 2)),  # none
+    (10 ** 15, 0, -1, 0, 10 ** 15),  # none, with coefficients past int64
+    form_product((0, 1), (1, 2), (1, 0, 1)),  # c0 = 0
+    form_product((1, 0), (0, 1), (1, -1), (2, 3)),  # c0 = c4 = 0, four real linear factors
+])
+def test_bounded_search_rejects_forms_outside_the_domain(coeffs):
+    form = BinaryQuarticForm(coeffs)
+    assert form.discriminant() != 0 and not form.totally_real()
+    with pytest.raises(ValueError, match="not totally real"):
+        bounded_search_multi(form, [1], 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_quartics)
+def test_totally_real_matches_sympy(coeffs):
+    # the reference: G(x, 1) has degree 4, no repeated root, and four real roots
+    f = sympy.Poly(list(coeffs), sympy.symbols("x"))
+    want = f.degree() == 4 and f.is_sqf and f.count_roots() == 4
+    assert BinaryQuarticForm(coeffs).totally_real() == want
+
+
 def test_bounded_search_rejects_the_right_side_zero():
     with pytest.raises(ValueError, match="right side 0"):
         bounded_search_multi(family_form(5), [12, 0], 10)
@@ -265,6 +344,7 @@ def test_family_form_discriminant():
     assert family_form(1).invariants() == (51, 0)
     for t in (1, 2, 5, 12, 28, 256, 10 ** 6):
         assert family_form(t).discriminant() == 4 * (t * t + 16) ** 3
+        assert family_form(t).totally_real()
 
 
 def test_bounded_search_streams_its_candidates():
@@ -314,26 +394,21 @@ def tail_and_scan(form, targets, bound):
 
 
 def test_convergent_tail_matches_the_scan_on_the_family_cones():
-    # the reduced form and right sides of every soluble case-II cone of the
-    # family (tests/test_driver.py pins these 108 cones as all of them)
-    searched, tails = 0, []
-    for c in enumerate_case2_triples(4096):
-        _, q1, q2 = family_forms(c.t)
-        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
-        point = find_point(q0)
-        if point is None:
-            continue
-        qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
-        red = thue_reduction(parametrize(q0, point), qform, target)
-        targets = {s * inst.rhs for inst in red.instances for s in (1, -1)}
-        if not targets:
-            continue
-        tail, scan, taken = tail_and_scan(red.form, targets, 100_000)
-        assert tail == scan, (c, red.form)
-        searched += 1
+    tails = []
+    for form, targets in family_cones():
+        tail, scan, taken = tail_and_scan(form, targets, 100_000)
+        assert tail == scan, form
         tails += taken
-    assert searched == 86
+    assert len(family_cones()) == 86
     assert tails and None not in tails
+
+
+def test_family_form_convergents_reach_the_default_box():
+    # so on F_t the windows run on to the box only past the default box
+    # (from t = 97 at 10^7), or at a rational root, which F_t has not
+    for t in (1, 2, 4, 97, 149, 239, 256, 4095, 10 ** 6):
+        for root in _roots(list(reversed(family_form(t).coeffs))):
+            assert _convergents(*root.enclosure, DEFAULT_THUE_BOUND) is not None, t
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,9 +426,9 @@ def test_convergent_tail_matches_the_scan(coeffs, bound, points, extra):
     # at t = 130 the root near 1 has q* = 2, so (2, 2) = 2 * (1, 1) is only
     # reached as a multiple of the convergent 1/1
     (family_form(130).coeffs, [-64, -4, 1, 16]),
-    # (2, -1) lies below q* = 3 of its root -sqrt 7, and -2/1 is no convergent
-    # of -sqrt 7: a threshold half as large misses it
-    ((-2, 3, 6, -21, 56), [30, -34, 42, 56, 66, -70]),
+    # (x^2 - 7)(2 x^2 - 3): (2, -1) lies below q* = 3 of its root -sqrt 7, and
+    # -2/1 is no convergent of -sqrt 7: a threshold half as large misses it
+    (form_product((1, 0, -7), (2, 0, -3)), [2, -15]),
 ])
 def test_convergent_tail_matches_the_grid(coeffs, targets):
     form = BinaryQuarticForm(coeffs)
@@ -364,7 +439,7 @@ def test_convergent_tail_matches_the_grid(coeffs, targets):
 
 @pytest.mark.parametrize("coeffs, targets", [
     # 101/201 = [0; 1, 1, 100]: (2, 4) lies past q* = 4 of that root
-    (form_product((201, -101), (1, -3), (1, 0, 1)), [25, 400, -3, 7]),
+    (form_product((201, -101), (1, -3), (1, 0, -2)), [-35, -560, -3, 7]),
     (form_product((1, -1), (1, 2), (2, -3), (1, 1)), [6, 12, 72, 96, -60, -70, 5]),
 ])
 def test_rational_roots_fall_back_to_the_windows(coeffs, targets):
