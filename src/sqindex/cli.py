@@ -5,12 +5,12 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 Output is a human-readable table by default or a deterministic JSON
 document with --json (identical runs differ only in the timing field).
 Every Thue box (thue --bound, --thue-bound) is capped at MAX_THUE_BOUND.
-The search scans root windows up to min(B, q*), a Legendre threshold that
-grows like sqrt|w|, and walks convergents past it in O(log B) rows; the
-cap stays because that scan still reaches B when q* does.  A right side of
-`thue` that is not +-2^e and that the box reaches is capped at
-MAX_THUE_RHS in absolute value: the search also costs time growing like
-sqrt|w|.  One beyond the reach of the box has no solution there at once.
+The search scans root windows up to a Legendre threshold q* that grows
+like sqrt|w| but not with the box B, and walks convergents past it in
+O(log B) rows and bits, so the box costs little.  A right side of `thue`
+that is not +-2^e and that the box reaches is capped at MAX_THUE_RHS in
+absolute value, since the search costs time growing like sqrt|w|.  One
+beyond the reach of the box has no solution there at once.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 MAX_BRUTE_BOX = 300  # (2B+1)^3 points, (2B+1)^2 per X1 slice; >= t + 40 for every golden t
-MAX_THUE_BOUND = 10**7  # windows to min(B, q*), then O(log B) convergent rows per real root
-MAX_THUE_RHS = 10**12  # <= 10 s at B = 10^7 on 2 cores (time grows like sqrt|w|); own |w| < 2^29
+MAX_THUE_BOUND = 10**30  # windows to q*, then O(log B) convergent rows per root
+MAX_THUE_RHS = 10**12  # about 10 s at B = 10^30 on 2 cores (time grows like sqrt|w|); own |w| < 2^29
 
 
 def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:

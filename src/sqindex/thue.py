@@ -20,14 +20,14 @@ That search is the only one a result can be bounded by, so `Rigor`, the
 completeness status carried from here through the minimal-index driver
 to the CLI, lives here too.
 
-The bounded search takes a totally real form G with c0 != 0, that is
-f(x) = G(x, 1) = a prod (x - alpha_i) with a = c0 and four distinct real
-roots, and nonzero right sides; it raises ValueError otherwise.  The
-program never leaves that domain: its fields are totally real, F_t has
-discriminant 4 (t^2 + 16)^3 and c0 = 1, and every reduced form of the
-family's soluble case-II cones is totally real with c0 != 0
-(tests/test_driver.py checks all of them); every right side is
-+-|target| k^2 / content with target != 0.
+The bounded search takes a totally real form G with c0 != 0 and no
+rational root, that is f(x) = G(x, 1) = a prod (x - alpha_i) with a = c0
+and four distinct real irrational roots, and nonzero right sides; it
+raises ValueError otherwise.  The program never leaves that domain: its
+fields are totally real; F_t has discriminant 4 (t^2 + 16)^3 and
+c0 = c4 = 1, so a rational root would be +-1, but F_t(+-1, 1) = -4; the
+tests check every reduced form of the family's soluble case-II cones;
+every right side is +-|target| k^2 / content with target != 0.
 
 The search enumerates root windows instead of the whole box.  Take
 q != 0 with |G(p, q)| <= W, let alpha be the root nearest p/q, and let S
@@ -39,7 +39,8 @@ Proof: |a| prod |p - alpha_i q| = |G(p, q)| <= W;
 |p - beta q| >= |p - alpha q| since alpha is nearest; and
 |alpha - beta| |q| <= |p - alpha q| + |p - beta q| <= 2 |p - beta q|.
 
-S = all gives |p - alpha q| <= R = ceil((W/|a|)^(1/4)); S = {} gives
+S = all gives |p - alpha q| < R = floor((W/|a|)^(1/4)) + 1, so in the
+box |q| <= qmax = (B + R) / |alpha|; S = {} gives
 |p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|).  The windows are
 certified: every root sits in an interval proven in exact arithmetic to
 hold exactly one root, each p-range is widened by an explicit bound on
@@ -61,9 +62,10 @@ so every number in between, alpha included, shares it, and p'/q' lies
 outside the enclosure: |p' - alpha q'| >= delta > 0, with delta exact
 from the ends.  Then g |p' - alpha q'| = |p - alpha q| < 1 / (2 g q')
 gives g^2 < 1 / (2 q' delta).  When the ends part before the
-denominators pass the box (at a rational root, say), the windows run
-on to the box instead.  So a search costs a scan to min(B, q*) plus
-O(log B) rows per root.
+denominators pass qmax, every root is isolated again at twice the
+precision, which ends: as the enclosure of the irrational alpha shrinks,
+both ends share every partial quotient up to any fixed depth.  So a
+search costs a scan to min(qmax, q*) plus O(log B) rows per root.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -220,7 +223,8 @@ _U = 2.0 ** -53           # unit roundoff of float64
 _GROW = 1 + 2.0 ** -20    # covers the relative rounding of a few float64 operations
 _Q_CHUNK = 1 << 16        # q values per vectorised window step
 _PREC_START = 64          # bits after the binary point of the root approximations
-_PREC_TRIES = 6           # precision doublings before root isolation gives up
+_PREC_TRIES = 6           # precisions, doubling from _PREC_START, before root isolation gives up
+_LEGENDRE = True          # the convergent tail; the tests switch it off to scan every row to qmax
 
 
 @dataclass(frozen=True)
@@ -279,25 +283,32 @@ def _certify(g: list[int], xs: list[int], k: int):
     return None
 
 
-def _isolate(g: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """k and certified intervals [x - r, x + r] / 2^k, one per root of g.
+def _roots(form: BinaryQuarticForm):
+    """Certified enclosures of the roots of f(x) = G(x, 1): one list of
+    `_Root`s per precision k = 64, 128, ...
 
-    g must have deg g distinct real roots.  The real parts of its float
-    roots, sorted and made distinct, are refined in exact integers by
-    Aberth's method, Newton's method on g(x) / prod (x - x_j) over the
+    G must be totally real with c0 != 0.  The real parts of the float roots
+    of f, sorted and made distinct, are refined in exact integers by
+    Aberth's method, Newton's method on f(x) / prod (x - x_j) over the
     other iterates x_j: it stays on the real line and keeps the iterates
     apart where the float roots cannot tell a cluster apart.  `_certify`
-    then proves the intervals; the precision k doubles, for all intervals
-    at once, until that succeeds.
+    then proves the intervals.  A rational root p/q in lowest terms has
+    q | c0 (Gauss), so c0 p/q is an integer: once c0 [lo, hi] / 2^k is
+    shorter than 1 it holds at most one integer P, and the root is rational
+    exactly when P exists and G(P, c0) = 0; that raises ValueError.  The
+    precision k doubles, for all roots at once, until both steps succeed and
+    whenever the caller asks for the next list; ArithmeticError after
+    _PREC_TRIES precisions.
     """
+    f, c0 = list(reversed(form.coeffs)), form.coeffs[0]  # f lowest degree first
     k = _PREC_START
-    xs = sorted(int(math.ldexp(z.real, k)) for z in np.roots([float(c) for c in reversed(g)]))
+    xs = sorted(int(math.ldexp(z.real, k)) for z in np.roots([float(c) for c in form.coeffs]))
     xs = [x + i for i, x in enumerate(xs)]
     for _ in range(_PREC_TRIES):
         for _ in range(100):
             moved = False
             for i, x in enumerate(xs):
-                v, u = _eval_scaled(g, x, k)
+                v, u = _eval_scaled(f, x, k)
                 # Aberth's step v / (u - v sum 1 / (x - x_j)), both sides times prod (x - x_j)
                 ds = [x - y for y in xs if y != x]
                 prod = math.prod(ds)
@@ -309,50 +320,34 @@ def _isolate(g: list[int]) -> tuple[int, list[tuple[int, int]]]:
                 moved |= abs(dx) > 1
             if not moved:
                 break
-        rad = _certify(g, xs, k)
-        if rad is not None:
-            return k, list(zip(xs, rad))
+        rad = _certify(f, xs, k)
+        one = 1 << k
+        if rad is not None and all(abs(c0) * 2 * r < one for r in rad):
+            roots = []
+            for i, (x, r) in enumerate(zip(xs, rad)):
+                lo, hi = sorted((c0 * (x - r), c0 * (x + r)))
+                p = -(-lo >> k)  # the least integer >= lo / 2^k
+                if p << k <= hi and form(p, c0) == 0:
+                    raise ValueError(f"the form {form.coeffs} has a rational root")
+                xf = x / one
+                seps = tuple(max(_below(Fraction(abs(x - x2) - r - r2, one)), 0.0)
+                             for j, (x2, r2) in enumerate(zip(xs, rad)) if j != i)
+                roots.append(_Root(
+                    x=xf,
+                    rho=_above(Fraction(r, one) + abs(Fraction(x, one) - Fraction(xf))),
+                    seps=seps,
+                    enclosure=(x - r, x + r, k)))
+            yield roots
         xs = [x << k for x in xs]
         k *= 2
-    raise ArithmeticError(f"could not isolate the roots of {g}")
-
-
-def _roots(f: list[int]) -> list[_Root]:
-    """Certified enclosures of the roots of f (lowest degree first), all real and simple."""
-    k, intervals = _isolate(f)
-    one = 1 << k
-    roots = []
-    for i, (x, r) in enumerate(intervals):
-        xf = x / one
-        seps = tuple(max(_below(Fraction(abs(x - x2) - r - r2, one)), 0.0)
-                     for j, (x2, r2) in enumerate(intervals) if j != i)
-        roots.append(_Root(
-            x=xf,
-            rho=_above(Fraction(r, one) + abs(Fraction(x, one) - Fraction(xf))),
-            seps=seps,
-            enclosure=(x - r, x + r, k)))
-    return roots
-
-
-def _iroot_ceil(n: int, d: int) -> int:
-    """Least r >= 0 with r^d >= n."""
-    if n <= 0:
-        return 0
-    r = 1 << -(-n.bit_length() // d)
-    while True:
-        s = ((d - 1) * r + n // r ** (d - 1)) // d
-        if s >= r:
-            break
-        r = s
-    return r if r ** d >= n else r + 1
+    raise ArithmeticError(f"could not isolate the roots of {f}")
 
 
 def _fourth_root(v: int, c: int) -> int:
     """r >= 1 with c r^4 = v, or 0 when there is none (c != 0)."""
-    if v % c:
-        return 0
-    r = _iroot_ceil(v // c, 4)
-    return r if r ** 4 == v // c else 0
+    n, rem = divmod(v, c)
+    r = isqrt(isqrt(n)) if n > 0 and rem == 0 else 0  # floor(n^(1/4))
+    return r if r ** 4 == n else 0
 
 
 def _convergents(lo: int, hi: int, k: int, qmax: int):
@@ -380,50 +375,49 @@ def _convergents(lo: int, hi: int, k: int, qmax: int):
 
 def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
-    with |G(p, q)| <= top whose nearest root of f is `root`.
+    with |G(p, q)| <= top whose nearest root of f is `root`; None when the
+    root's enclosure is too coarse to certify its convergents.
 
     Rows q < q* are the root windows.  Every row q >= q* is a multiple of
-    a certified convergent (module docstring); when the convergents cannot
-    be certified up to the box the windows run on to it.
+    a certified convergent (module docstring).
     """
-    big_r = _iroot_ceil(-(-top // abs(lead)), 4)
-    qmax = bound
-    if abs(root.x) > root.rho:
-        qmax = min(qmax, int((bound + big_r + 2) / (abs(root.x) - root.rho)) + 1)
+    big_r = isqrt(isqrt(top // abs(lead))) + 1  # > (top / |lead|)^(1/4)
+    a_lo, a_hi, k = root.enclosure
+    qmax = bound  # |alpha| q <= |p| + R <= bound + R
+    if a_lo > 0 or a_hi < 0:
+        qmax = min(qmax, ((bound + big_r) << k) // min(abs(a_lo), abs(a_hi)) + 1)
     # one window (const / q^e)^(1/(1 + |S|)) per set S of nearest other
     # roots (module docstring); S = all of them is R itself
     seps = sorted(root.seps)
     terms = []
-    for k in range(len(seps)):
-        rest = seps[k:]
-        prod = math.prod(rest)
-        if prod > 0:
-            terms.append((2.0 ** len(rest) * top / abs(lead) / prod, len(rest), k + 1))
-    end, tail = qmax, None
-    # terms[0] with 1 + |S| = 1 is S = {}: |p - alpha q| <= C / q^3
-    if terms and terms[0][2] == 1:
-        twice_c = 2 * terms[0][0] * _GROW
-        if twice_c < qmax * qmax:
-            qstar = isqrt(math.floor(twice_c)) + 1
-            tail = _convergents(*root.enclosure, qmax)
-            if tail is not None:
-                end = qstar - 1
-    size = (abs(root.x) + root.rho) * qmax + big_r + 2
-    slack = (root.rho * qmax + 8 * _U * size) * _GROW
-    for start in range(1, end + 1, _Q_CHUNK):
-        q = np.arange(start, min(start + _Q_CHUNK, end + 1), dtype=np.float64)
-        half = np.full_like(q, float(big_r))
-        with np.errstate(over="ignore"):
-            for const, e, m in terms:
-                np.minimum(half, (const / q ** e) ** (1.0 / m) * _GROW, out=half)
-        centre = root.x * q
-        lo = np.maximum(np.ceil(centre - half - slack), -bound)
-        hi = np.minimum(np.floor(centre + half + slack), bound)
-        keep = lo <= hi
-        yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
-                       hi[keep].astype(np.int64).tolist())
-    if tail:
-        a_lo, a_hi, k = root.enclosure
+    for i in range(len(seps)):
+        rest = seps[i:]
+        terms.append((2.0 ** len(rest) * top / abs(lead) / math.prod(rest), len(rest), i + 1))
+    end, tail = qmax, []
+    # terms[0] is S = {}: |p - alpha q| <= C / q^3
+    twice_c = 2 * terms[0][0] * _GROW
+    if _LEGENDRE and twice_c < qmax * qmax:
+        qstar = isqrt(math.floor(twice_c)) + 1
+        tail = _convergents(a_lo, a_hi, k, qmax)
+        if tail is None:
+            return None
+        end = qstar - 1
+
+    def rows():
+        size = (abs(root.x) + root.rho) * end + big_r + 2
+        slack = (root.rho * end + 8 * _U * size) * _GROW
+        for start in range(1, end + 1, _Q_CHUNK):
+            q = np.arange(start, min(start + _Q_CHUNK, end + 1), dtype=np.float64)
+            half = np.full_like(q, float(big_r))
+            with np.errstate(over="ignore"):
+                for const, e, m in terms:
+                    np.minimum(half, (const / q ** e) ** (1.0 / m) * _GROW, out=half)
+            centre = root.x * q
+            lo = np.maximum(np.ceil(centre - half - slack), -bound)
+            hi = np.minimum(np.floor(centre + half + slack), bound)
+            keep = lo <= hi
+            yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
+                           hi[keep].astype(np.int64).tolist())
         for p1, q1 in tail:
             # g^2 < 1 / (2 q1 delta), delta = m / 2^k <= |p1 - alpha q1|
             m = min(abs((p1 << k) - a_lo * q1), abs((p1 << k) - a_hi * q1))
@@ -432,15 +426,17 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
                 if abs(g * p1) <= bound:
                     yield g * q1, g * p1, g * p1
 
+    return rows()
+
 
 def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
                          ) -> dict[int, SolutionSet]:
     """All canonical pairs with |p|,|q| <= bound and form(p,q) = v, for each target v.
 
-    The form must be totally real with c0 != 0 and every target must be
-    nonzero (module docstring).  Only the p allowed by the certified root
-    windows are tried, row by row, and every candidate is re-checked in
-    exact integer arithmetic; a pair found from two roots counts once.
+    The form must be totally real with c0 != 0 and no rational root and
+    every target nonzero (module docstring).  Only the p allowed by the
+    certified root windows are tried, row by row, and every candidate is
+    re-checked in exact integers; a pair found from two roots counts once.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -454,16 +450,19 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     c = form.coeffs
     reach = form.reach(bound)  # larger targets have no solution in the box
     top = max((abs(v) for v in targets if abs(v) <= reach), default=0)
+    for roots in _roots(form):  # refined until every root's convergents are certified
+        windows = [_window_candidates(root, c[0], top, bound) for root in roots]
+        if None not in windows:
+            break
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
     for v in targets:
         # the q = 0 row: G(p, 0) = c0 p^4 with p >= 1
         r = _fourth_root(v, c[0])
         if 1 <= r <= bound:
             hits[v].append((r, 0))
-    for root in _roots(list(reversed(c))):  # f(x) = G(x, 1), lowest degree first
-        for q, lo, hi in _window_candidates(root, c[0], top, bound):
-            for p in range(lo, hi + 1):
-                val = form(p, q)
-                if val in hits:
-                    hits[val].append((p, q))
+    for q, lo, hi in chain.from_iterable(windows):
+        for p in range(lo, hi + 1):
+            val = form(p, q)
+            if val in hits:
+                hits[val].append((p, q))
     return {v: SolutionSet.of(pairs, Rigor.bounded(bound)) for v, pairs in hits.items()}

@@ -165,14 +165,14 @@ def test_bounded_search_huge_coefficients_fallback():
 
 
 def test_bounded_search_targets_beyond_the_box():
-    # |G| <= sum |c| * B^4 in the box, with equality at G(3, 3) = 120 * 3^4 for
-    # (p + q)(p + 2q)(p + 3q)(p + 4q): that pair is still found, and right
+    # |G| <= sum |c| * B^4 in the box, with equality at G(3, 3) = 55 * 3^4 for
+    # (p^2 + 3pq + q^2)(p^2 + 5pq + 5q^2): that pair is still found, and right
     # sides past float range are answered (empty) instead of overflowing
-    g = BinaryQuarticForm((1, 10, 35, 50, 24))
-    assert g.reach(3) == g(3, 3) == 9720
-    got = bounded_search_multi(g, [9720, 9721, 10 ** 400, -10 ** 400], 3)
-    assert got[9720].pairs == ((3, 3),)
-    assert got[9721].pairs == got[10 ** 400].pairs == got[-10 ** 400].pairs == ()
+    g = BinaryQuarticForm((1, 8, 21, 20, 5))
+    assert g.reach(3) == g(3, 3) == 4455
+    got = bounded_search_multi(g, [4455, 4456, 10 ** 400, -10 ** 400], 3)
+    assert got[4455].pairs == ((3, 3),)
+    assert got[4456].pairs == got[10 ** 400].pairs == got[-10 ** 400].pairs == ()
     assert got[10 ** 400].rigor == Rigor.bounded(3)
 
 
@@ -245,26 +245,37 @@ _linear = st.tuples(st.integers(-5, 5).filter(bool), st.integers(-5, 5))  # c0 !
 _quadratic = st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(-6, 6))
 _definite = _quadratic.filter(lambda f: f[1] ** 2 < 4 * f[0] * f[2])
 _indefinite = _quadratic.filter(lambda f: f[0] and f[1] ** 2 > 4 * f[0] * f[2])
+# irreducible over Q: a discriminant that is no square
+_real_quadratic = _indefinite.filter(lambda f: isqrt(f[1] ** 2 - 4 * f[0] * f[2]) ** 2
+                                     != f[1] ** 2 - 4 * f[0] * f[2])
 _gl2 = st.tuples(st.booleans(), st.lists(st.tuples(st.booleans(), st.integers(-3, 3)),
                                          max_size=3)).map(_unimodular)
-# the bounded search's domain: totally real with c0 != 0
+# the bounded search's domain: totally real with c0 != 0 and no rational root
 _forms = st.one_of(
-    # rational roots, and irrational ones from two real quadratics
-    st.tuples(_linear, _linear, _linear, _linear).map(lambda fs: form_product(*fs)),
-    st.tuples(_indefinite, _indefinite).map(lambda fs: form_product(*fs)),
+    # two real quadratics, irreducible over Q
+    st.tuples(_real_quadratic, _real_quadratic).map(lambda fs: form_product(*fs)),
     # irreducible: F_t and the family's reduced forms under GL_2(Z), which keeps
     # both properties (c0 = G(a, c) != 0 without a rational root)
     st.tuples(st.integers(1, 300).filter(lambda t: t != 3), _gl2).map(
         lambda a: form_image(family_form(a[0]).coeffs, a[1])),
     st.tuples(st.integers(0, 85), _gl2).map(
         lambda a: form_image(family_cones()[a[0]][0].coeffs, a[1])),
-    # two roots 1/1000 apart
-    st.just(form_product((1, -1), (1000, -1001), (1, 2), (1, -3))),
+    # two roots 3.5 * 10^-7 apart
+    st.just(form_product((1, 0, -2), (10 ** 6, 0, -2000001))),
 ).filter(lambda c: BinaryQuarticForm(c).discriminant() != 0)
-# every shape of quartic: the domain, two real roots, none, c0 = 0, c0 = c4 = 0,
-# a repeated factor, and no structure at all
+# shapes that may have a rational root: four linear factors, two real
+# quadratics whose discriminants may be squares, and a linear factor times a cubic
+_split = st.one_of(
+    st.tuples(_linear, _linear, _linear, _linear).map(lambda fs: form_product(*fs)),
+    st.tuples(_indefinite, _indefinite).map(lambda fs: form_product(*fs)),
+    st.tuples(_linear, st.tuples(*[st.integers(-20, 20)] * 4)).map(
+        lambda fs: form_product(*fs)),
+)
+# every shape of quartic: the domain, rational roots, two real roots, none,
+# c0 = 0, c0 = c4 = 0, a repeated factor, and no structure at all
 _quartics = st.one_of(
     _forms,
+    _split,
     st.tuples(_indefinite, _definite).map(lambda fs: form_product(*fs)),
     st.tuples(_definite, _definite).map(lambda fs: form_product(*fs)),
     st.tuples(_any_linear, _quadratic).map(lambda fs: form_product((0, 1), *fs)),
@@ -345,6 +356,39 @@ def test_family_form_discriminant():
     for t in (1, 2, 5, 12, 28, 256, 10 ** 6):
         assert family_form(t).discriminant() == 4 * (t * t + 16) ** 3
         assert family_form(t).totally_real()
+        # no rational root: c0 = c4 = 1 leaves +-1, and F_t(+-1, 1) = -4
+        assert family_form(t)(1, 1) == family_form(t)(-1, 1) == -4
+        assert bounded_search_multi(family_form(t), [1], 1)[1].pairs == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("coeffs", [
+    # 101/201 = [0; 1, 1, 100], with c0 = 201
+    form_product((201, -101), (1, -3), (1, 0, -2)),
+    form_product((1, -1), (1, 2), (2, -3), (1, 1)),
+    form_product((1, 1), (1, 2), (1, 3), (1, 4)),  # (p + q)(p + 2q)(p + 3q)(p + 4q)
+    form_product((2, -1), (1, 0, -3, 1)),  # 1/2 and the roots of x^3 - 3x + 1
+])
+def test_bounded_search_rejects_rational_roots(coeffs):
+    form = BinaryQuarticForm(coeffs)
+    assert form.totally_real()
+    with pytest.raises(ValueError, match="has a rational root"):
+        bounded_search_multi(form, [1], 150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.one_of(_forms, _split).filter(lambda c: BinaryQuarticForm(c).totally_real()))
+# roots within 2^-69 of the integers 2^70 and 0: their enclosures hold an
+# integer P, and only G(P, c0) != 0 shows that these roots are irrational
+@example(coeffs=family_form(2 ** 70).coeffs)
+def test_rational_root_guard_matches_sympy(coeffs):
+    x = sympy.symbols("x")
+    linear = any(f.degree() == 1 for f, _ in sympy.Poly(list(coeffs), x).factor_list()[1])
+    form = BinaryQuarticForm(coeffs)
+    if linear:
+        with pytest.raises(ValueError, match="has a rational root"):
+            bounded_search_multi(form, [1], 10)
+    else:
+        assert (1, 0) in bounded_search_multi(form, [1, coeffs[0]], 10)[coeffs[0]]
 
 
 def test_bounded_search_streams_its_candidates():
@@ -376,21 +420,22 @@ def test_convergents_of_a_root_enclosure():
 
 
 def tail_and_scan(form, targets, bound):
-    """The search with its convergent tail, the search with windows only, and
-    what `_convergents` returned on the first."""
-    tails = []
+    """The search with its convergent tail, the search with windows only (every
+    row to qmax), and each enclosure (lo, hi, k) that `_convergents` got on
+    the first, with what it returned."""
+    calls = []
 
-    def spy(*args):
-        tails.append(real(*args))
-        return tails[-1]
+    def spy(lo, hi, k, qmax):
+        calls.append(((lo, hi, k), real(lo, hi, k, qmax)))
+        return calls[-1][1]
 
     real = thue._convergents
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(thue, "_convergents", spy)
         tail = bounded_search_multi(form, targets, bound)
-        patch.setattr(thue, "_convergents", lambda *args: None)
+        patch.setattr(thue, "_LEGENDRE", False)
         scan = bounded_search_multi(form, targets, bound)
-    return tail, scan, tails
+    return tail, scan, calls
 
 
 def test_convergent_tail_matches_the_scan_on_the_family_cones():
@@ -398,16 +443,16 @@ def test_convergent_tail_matches_the_scan_on_the_family_cones():
     for form, targets in family_cones():
         tail, scan, taken = tail_and_scan(form, targets, 100_000)
         assert tail == scan, form
-        tails += taken
+        tails += [got for _, got in taken]
     assert len(family_cones()) == 86
     assert tails and None not in tails
 
 
 def test_family_form_convergents_reach_the_default_box():
-    # so on F_t the windows run on to the box only past the default box
-    # (from t = 97 at 10^7), or at a rational root, which F_t has not
+    # so no search on F_t refines its first, 64-bit enclosures at the default
+    # box; past it they are refined (from t = 97 at 10^7)
     for t in (1, 2, 4, 97, 149, 239, 256, 4095, 10 ** 6):
-        for root in _roots(list(reversed(family_form(t).coeffs))):
+        for root in next(_roots(family_form(t))):
             assert _convergents(*root.enclosure, DEFAULT_THUE_BOUND) is not None, t
 
 
@@ -432,18 +477,19 @@ def test_convergent_tail_matches_the_scan(coeffs, bound, points, extra):
 ])
 def test_convergent_tail_matches_the_grid(coeffs, targets):
     form = BinaryQuarticForm(coeffs)
-    got, _, tails = tail_and_scan(form, targets, 150)
-    assert any(tails)
+    got, _, calls = tail_and_scan(form, targets, 150)
+    assert any(tail for _, tail in calls)
     assert {v: s.pairs for v, s in got.items()} == grid_search(form, targets, 150)
 
 
-@pytest.mark.parametrize("coeffs, targets", [
-    # 101/201 = [0; 1, 1, 100]: (2, 4) lies past q* = 4 of that root
-    (form_product((201, -101), (1, -3), (1, 0, -2)), [-35, -560, -3, 7]),
-    (form_product((1, -1), (1, 2), (2, -3), (1, 1)), [6, 12, 72, 96, -60, -70, 5]),
-])
-def test_rational_roots_fall_back_to_the_windows(coeffs, targets):
-    form = BinaryQuarticForm(coeffs)
-    got, _, tails = tail_and_scan(form, targets, 150)
-    assert None in tails
-    assert {v: s.pairs for v, s in got.items()} == grid_search(form, targets, 150)
+def test_convergent_failure_refines_the_enclosure():
+    # at t = 4095 the 64-bit enclosures certify the convergents of some roots
+    # only short of B = 10^7; a finer enclosure of each such root succeeds
+    targets = [s * 2 ** e for e in range(7) for s in (1, -1)] + [12, -4095]
+    tail, scan, calls = tail_and_scan(family_form(4095), targets, 10 ** 7)
+    assert tail == scan
+    failed = [enc for enc, got in calls if got is None]
+    assert failed
+    for lo, hi, k in failed:
+        assert any(got is not None and k2 > k and lo2 <= hi << k2 - k and lo << k2 - k <= hi2
+                   for (lo2, hi2, k2), got in calls)
