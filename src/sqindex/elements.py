@@ -11,15 +11,18 @@ M(e), the matrix of multiplication by e = X0*b1 + .. + X3*b4, is linear in
 the coordinates: M(e) = X0*B0 + X1*B1 + X2*B2 + X3*B3, Bi multiplying by
 b(i+1).  The Bi are built once per parameter, exactly, over the power
 basis, which certifies once that the basis spans a ring; every M(e) and
-every product is then integral by construction.
+every product is then integral by construction.  b1 = 1 (B0 = id) and Z_K
+is commutative, so only six products b(i+1)*b(j+1), 1 <= i <= j <= 3, are
+formed.  The index is translation invariant: it is computed on the triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd
+from operator import index
 
 from .fieldmodel import FamilyParameter
 
@@ -35,7 +38,7 @@ class AlgebraicInt:
     coords: tuple[int, int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(index, self.coords)))
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -61,7 +64,7 @@ class PowerRep:
     def reduced(a: int, x: int, y: int, z: int, d: int) -> "PowerRep":
         if d < 0:
             a, x, y, z, d = -a, -x, -y, -z, -d
-        g = gcd(gcd(abs(a), abs(x)), gcd(gcd(abs(y), abs(z)), d))
+        g = gcd(a, x, y, z, d)
         if g > 1:
             a, x, y, z, d = a // g, x // g, y // g, z // g, d // g
         return PowerRep(a, x, y, z, d)
@@ -72,12 +75,11 @@ class PowerRep:
 
 
 def to_power_rep(e: AlgebraicInt, param: FamilyParameter) -> PowerRep:
-    """Exact power representation of e, in lowest form."""
-    num = [0, 0, 0, 0]
-    for xi_coord, row in zip(e.coords, param.basis_num):
-        for j in range(4):
-            num[j] += xi_coord * row[j]
-    return PowerRep.reduced(num[0], num[1], num[2], num[3], param.g)
+    """Exact power representation of e, in lowest form; the basis rows are triangular."""
+    x0, x1, x2, x3 = e.coords
+    (r00, _, _, _), (r10, r11, _, _), (r20, r21, r22, _), (r30, r31, r32, r33) = param.basis_num
+    return PowerRep.reduced(x0 * r00 + x1 * r10 + x2 * r20 + x3 * r30,
+                            x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33, param.g)
 
 
 def coords_from_power(vec: tuple[int, int, int, int], d: int,
@@ -134,24 +136,28 @@ def _back_substitute(x: int, y: int, z: int, param: FamilyParameter
 def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Entry (i, j) of M(e) as its coefficients (B0[i][j], .., B3[i][j]) in X0..X3.
 
-    Column j of Bi holds b(i+1)*b(j+1), formed over the power basis;
-    `coords_from_power` raises NotIntegral unless the basis is closed, and
-    ArithmeticError unless the table gives I(xi) = n, the class's closed form.
+    Column j of Bi holds b(i+1)*b(j+1) = b(j+1)*b(i+1); b1 = 1 (checked), so
+    only the six products 1 <= i <= j <= 3 are formed, over the power basis.
+    `coords_from_power` raises NotIntegral unless each is integral (the basis
+    is closed), and ArithmeticError unless the table gives I(xi) = n.
     """
-    rows, t = param.basis_num, param.t
+    rows, t, g = param.basis_num, param.t, param.g
+    assert rows[0] == (g, 0, 0, 0), f"b1 of {param} is not 1"
     cols = {}
-    for i, j in product(range(4), repeat=2):
+    for i, j in combinations_with_replacement(range(1, 4), 2):
         prod = [0] * 7
-        for k, l in product(range(4), repeat=2):
+        for k, l in product(range(i + 1), range(j + 1)):  # rows are lower triangular
             prod[k + l] += rows[i][k] * rows[j][l]
         for k in range(6, 3, -1):  # xi^4 = t*xi^3 + 6*xi^2 - t*xi - 1
             c = prod.pop()
             prod[k - 4:k] = [a + c * r for a, r in zip(prod[k - 4:k], (-1, -t, 6, t))]
-        cols[i, j] = coords_from_power(tuple(prod), param.g ** 2, param)
+        cols[i, j] = cols[j, i] = coords_from_power(tuple(prod), g * g, param)
+    for i in range(4):  # b1 * b(i+1) = b(i+1)
+        cols[0, i] = cols[i, 0] = tuple(int(k == i) for k in range(4))
     table = tuple(tuple(tuple(cols[k, j][i] for k in range(4)) for j in range(4))
                   for i in range(4))
     # xi = b2 in every class, so M(xi) = B1
-    if _basis_det([[c[1] for c in row] for row in table], (0, 1, 0, 0)) != param.n:
+    if _basis_det(table, (1, 0, 0)) != param.n:
         raise ArithmeticError(f"multiplication table of {param} does not give I(xi) = n")
     return table
 
@@ -220,19 +226,30 @@ def char_poly(e: AlgebraicInt, param: FamilyParameter) -> tuple[int, int, int, i
 def index_oracle(e: AlgebraicInt, param: FamilyParameter) -> int | None:
     """I(e) = |det(1, e, e^2, e^3)| on the integral basis; None when e does not generate K.
 
-    e^2 = M(e) e and e^3 = M(e) e^2.  b1 = 1 in all four classes (row 0 of
-    the basis is (g, 0, 0, 0)), so the determinant is the 3x3 minor of rows 1..3.
+    The index does not depend on X0, so it is computed from the triple (`_basis_det`).
     """
-    return _basis_det(mult_matrix(e, param), e.coords)
+    return _basis_det(_mult_table(param), e.triple)
 
 
-def _basis_det(m: list[list[int]], x) -> int | None:
-    # index_oracle's body on a given M(e): the _mult_table check runs it before the table is cached
-    y = [r0 * x[0] + r1 * x[1] + r2 * x[2] + r3 * x[3] for r0, r1, r2, r3 in m]
-    z1, z2, z3 = (r0 * y[0] + r1 * y[1] + r2 * y[2] + r3 * y[3] for r0, r1, r2, r3 in m[1:])
-    _, x1, x2, x3 = x
-    return abs(x1 * (y[2] * z3 - y[3] * z2) - x2 * (y[1] * z3 - y[3] * z1)
-               + x3 * (y[1] * z2 - y[2] * z1)) or None
+def _basis_det(table, x) -> int | None:
+    """I(e), e = x1*b2 + x2*b3 + x3*b4; p, q, r, s are rows 0..3 of M' without column 0.
+
+    Column 0 of M' is e (b1 = 1), so e^2 = y = M' (0, x) and e^3 = z = M' y; I(e) is
+    the minor of rows 1..3.  `_mult_table` runs this before caching the table.
+    """
+    x1, x2, x3 = x
+    (p1, p2, p3), (q1, q2, q3), (r1, r2, r3), (s1, s2, s3) = [
+        (x1 * a1 + x2 * a2 + x3 * a3, x1 * b1 + x2 * b2 + x3 * b3, x1 * c1 + x2 * c2 + x3 * c3)
+        for _, (_, a1, a2, a3), (_, b1, b2, b3), (_, c1, c2, c3) in table]
+    y0 = p1 * x1 + p2 * x2 + p3 * x3
+    y1 = q1 * x1 + q2 * x2 + q3 * x3
+    y2 = r1 * x1 + r2 * x2 + r3 * x3
+    y3 = s1 * x1 + s2 * x2 + s3 * x3
+    z1 = x1 * y0 + q1 * y1 + q2 * y2 + q3 * y3
+    z2 = x2 * y0 + r1 * y1 + r2 * y2 + r3 * y3
+    z3 = x3 * y0 + s1 * y1 + s2 * y2 + s3 * y3
+    return abs(x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1)
+               + x3 * (y1 * z2 - y2 * z1)) or None
 
 
 def canonical_triple(triple: tuple[int, int, int]) -> tuple[int, int, int]:

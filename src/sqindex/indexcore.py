@@ -90,12 +90,15 @@ def index_via_forms(p: PowerRep, param: FamilyParameter) -> int | None:
 
     Computes u = Q1(x,y,z), v = Q2(x,y,z) and m = n*|F(u,v)| / d^6; the
     division is exact for elements of Z_K.  None when F(u,v) = 0 (p does
-    not generate the field).
+    not generate the field).  No multiplication table is used.
     """
     f, q1, q2 = family_forms(param.t)
-    u = q1(p.x, p.y, p.z)
-    v = q2(p.x, p.y, p.z)
-    fv = f(u, v)
+    x, y, z = p.x, p.y, p.z
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = q1.coeffs, q2.coeffs
+    u = (a0 * x + a1 * y + a3 * z) * x + (a2 * y + a4 * z) * y + a5 * z * z
+    v = (b0 * x + b1 * y + b3 * z) * x + (b2 * y + b4 * z) * y + b5 * z * z
+    c0, c1, c2, c3 = f.coeffs
+    fv = ((c0 * u + c1 * v) * u + c2 * v * v) * u + c3 * v * v * v
     if fv == 0:
         return None
     m, r = divmod(param.n * abs(fv), p.d ** 6)

@@ -1,6 +1,9 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +11,9 @@ from hypothesis import strategies as st
 
 from sqindex.fieldmodel import odd_square_divisor, validate_parameter
 from sqindex.indexcore import index_via_forms
-from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
-                              canonical_triple, char_poly, coords_from_power,
-                              from_power_rep,
+from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep, _det4,
+                              _mult_table, canonical_triple, char_poly,
+                              coords_from_power, from_power_rep,
                               index_oracle, mult_matrix, multiply, to_power_rep,
                               triple_from_xyz)
 
@@ -182,6 +185,95 @@ def test_index_oracle_at_benchmark_scale(quartic_disc, t, u):
     disc = quartic_disc(char_poly(e, param))
     assert (m is None) == (disc == 0)
     assert disc == (m or 0) ** 2 * param.disc_K
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_TABLE_T, u=_COORDS)
+@example(t=9_999, u=(10 ** 6, -10 ** 6, 10 ** 6, -10 ** 6))
+@example(t=4, u=(-7, 0, 1, 0))
+@example(t=128, u=(10 ** 6, 0, 0, 0))
+@example(t=1, u=(3, 1, -2, 0))
+def test_index_oracle_triple_path_against_definition(t, u):
+    # the triple path drops X0 and column 0 of M'; the definition keeps both:
+    # (1, e, e^2, e^3) on the integral basis, the powers formed by the full M(e)
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    e = AlgebraicInt(u)
+    e2 = multiply(e, e, param)
+    e3 = multiply(e2, e, param)
+    det = _det4([[1, 0, 0, 0], list(e.coords), list(e2.coords), list(e3.coords)])
+    m = index_oracle(e, param)
+    assert (m is None) == (det == 0)
+    assert m == (abs(det) or None)
+
+
+def _reference_table(param):
+    # 16 products b(j+1)*b(k+1) over the power basis, reduced by
+    # xi^4 = t*xi^3 + 6*xi^2 - t*xi - 1, each solved for integral-basis
+    # coordinates by exact rational back substitution
+    t, g, rows = param.t, param.g, param.basis_num
+    table = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    for j in range(4):
+        for k in range(4):
+            prod = [Fraction(0)] * 7
+            for a in range(4):
+                for b in range(4):
+                    prod[a + b] += Fraction(rows[j][a] * rows[k][b], g * g)
+            for deg in range(6, 3, -1):
+                c = prod[deg]
+                prod[deg] = 0
+                for shift, r in enumerate((-1, -t, 6, t)):
+                    prod[deg - 4 + shift] += c * r
+            coords = [Fraction(0)] * 4
+            for i in range(3, -1, -1):
+                rest = prod[i] - sum(coords[l] * Fraction(rows[l][i], g) for l in range(i + 1, 4))
+                coords[i] = rest / Fraction(rows[i][i], g)
+            assert all(c.denominator == 1 for c in coords), (t, j, k, coords)
+            for i in range(4):
+                table[i][j][k] = int(coords[i])  # entry (i, j) of B_k
+    return tuple(tuple(tuple(entry) for entry in row) for row in table)
+
+
+@pytest.mark.parametrize("t", (1, 2, 4, 8, 28, 128))
+def test_mult_table_six_products_against_sixteen(t):
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    table = _mult_table(param)
+    assert table == _reference_table(param)
+    for i in range(4):
+        for j in range(4):
+            assert table[i][j][0] == int(i == j)  # B0 = id
+            for k in range(4):
+                assert table[i][j][k] == table[i][k][j]  # Bk[i][j] = Bj[i][k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_TABLE_T, u=_COORDS)
+@example(t=1, u=(0, 0, 0, 0))
+@example(t=8, u=(0, 0, 0, 0))
+@example(t=2, u=(-3, -5, -1, -7))
+@example(t=4, u=(-4, 0, -2, 0))
+@example(t=128, u=(-10 ** 6, 10 ** 6, -10 ** 6, 10 ** 6))
+def test_to_power_rep_against_generic_product(t, u):
+    # g*e = sum over i of X_i * basis_num[i], the generic 4x4 row product;
+    # to_power_rep is that vector over g in lowest form
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    g = param.g
+    num = [sum(u[i] * param.basis_num[i][j] for i in range(4)) for j in range(4)]
+    rep = to_power_rep(AlgebraicInt(u), param)
+    assert g % rep.d == 0
+    assert math.gcd(*rep.vec, rep.d) == 1
+    assert [c * (g // rep.d) for c in rep.vec] == num
+    if u == (0, 0, 0, 0):
+        assert rep == PowerRep(0, 0, 0, 0, 1)
+
+
+def test_algebraic_int_rejects_non_integers():
+    import sympy
+    for bad in ((1.5, 0, 0, 2.9), (Fraction(7, 2), 0, 0, 0), ("3", 0, 0, 0), (1.0, 0, 0, 0)):
+        with pytest.raises(TypeError):
+            AlgebraicInt(bad)
+    e = AlgebraicInt((np.int64(3), sympy.Integer(-2), True, 5))
+    assert e.coords == (3, -2, 1, 5)
+    assert all(type(c) is int for c in e.coords)
 
 
 @pytest.mark.parametrize("t", (1, 2, 12, 40))
