@@ -28,15 +28,17 @@ in a proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
-oracle `brute_force_minimal` shares no step with either branch: it scans
-disc(char_poly) over a box in Z/2^64, where disc = m^2 disc_K is a
-necessary congruence, and rechecks every match by the determinant.
+oracle `brute_force_minimal` shares no step with either branch: it
+interpolates disc(char_poly), a degree-12 form in (X1, X2, X3), from 91
+exact values, scans it over a box in Z/2^64, where disc = m^2 disc_K is
+a necessary congruence, and rechecks every match by the determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import cache
+from math import comb, factorial, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -351,59 +353,54 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
 # --- box-scan oracle -------------------------------------------------------
 
 _WORD = 1 << 64  # the scan runs in Z/2^64: unsigned (uint64) overflow wraps by definition
+_TRIANGLE = [(j, k) for j in range(13) for k in range(13 - j)]
 
 
-class _Poly(dict):
-    """Exact polynomial over Z in (X1, X2, X3): exponent triple -> coefficient.
-
-    Only the ring operations, with int operands too, that `charpoly4` and
-    `disc_quartic_monic` apply, so both run unchanged on polynomial entries.
+@cache  # built on first use: only the box oracle needs them
+def _newton_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """(D, S), object arrays of Python ints: (Delta^j v)(0) = sum_i D[j, i] v(i), and
+    a(a-1)..(a-j+1) = sum_i S[j, i] a^i, S the signed Stirling numbers of the first kind.
     """
-
-    def __add__(self, other):
-        out = _Poly(self)
-        for k, c in _terms(other):
-            out[k] = out.get(k, 0) + c
-        return out
-
-    def __mul__(self, other):
-        out = _Poly()
-        for (i1, j1, k1), c1 in self.items():
-            for (i2, j2, k2), c2 in _terms(other):
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
-
-    def __neg__(self):
-        return -1 * self
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __pow__(self, e: int):
-        return self if e == 1 else self * self ** (e - 1)
-
-    __radd__, __rmul__ = __add__, __mul__
+    d = np.array([[(-1) ** (j + i) * comb(j, i) for i in range(13)] for j in range(13)],
+                 dtype=object)
+    s = np.eye(13, dtype=object)
+    for j in range(2, 13):  # row j is row j-1 times (a - (j-1))
+        s[j, 1:j] = s[j - 1, :j - 1] - (j - 1) * s[j - 1, 1:j]
+    return d, s
 
 
-def _terms(x):
-    return x.items() if isinstance(x, _Poly) else ([((0, 0, 0), x)] if x else [])
+def _disc_poly(param: FamilyParameter) -> dict[tuple[int, int, int], int]:
+    """f = disc(char_poly(X1*B1 + X2*B2 + X3*B3)), homogeneous of degree 12.
 
-
-def _disc_poly(param: FamilyParameter) -> _Poly:
-    """disc(char_poly(X1*B1 + X2*B2 + X3*B3)), homogeneous of degree 12.
-
-    Bi multiplies by b(i+1), read from the table behind `mult_matrix`; the
-    expansion runs `charpoly4` and `disc_quartic_monic` over Z[X1, X2, X3].
+    Bi multiplies by b(i+1), read from the table behind `mult_matrix`.  f is
+    interpolated from g(a, b) = f(1, a, b) at the 91 points a, b >= 0,
+    a + b <= 12, by `charpoly4` and `disc_quartic_monic` on B1 + a*B2 + b*B3.
+    g has integer coefficients, so (Delta_a^j Delta_b^k g)(0, 0) is j! k! times
+    its integer coefficient at a(a-1)..(a-j+1) b(b-1)..(b-k+1); an inexact
+    division raises ArithmeticError.  Stirling numbers give the coefficient
+    c_jk of a^j b^k, which homogeneity puts at X1^(12-j-k) X2^j X3^k.
     """
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    entries = [[_Poly({u: c for u, c in zip(units, coefs[1:]) if c}) for coefs in row]
-               for row in _mult_table(param)]
-    c0, c1, c2, c3 = charpoly4(entries)
-    return disc_quartic_monic(c3, c2, c1, c0)
+    table = _mult_table(param)
+
+    def g(a: int, b: int) -> int:
+        c0, c1, c2, c3 = charpoly4([[x1 + a * x2 + b * x3 for _, x1, x2, x3 in row]
+                                    for row in table])
+        return disc_quartic_monic(c3, c2, c1, c0)
+
+    vals = np.array([[g(a, b) if a + b <= 12 else 0 for b in range(13)] for a in range(13)],
+                    dtype=object)
+    delta, stirling = _newton_matrices()
+    diffs = delta @ vals @ delta.T  # exact wherever j + k <= 12
+    falling = np.zeros_like(vals)
+    for j, k in _TRIANGLE:
+        falling[j, k], r = divmod(diffs[j, k], factorial(j) * factorial(k))
+        if r:
+            raise ArithmeticError(f"disc(char_poly) of {param} is not an integral degree-12 form")
+    coef = stirling.T @ falling @ stirling
+    return {(12 - j - k, j, k): coef[j, k] for j, k in _TRIANGLE}
 
 
-def _disc_scan(poly: _Poly, xs, start: int = 0):
+def _disc_scan(poly: dict[tuple[int, int, int], int], xs, start: int = 0):
     """Yield (x1, D) for x1 in xs[start:], with D[a, b] = poly(x1, xs[a], xs[b]) mod 2^64.
 
     Coefficients are reduced in Python before they become uint64, so the
@@ -424,8 +421,8 @@ def brute_force_minimal(param: FamilyParameter, box: int
                         ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Minimum index over all elements with |X1|,|X2|,|X3| <= box, X0 = 0.
 
-    Independent oracle: disc(char_poly), expanded once as an integer
-    polynomial in (X1, X2, X3) and evaluated on the box in Z/2^64, gives the
+    Independent oracle: disc(char_poly), interpolated once as an integer
+    form in (X1, X2, X3) and evaluated on the box in Z/2^64, gives the
     congruence disc = m^2 * disc_K, so no element of index m <= n is missed;
     the determinant (`index_oracle`) rechecks each match exactly.  e and -e
     share both, and canonical triples have X1 >= 0, so only X1 >= 0 is scanned.

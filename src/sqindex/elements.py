@@ -39,6 +39,8 @@ class AlgebraicInt:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(map(index, self.coords)))
+        if len(self.coords) != 4:
+            raise ValueError(f"an element needs 4 coordinates, got {len(self.coords)}")
 
     @property
     def triple(self) -> tuple[int, int, int]:

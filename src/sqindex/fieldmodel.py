@@ -105,8 +105,8 @@ def odd_square_divisor(n: int) -> int | None:
 def disc_quartic_monic(a: int, b: int, c: int, d: int) -> int:
     """Discriminant of x^4 + a*x^3 + b*x^2 + c*x + d, as the generic 16-term formula.
 
-    It uses only ring operations, so the box oracle also runs it on
-    polynomial coefficients.
+    The box oracle interpolates its degree-12 form from the values of this
+    formula on the characteristic polynomials of 91 integer matrices.
     """
     return (
         256 * d**3

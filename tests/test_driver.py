@@ -1,6 +1,7 @@
 from functools import cache
 from itertools import product
 from math import isqrt
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from sqindex.fieldmodel import (MAX_SUPPORTED_T, disc_quartic_monic, odd_square_divisor,
                                 validate_parameter)
-from sqindex.elements import (AlgebraicInt, canonical_triple, charpoly4, index_oracle,
+from sqindex.elements import (AlgebraicInt, canonical_triple, char_poly, charpoly4, index_oracle,
                               mult_matrix, triple_from_xyz)
 from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, find_point, obstruction, parametrize, thue_reduction
 from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
+from sqindex import driver
 from sqindex.driver import (Hit, _collect_solution, _decompositions, _disc_poly, _disc_scan,
                             _reachable_pairs, brute_force_minimal, case1_candidates,
                             case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
@@ -362,6 +364,36 @@ def test_disc_poly_matches_exact(t, point):
             for b, yb in enumerate(point):
                 want = _exact_disc(param, y1, ya, yb)
                 assert int(vals[a, b]) == want % 2 ** 64
+
+
+@pytest.mark.parametrize("t", (1, 2, 4, 8, 9999))  # one t per 2-adic class, and a large one
+def test_disc_poly_against_sympy_discriminant(quartic_disc, t):
+    # the interpolation runs disc_quartic_monic itself, so the referee here is
+    # sympy's generic discriminant; X0 != 0 too, as disc(char_poly) ignores it
+    param = validate_parameter(t)
+    poly = _disc_poly(param)
+    assert sorted(poly) == sorted((12 - j - k, j, k) for j in range(13) for k in range(13 - j))
+    rng = random.Random(t)
+    for _ in range(40):
+        x0, x1, x2, x3 = (rng.randint(-10 ** 4, 10 ** 4) for _ in range(4))
+        value = sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in poly.items())
+        assert value == quartic_disc(char_poly(AlgebraicInt((x0, x1, x2, x3)), param))
+
+
+@pytest.mark.parametrize("point", (0, 1, 12, 45, 90))
+def test_disc_poly_rejects_a_wrong_value(monkeypatch, point):
+    # one lattice value off by one is no integral degree-12 form: some forward
+    # difference is then not divisible by its j! k!
+    calls = []
+
+    def off_by_one(a, b, c, d):
+        calls.append(None)
+        return disc_quartic_monic(a, b, c, d) + (len(calls) - 1 == point)
+
+    monkeypatch.setattr(driver, "disc_quartic_monic", off_by_one)
+    with pytest.raises(ArithmeticError, match="not an integral degree-12 form"):
+        _disc_poly(validate_parameter(5))
+    assert len(calls) == 91
 
 
 @settings(max_examples=60, deadline=None)

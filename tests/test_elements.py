@@ -276,6 +276,12 @@ def test_algebraic_int_rejects_non_integers():
     assert all(type(c) is int for c in e.coords)
 
 
+@pytest.mark.parametrize("coords", [(), (1, 2, 3), (1, 2, 3, 4, 5)])
+def test_algebraic_int_needs_four_coordinates(coords):
+    with pytest.raises(ValueError, match="4 coordinates"):
+        AlgebraicInt(coords)
+
+
 @pytest.mark.parametrize("t", (1, 2, 12, 40))
 def test_quadratic_subfield_elements_are_degenerate(t):
     # 1/xi = -xi^3 + t*xi^2 + 6*xi - t, so xi - 1/xi = xi^3 - t*xi^2 - 5*xi + t;
