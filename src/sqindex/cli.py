@@ -35,7 +35,9 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 MAX_BRUTE_BOX = 300  # (2B+1)^3 points, (2B+1)^2 per X1 slice; >= t + 40 for every golden t
 MAX_THUE_BOUND = 10**30  # windows to q*, then O(log B) convergent rows per root
-MAX_THUE_RHS = 10**12  # about 10 s at B = 10^30 on 2 cores (time grows like sqrt|w|); own |w| < 2^29
+# worst call (t = 1, w just under the cap, B = 10^30): about 4.4 s in a fresh
+# process on 2 cores, 13 s at 10^12; time grows like sqrt|w|; own |w| < 2^29
+MAX_THUE_RHS = 10**11
 
 
 def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
@@ -333,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thue", help="solve F_t(p,q) = w")
     p.add_argument("t", type=int)
     p.add_argument("w", type=int,
-                   help=f"right side; |w| at most {MAX_THUE_RHS} unless w = +-2^e "
-                        "or no point of the box reaches it")
+                   help=f"right side; |w| at most {MAX_THUE_RHS} (a search of a few "
+                        "seconds) unless w = +-2^e or no point of the box reaches it")
     p.add_argument("--bound", type=_thue_bound, default=DEFAULT_THUE_BOUND,
                    help=f"search box for w not of the form +-2^e (at most {MAX_THUE_BOUND})")
     p.set_defaults(func=cmd_thue)

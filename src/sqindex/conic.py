@@ -1,30 +1,14 @@
 """Integer points on ternary quadratic cones and their parametrization.
 
-Whether Q0 = 0 has a nonzero rational point is decided exactly before any
-search (Legendre, Hasse-Minkowski).  Let M = 2*Gram(Q0), an integer
-symmetric matrix, with leading principal minors d1, d2 and d3 = det M;
-symmetric elimination turns Q0 into a*X^2 + b*Y^2 + c*Z^2 with
-(a, b, c) = (d1, d2/d1, d3/d2), i.e. (d1, d1*d2, d2*d3) up to squares.
-If any minor vanishes Q0 has a zero outright: e_x when d1 = 0, the
-double root of Q0(x, y, 0) when d2 = 0, the kernel vector when d3 = 0.
-Otherwise aX^2 + bY^2 + cZ^2 = 0 is soluble over Q_p exactly when the
-Hilbert symbol (-ac, -bc)_p is 1, and by Hasse-Minkowski it is soluble
-over Q exactly when that holds at every place.  Only p = oo and the
-primes p | 2*d3 can fail: for odd p not dividing d3 the Gram matrix is
-unimodular over Z_p, the smooth conic mod p has p + 1 points, and
-Hensel's lemma lifts them.  `obstruction` tests those places, with d3
-factored by trial division.  On the 108 case-II cones that
-`driver.enumerate_case2_triples` lists (all at t <= 256), |d3| is
-64, 32, 1024 or 512 times m for the classes V0, V1, V2, V3+, so the
-places met are oo and the primes up to 13.
-
-`find_point` returns None exactly when Q0 is obstructed.  A form with
-no x^2 term has the zero (1, 0, 0).  Otherwise a rational, hence a
-primitive integer, zero (x, y, z) exists, and the doubling radius scan
-meets one once the radius reaches max(|y|, |z|), so it always ends; its
-scan order fixes the base point.  The 108 cones above are all the
-family has (see `driver`); each has x^2 coefficient v != 0, and the 86
-unobstructed ones all parametrize, so `DegeneratePoint` is only a
+`find_point` ends only when Q0 has a nonzero rational zero, its
+precondition.  A form with no x^2 term has the zero (1, 0, 0).
+Otherwise a primitive integer zero (x, y, z) exists, and the doubling
+radius scan meets one once the radius reaches max(|y|, |z|); its scan
+order fixes the base point.  The driver meets the precondition: the
+family has 108 case-II cones (see `driver`), `driver.local_sieve` runs
+before any conic work, and a pinned test runs `find_point` under a time
+limit on each of the 34 cones the sieve leaves open.  Each of those has
+x^2 coefficient v != 0 and parametrizes, so `DegeneratePoint` is only a
 safety check.
 
 Given a nontrivial integer zero P of Q0, the line scheme through P turns
@@ -115,87 +99,24 @@ def _first_row_solutions(q0: TernaryForm, z0: int, z1: int, radius: int):
     return (row, out) if out else None
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n != 0, by trial division."""
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+def find_point(q0: TernaryForm) -> tuple[int, int, int]:
+    """A primitive nonzero integer solution of Q0 = 0.
 
-
-def _split(a: int, p: int) -> tuple[int, int]:
-    """(e, u) with a = p^e * u and p not dividing u."""
-    e = 0
-    while a % p == 0:
-        a //= p
-        e += 1
-    return e, a
-
-
-def _hilbert_symbol(a: int, b: int, p: int) -> int:
-    """(a, b)_p for nonzero integers a, b; p = 0 stands for the real place."""
-    if p == 0:
-        return -1 if a < 0 and b < 0 else 1
-    alpha, u = _split(a, p)
-    beta, v = _split(b, p)
-    if p == 2:
-        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-        return -1 if (eps_u * eps_v + alpha * om_v + beta * om_u) % 2 else 1
-    sign = -1 if alpha * beta * (p - 1) // 2 % 2 else 1
-    leg_u = pow(u, (p - 1) // 2, p)
-    leg_v = pow(v, (p - 1) // 2, p)
-    if beta % 2 and leg_u != 1:
-        sign = -sign
-    if alpha % 2 and leg_v != 1:
-        sign = -sign
-    return sign
-
-
-def obstruction(q0: TernaryForm) -> int | None:
-    """The first place where Q0 = 0 has no nonzero solution, or None.
-
-    Places are 0 (the real place) and then the primes in increasing
-    order; None means Q0 has a nonzero rational zero (module docstring).
-    """
-    cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
-    d1 = 2 * cxx
-    d2 = 4 * cxx * cyy - cxy * cxy
-    d3 = _det3(((2 * cxx, cxy, cxz), (cxy, 2 * cyy, cyz), (cxz, cyz, 2 * czz)))
-    if d1 == 0 or d2 == 0 or d3 == 0:
-        return None
-    a, b, c = d1, d1 * d2, d2 * d3
-    for p in [0] + _prime_factors(2 * d3):
-        if _hilbert_symbol(-a * c, -b * c, p) == -1:
-            return p
-    return None
-
-
-def find_point(q0: TernaryForm) -> tuple[int, int, int] | None:
-    """A primitive nonzero integer solution of Q0 = 0, or None if there is none.
+    Precondition: Q0 has a nonzero rational zero, or the scan never ends.
+    The driver always meets it: `driver.local_sieve` runs first, and a
+    pinned test covers the whole family (module docstring).
 
     A form without an x^2 term vanishes at (1, 0, 0), which is returned
-    as is.  Otherwise None is a proof: `obstruction` found a place without
-    solutions.  In the remaining case the scan is deterministic: it runs
-    z = 0, 1, 2, ... and |y| <= radius for radius = 64, 128, ..., and
-    picks, in the first row containing solutions, the one minimising
-    (|y|, sign, |x|, sign).  The rows of one radius pass the residue
-    prefilter in blocks of doubling height (1, 2, 4, ... rows).
+    as is.  Otherwise the scan is deterministic: it runs z = 0, 1, 2, ...
+    and |y| <= radius for radius = 64, 128, ..., and picks, in the first
+    row containing solutions, the one minimising (|y|, sign, |x|, sign).
+    The rows of one radius pass the residue prefilter in blocks of
+    doubling height (1, 2, 4, ... rows).
     """
     if all(c == 0 for c in q0.coeffs):
         raise ValueError("form is identically zero")
     if q0.coeffs[0] == 0:
         return (1, 0, 0)
-    if obstruction(q0) is not None:
-        return None
     radius = _RADIUS_START
     while True:
         z0, height = 0, 1

@@ -12,9 +12,8 @@ two branches of the reduction:
                     divisor/perfect-square sweep.  A system with no
                     solution mod N has no integer solution, so a local
                     sieve mod 32 and then mod 5 (`local_sieve`) proves
-                    a branch empty before any conic work; so does a cone
-                    without a rational point (Legendre).  The others lead
-                    to a parametrization and quartic Thue equations
+                    a branch empty before any conic work.  The others
+                    lead to a parametrization and quartic Thue equations
                     solved by bounded exhaustive search, so such a branch
                     carries the Thue box as its search-box flag.
 
@@ -22,9 +21,9 @@ The case-II sweep is finite over the whole family: every sum of
 `_decompositions` is at most 2^24 + 1 (as a*2^l = g^6 m / n <= 2^12), so
 v^2 (t^2 + 16) <= 2^24 + 1 forces t <= 4095.  It yields 108 cones, all at
 t <= 256.  The sieve closes 74 of them: the 22 without a rational point
-and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  The 34 residual
-cones all parametrize (the tests check each one), so every branch ends
-in a proof or a Thue search.
+and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  On each of the 34
+residual cones `find_point` ends and the cone parametrizes (a pinned
+test checks each one), so every branch ends in a proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
@@ -37,7 +36,7 @@ a necessary congruence, and rechecks every match by the determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial, isqrt
 from typing import NamedTuple
 
@@ -183,6 +182,7 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
 _SIEVE_MODULI = (32, 5)
 
 
+@lru_cache(maxsize=16)  # 32^2 + 5^2 booleans per t
 def _reachable_pairs(param: FamilyParameter, n: int) -> np.ndarray:
     """Boolean n x n table: entry (a, b) is set when Q1 = a, Q2 = b mod n somewhere.
 
@@ -204,57 +204,46 @@ def _reachable_pairs(param: FamilyParameter, n: int) -> np.ndarray:
 
     table = np.zeros(n * n, dtype=bool)
     table[values(q1) * n + values(q2)] = True
+    table.flags.writeable = False  # cached: shared by every caller
     return table.reshape(n, n)
 
 
-def local_sieve(param: FamilyParameter):
-    """The closing modulus of each case-II branch of param: (u, v) -> N or None.
+def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
+    """The closing modulus of the case-II branch (u, v) of param, or None.
 
-    A system with no solution mod N has no integer solution.  The returned
-    function gives the first N in (32, 5) at which neither Q1 = u, Q2 = v
-    nor Q1 = -u, Q2 = -v has a solution in (Z/N)^3 that also passes the
-    `triple_from_xyz` congruences (those apply when b11*b22 divides N), or
-    None when both moduli leave the branch open.  Each modulus's table of
-    reachable (Q1, Q2) residues is built once, on first use.
+    A system with no solution mod N has no integer solution.  The result
+    is the first N in (32, 5) at which neither Q1 = u, Q2 = v nor
+    Q1 = -u, Q2 = -v has a solution in (Z/N)^3 that also passes the
+    `triple_from_xyz` congruences (those apply when b11*b22 divides N),
+    or None when both moduli leave the branch open.
     """
-    tables: dict[int, np.ndarray] = {}
-
-    def closing_modulus(u: int, v: int) -> int | None:
-        for n in _SIEVE_MODULI:
-            if n not in tables:
-                tables[n] = _reachable_pairs(param, n)
-            if not (tables[n][u % n, v % n] or tables[n][-u % n, -v % n]):
-                return n
-        return None
-
-    return closing_modulus
+    for n in _SIEVE_MODULI:
+        table = _reachable_pairs(param, n)
+        if not (table[u % n, v % n] or table[-u % n, -v % n]):
+            return n
+    return None
 
 
 def case2_candidates(param: FamilyParameter, m: int,
-                     thue_bound: int = DEFAULT_THUE_BOUND, sieve=None) -> tuple[dict, Rigor]:
+                     thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
     """Elements of index m from the v != 0 branch.
 
     Any solution of the system Q1 = +-u, Q2 = +-v lies on the cone
     Q0 = v*Q1 - u*Q2 = 0.  The branch is proven empty when the system
-    has no admissible solution mod 32 or mod 5 (`local_sieve`; pass one
-    to share its tables across m), when Q0 has no rational point (a
-    Hilbert symbol obstruction, see `conic`), or when its Thue equations
-    have no integral right side.  Every other cone of the family
-    parametrizes (module docstring), and the result is bounded only when
-    a Thue search ran, by the Thue box.
+    has no admissible solution mod 32 or mod 5 (`local_sieve`), or when
+    its Thue equations have no integral right side.  On every other cone
+    of the family `find_point` ends and the cone parametrizes (module
+    docstring), and the result is bounded only when a Thue search ran,
+    by the Thue box.
     """
     _, q1, q2 = family_forms(param.t)
-    closing_modulus = sieve or local_sieve(param)
     out: dict = {}
     rigor = Rigor.certain()
     for u, v in candidate_uv_pairs(param, m):
-        if closing_modulus(u, v) is not None:
+        if local_sieve(param, u, v) is not None:
             continue
         q0 = TernaryForm.combine(v, q1, -u, q2)
-        point = find_point(q0)
-        if point is None:
-            continue
-        par = parametrize(q0, point)
+        par = parametrize(q0, find_point(q0))
         qform, target = (q1, u) if u != 0 else (q2, v)
         red = thue_reduction(par, qform, target)
         if not red.instances:
@@ -281,10 +270,9 @@ def minimal_index(param: FamilyParameter,
     Every element is re-verified with both index computations.
     """
     rigor = Rigor.certain()
-    sieve = local_sieve(param)
     for m in range(1, param.n + 1):
         found = case1_candidates(param, m)
-        found2, rigor2 = case2_candidates(param, m, thue_bound, sieve)
+        found2, rigor2 = case2_candidates(param, m, thue_bound)
         if rigor.proven:
             rigor = rigor2
         for canon, hits in found2.items():

@@ -371,12 +371,27 @@ for _argv in _CONTRACT_EXAMPLES:
     test_cli_exit_code_contract = example(argv=_argv)(test_cli_exit_code_contract)
 
 
+def _run_fresh(argv):
+    """The CLI in a process of its own, killed after the contract's 10 s."""
+    src = str(Path(__file__).parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "sqindex.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+
+
 @pytest.mark.parametrize("argv", _CONTRACT_EXAMPLES)
 def test_cli_exit_code_contract_in_a_fresh_process(argv):
     # Hypothesis raises the recursion limit while a test runs, so a fault
     # that depends on the default depth shows only in a process of its own
-    src = str(Path(__file__).parent.parent / "src")
-    done = subprocess.run([sys.executable, "-m", "sqindex.cli", *argv], capture_output=True,
-                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    done = _run_fresh(argv)
     assert done.returncode in (0, 1, 2), (argv, done.returncode)
     assert "Traceback" not in done.stderr
+
+
+def test_thue_worst_call_under_the_cap_in_a_fresh_process():
+    # t = 1, a prime w just under the cap (so not +-2^e) and the largest box:
+    # about 4.4 s on 2 cores, and 13 s at |w| just under 10^12
+    w = -99999999977
+    assert MAX_THUE_RHS // 2 < abs(w) <= MAX_THUE_RHS
+    done = _run_fresh(["thue", "1", str(w), "--bound", str(MAX_THUE_BOUND)])
+    assert done.returncode == 0, done.stderr
+    assert "0 solution pair(s)" in done.stdout

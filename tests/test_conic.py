@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqindex.elements import triple_from_xyz
 from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
 from sqindex.conic import (_QR_MOD, DegeneratePoint, _qr_table, divisors, find_point,
-                           obstruction, parametrize, thue_reduction)
-from sqindex.driver import Hit, candidate_uv_pairs, case1_candidates, enumerate_case2_triples
+                           parametrize, thue_reduction)
+from sqindex.driver import (Hit, candidate_uv_pairs, case1_candidates, enumerate_case2_triples,
+                            local_sieve)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
@@ -80,29 +82,10 @@ def test_find_point_worked_example():
     assert pt in ((15, 11, -1), (-15, -11, 1))
 
 
-def test_find_point_definite_form():
-    assert find_point(TernaryForm((1, 0, 1, 0, 0, 1))) is None
-    assert obstruction(TernaryForm((1, 0, 1, 0, 0, 1))) == 0
-    assert obstruction(TernaryForm((-1, 0, -1, 0, 0, -1))) == 0
-
-
 def test_qr_table_holds_every_square_residue():
     # a missing residue would silently drop rows of the conic point search
     squares = {x * x % _QR_MOD for x in range(_QR_MOD)}
     assert set(np.nonzero(_qr_table())[0].tolist()) == squares
-
-
-def test_obstruction_classical_examples():
-    # the first failing place is reported; by the product formula there are two
-    assert obstruction(TernaryForm((1, 0, 1, 0, 0, -3))) == 2     # x^2 + y^2 = 3 z^2
-    assert obstruction(TernaryForm((1, 0, -5, 0, 0, -3))) == 3    # fails at 3 and 5
-    assert obstruction(TernaryForm((1, 0, 1, 0, 0, -2))) is None  # (1, 1, 1)
-    assert obstruction(TernaryForm((3, 0, 4, 0, 0, -5))) == 3     # fails at 3 and 5
-    assert obstruction(TernaryForm((1, 0, 1, 0, 0, -5))) is None  # (1, 2, 1)
-    # singular or isotropic coordinate axes: a zero is read off directly
-    assert obstruction(TernaryForm((0, 1, 1, 0, 0, 1))) is None
-    assert obstruction(TernaryForm((1, 2, 1, 0, 0, 1))) is None   # (x + y)^2 + z^2
-    assert obstruction(TernaryForm((1, 0, 1, 0, 0, 0))) is None   # kernel (0, 0, 1)
 
 
 _BRUTE_RADIUS = 15
@@ -110,9 +93,17 @@ _AXIS = np.arange(-_BRUTE_RADIUS, _BRUTE_RADIUS + 1, dtype=np.int64)
 _GX, _GY, _GZ = map(np.ravel, np.meshgrid(_AXIS, _AXIS, _AXIS, indexing="ij"))
 _NONZERO = (_GX != 0) | (_GY != 0) | (_GZ != 0)
 
+
+
+def _has_small_zero(coeffs):
+    """Whether Q0 has a nonzero zero with every coordinate at most _BRUTE_RADIUS."""
+    values = _eval_ternary_grid(TernaryForm(coeffs), _GX, _GY, _GZ)
+    return bool(np.any((values == 0) & _NONZERO))
+
+
 @contextmanager
 def _time_limit(seconds):
-    """find_point scans without a cap, so a wrong 'soluble' verdict would hang."""
+    """find_point scans without a cap and ends only on a cone with a rational point."""
     def expire(signum, frame):
         raise TimeoutError(f"no point found within {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
@@ -124,30 +115,25 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-_coeffs = st.tuples(*[st.integers(-12, 12)] * 6).filter(any)
+_coeffs = st.tuples(*[st.integers(-12, 12)] * 6).filter(any).filter(_has_small_zero)
 
 
 @settings(max_examples=400, deadline=None)
 @given(coeffs=_coeffs)
-@example(coeffs=(1, 0, 1, 0, 0, 1))
-@example(coeffs=(1, 0, 1, 0, 0, -3))
+@example(coeffs=(1, 0, 1, 0, 0, -2))  # (1, 1, 1)
+@example(coeffs=(1, 0, 1, 0, 0, -5))  # (1, 2, 1)
 @example(coeffs=(0, 0, 0, 1, 0, 0))
 @example(coeffs=(1, 2, 1, 0, 0, 0))
 @example(coeffs=(2, 0, 0, 0, 0, 0))
-def test_obstruction_matches_brute_zeros(coeffs):
+@example(coeffs=(1, 0, 1, 0, 0, 0))   # kernel (0, 0, 1)
+def test_find_point_matches_row_by_row_on_forms_with_small_zeros(coeffs):
     q0 = TernaryForm(coeffs)
-    place = obstruction(q0)
-    if place is not None:
-        values = _eval_ternary_grid(q0, _GX, _GY, _GZ)
-        assert not np.any((values == 0) & _NONZERO), (coeffs, place)
-        assert find_point(q0) is None
-    else:
-        with _time_limit(10):
-            x, y, z = find_point(q0)
-            if coeffs[0] != 0:
-                assert (x, y, z) == _find_point_by_rows(q0)
-        assert q0(x, y, z) == 0 and (x, y, z) != (0, 0, 0)
-        assert gcd(gcd(x, y), z) == 1
+    with _time_limit(10):
+        x, y, z = find_point(q0)
+        if coeffs[0] != 0:
+            assert (x, y, z) == _find_point_by_rows(q0)
+    assert q0(x, y, z) == 0 and (x, y, z) != (0, 0, 0)
+    assert gcd(gcd(x, y), z) == 1
 
 
 def _find_point_by_rows(q0):
@@ -177,47 +163,53 @@ def _find_point_by_rows(q0):
         radius *= 2
 
 
+# (t, m, u, v) of the 22 case-II cones of the family that have no rational
+# point, all at golden t (a Hilbert symbol fails at 2, at 3 for t = 24)
+_GOLDEN_OBSTRUCTED = {
+    (4, 3, -32, 4), (4, 3, 16, 4), (4, 6, -130, 17), (4, 6, 62, 17),
+    (4, 7, -18, 1), (4, 7, -16, 4), (4, 7, 0, 4), (4, 7, 14, 1),
+    (8, 3, -14, 1), (8, 3, 10, 1), (8, 7, -34, 3), (8, 7, 22, 3),
+    (12, 3, -18, 1), (12, 3, 14, 1), (16, 6, -14, 1), (16, 6, 10, 1),
+    (16, 10, -22, 1), (16, 10, 18, 1), (20, 5, -18, 1), (20, 5, 14, 1),
+    (24, 15, -22, 1), (24, 15, 18, 1),
+}
+
+
 def test_find_point_matches_row_by_row_reference():
     # the blocked prefilter keeps the row-by-row choice on every soluble family cone
     soluble = 0
     for c in enumerate_case2_triples(256):
+        if (c.t, c.implied_m, c.u, c.v) in _GOLDEN_OBSTRUCTED:
+            continue
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
-        if obstruction(q0) is None:
+        with _time_limit(10):
             assert find_point(q0) == _find_point_by_rows(q0), (c.t, c.u, c.v)
-            soluble += 1
+        soluble += 1
     assert soluble == 86
 
 
-# (t, m, u, v) -> place of every Legendre-obstructed cone met on the golden set
-_GOLDEN_OBSTRUCTED = {
-    (4, 3, -32, 4): 2, (4, 3, 16, 4): 2, (4, 6, -130, 17): 2, (4, 6, 62, 17): 2,
-    (4, 7, -18, 1): 2, (4, 7, -16, 4): 2, (4, 7, 0, 4): 2, (4, 7, 14, 1): 2,
-    (8, 3, -14, 1): 2, (8, 3, 10, 1): 2, (8, 7, -34, 3): 2, (8, 7, 22, 3): 2,
-    (12, 3, -18, 1): 2, (12, 3, 14, 1): 2, (16, 6, -14, 1): 2, (16, 6, 10, 1): 2,
-    (16, 10, -22, 1): 2, (16, 10, 18, 1): 2, (20, 5, -18, 1): 2, (20, 5, 14, 1): 2,
-    (24, 15, -22, 1): 3, (24, 15, 18, 1): 3,
-}
-
-
-def test_golden_cones_obstructed_exactly_where_pinned():
-    obstructed, soluble = {}, []
+def test_golden_obstructed_cones_close_mod_32():
+    obstructed, soluble = set(), []
     for t in sorted(set(EXCEPTIONAL_T) | set(GENERIC_SAMPLE_T)):
         param = validate_parameter(t, allow_hypothesis_violation=True)
         _, q1, q2 = family_forms(t)
         for m in range(1, param.n + 1):
             for u, v in candidate_uv_pairs(param, m):
                 q0 = TernaryForm.combine(v, q1, -u, q2)
-                place = obstruction(q0)
-                if place is None:
-                    soluble.append(q0)
+                if (t, m, u, v) in _GOLDEN_OBSTRUCTED:
+                    obstructed.add((t, m, u, v))
+                    # the sieve proves the branch empty before find_point would run forever
+                    assert local_sieve(param, u, v) == 32, (t, m, u, v)
+                    assert not _has_small_zero(q0.coeffs), (t, m, u, v)
                 else:
-                    obstructed[(t, m, u, v)] = place
+                    soluble.append(q0)
     assert obstructed == _GOLDEN_OBSTRUCTED
     assert len(soluble) == 72
     for q0 in soluble:
-        point = find_point(q0)
-        assert point is not None and q0(*point) == 0
+        with _time_limit(10):
+            point = find_point(q0)
+        assert q0(*point) == 0
 
 
 def test_find_point_rejects_zero_form():
@@ -314,12 +306,14 @@ def test_sign_symmetry_of_uv_candidates():
     # of cones, (u,v) and (-u,-v) give the same parametrization rows
     _, q1, q2 = family_forms(12)
     for (u, v) in pairs:
+        modulus = local_sieve(param, u, v)
+        assert local_sieve(param, -u, -v) == modulus
+        if modulus is not None:
+            continue  # (14,1), (-18,1): no rational point, the sieve closes them
         qa = TernaryForm.combine(v, q1, -u, q2)
         qb = TernaryForm.combine(-v, q1, u, q2)  # the negated form, same cone
         pa = find_point(qa)
         assert find_point(qb) == pa
-        if pa is None:
-            continue  # e.g. (14,1): no rational point, branch contributes nothing
         assert qb(*pa) == 0
         assert parametrize(qa, pa).rows == parametrize(qb, pa).rows
 
@@ -348,12 +342,14 @@ def test_small_instance_completeness():
             mask = ((g1 == u) & (g2 == v)) | ((g1 == -u) & (g2 == -v))
             brute = {(int(xs[i]), int(ys[i]), int(zs[i]))
                      for i in np.nonzero(mask)[0]}
-            q0 = TernaryForm.combine(v, q1, -u, q2)
-            point = find_point(q0)
-            if point is None:
+            if local_sieve(param, u, v) is not None:
+                # differential: the sieve against the box, on the admissible points
+                assert not [p for p in brute if triple_from_xyz(*p, param) is not None]
+            if (t, m, u, v) in _GOLDEN_OBSTRUCTED:
                 assert not brute
                 continue
-            par = parametrize(q0, point)
+            q0 = TernaryForm.combine(v, q1, -u, q2)
+            par = parametrize(q0, find_point(q0))
             vecs = [c0 * ps * ps + c1 * ps * qs + c2 * qs * qs
                     for c0, c1, c2 in par.rows]
             reproduced = set()

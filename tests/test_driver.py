@@ -12,7 +12,7 @@ from sqindex.fieldmodel import (MAX_SUPPORTED_T, disc_quartic_monic, odd_square_
 from sqindex.elements import (AlgebraicInt, canonical_triple, char_poly, charpoly4, index_oracle,
                               mult_matrix, triple_from_xyz)
 from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
-from sqindex.conic import _det3, find_point, obstruction, parametrize, thue_reduction
+from sqindex.conic import _det3, find_point, parametrize, thue_reduction
 from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
 from sqindex import driver
 from sqindex.driver import (Hit, _collect_solution, _decompositions, _disc_poly, _disc_scan,
@@ -20,6 +20,7 @@ from sqindex.driver import (Hit, _collect_solution, _decompositions, _disc_poly,
                             case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
                             local_sieve, minimal_index_for)
 from sqindex.goldens import case2_golden, expected_minimal
+from test_conic import _GOLDEN_OBSTRUCTED, _time_limit
 
 
 def canon_set(rows):
@@ -85,7 +86,7 @@ def test_case2_t7_empty():
 
 
 def test_case2_obstructed_branches_are_proven_empty():
-    # both (u, v) at t = 8, m = 3 give cones with no rational point (at 2)
+    # both (u, v) at t = 8, m = 3 give cones with no rational point; the sieve closes them
     param = validate_parameter(8)
     assert candidate_uv_pairs(param, 3) == [(-14, 1), (10, 1)]
     assert case2_candidates(param, 3) == ({}, Rigor.certain())
@@ -185,28 +186,31 @@ def test_case2_cones_of_the_whole_family():
             assert set(candidate_uv_pairs(param, m)) == \
                 {(c.u, c.v) for c in cones if c.t == t and c.implied_m == m}
 
-    # each cone is nonsingular, and is obstructed or parametrizes: no other branch;
-    # each reduced Thue form is totally real with c0 != 0, as the bounded search requires;
-    # the local sieve closes every obstructed cone and 52 of the 86 soluble ones
-    obstructed = closed = residual = 0
+    # each cone is nonsingular; the local sieve closes 74 of them, the 22 without a
+    # rational point among them; on each of the 34 it leaves open find_point ends,
+    # here within a time limit rather than never, and the cone parametrizes, as on
+    # the 52 soluble cones the sieve closes; each reduced Thue form is totally real
+    # with c0 != 0, as the bounded search requires
+    closed = {}
     for c in cones:
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
         cxx, cxy, cyy, cxz, cyz, czz = q0.coeffs
         assert cxx == c.v != 0
         assert _det3(((2 * cxx, cxy, cxz), (cxy, 2 * cyy, cyz), (cxz, cyz, 2 * czz))) != 0
-        modulus = local_sieve(validate_parameter(c.t, allow_hypothesis_violation=True))(c.u, c.v)
-        if obstruction(q0) is not None:
-            assert find_point(q0) is None and modulus == 32
-            obstructed += 1
-            continue
-        closed += modulus is not None
-        residual += modulus is None
-        par = parametrize(q0, find_point(q0))
+        key = (c.t, c.implied_m, c.u, c.v)
+        modulus = local_sieve(validate_parameter(c.t, allow_hypothesis_violation=True), c.u, c.v)
+        if modulus is not None:
+            closed[key] = modulus
+            if key not in _SIEVE_CLOSED:
+                continue
+        with _time_limit(5):
+            point = find_point(q0)
+        par = parametrize(q0, point)
         assert _det3(par.rows) != 0
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
         assert thue_reduction(par, qform, target).form.totally_real()
-    assert (obstructed, closed, residual) == (22, 52, 34)
+    assert (len(cones), len(closed), len(cones) - len(closed)) == (108, 74, 34)
 
 
 # (t, m, u, v) -> modulus of every soluble case-II cone of the family the local sieve closes
@@ -229,22 +233,28 @@ _SIEVE_CLOSED = {
 
 
 @cache
-def _soluble_cones():
-    """(cone, param, Q0, closing modulus) for the 86 family cones with a rational point."""
+def _family_cones():
+    """(cone, param, Q0, closing modulus) for the 108 case-II cones of the family."""
     out = []
     for c in enumerate_case2_triples(256):
         param = validate_parameter(c.t, allow_hypothesis_violation=True)
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
-        if obstruction(q0) is None:
-            out.append((c, param, q0, local_sieve(param)(c.u, c.v)))
+        out.append((c, param, q0, local_sieve(param, c.u, c.v)))
     return tuple(out)
+
+
+def _soluble_cones():
+    """The 86 entries of `_family_cones` whose cone has a rational point."""
+    return tuple((c, param, q0, modulus) for c, param, q0, modulus in _family_cones()
+                 if (c.t, c.implied_m, c.u, c.v) not in _GOLDEN_OBSTRUCTED)
 
 
 def test_local_sieve_closes_exactly_the_pinned_cones():
     closed = {(c.t, c.implied_m, c.u, c.v): modulus
-              for c, _, _, modulus in _soluble_cones() if modulus is not None}
-    assert closed == _SIEVE_CLOSED
+              for c, _, _, modulus in _family_cones() if modulus is not None}
+    assert closed == {**_SIEVE_CLOSED, **dict.fromkeys(_GOLDEN_OBSTRUCTED, 32)}
+    assert len(_soluble_cones()) == 86
     # the closed branches never reach the conic: case2_candidates proves them empty
     param = validate_parameter(5)
     assert candidate_uv_pairs(param, 1) == [(-42, 5), (22, 5)]
@@ -270,20 +280,16 @@ def test_local_sieve_tables_match_brute_force(t):
         reached[n] = want
     # the verdict tests both signs; mod 32 some (a, b) is reached while (-a, -b) is not
     assert any(((-a) % 32, (-b) % 32) not in reached[32] for a, b in reached[32])
-    closing_modulus = local_sieve(param)
     for u, v in product(range(-32, 33), repeat=2):
         want = next((n for n in (32, 5)
                      if (u % n, v % n) not in reached[n]
                      and (-u % n, -v % n) not in reached[n]), None)
-        assert closing_modulus(u, v) == want, (u, v)
+        assert local_sieve(param, u, v) == want, (u, v)
 
 
 def test_local_sieve_same_verdict_on_sigma_pairs():
     # u = sigma*a1*2^i - 2v: the partner of (u, v) is (-u - 4v, v)
-    verdicts = {}
-    for c in enumerate_case2_triples(256):
-        param = validate_parameter(c.t, allow_hypothesis_violation=True)
-        verdicts[(c.t, c.u, c.v)] = local_sieve(param)(c.u, c.v)
+    verdicts = {(c.t, c.u, c.v): modulus for c, _, _, modulus in _family_cones()}
     assert len(verdicts) == 108
     for (t, u, v), modulus in verdicts.items():
         assert verdicts[(t, -u - 4 * v, v)] == modulus

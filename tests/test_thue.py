@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from sqindex import thue
 from sqindex.conic import find_point, parametrize, thue_reduction
-from sqindex.driver import enumerate_case2_triples
-from sqindex.indexcore import TernaryForm, family_forms
+from sqindex.indexcore import family_forms
 from sqindex.thue import (DEFAULT_THUE_BOUND, BinaryQuarticForm, Rigor, SolutionSet,
                           UnsupportedW, _convergents, _roots, bounded_search_multi,
                           canonical_pair, family_form, solve_power_of_two)
 from sqindex.goldens import thue_base_golden
+from test_driver import _soluble_cones
 
 
 def canon(pairs):
@@ -224,16 +224,12 @@ def _unimodular(swap_and_steps):
 @cache
 def family_cones():
     """Reduced form and right sides of every soluble case-II cone of the family
-    (tests/test_driver.py pins these 108 cones as all of them)."""
+    (tests/test_driver.py pins the family's 108 cones, 86 of them soluble)."""
     cones = []
-    for c in enumerate_case2_triples(4096):
+    for c, _, q0, _ in _soluble_cones():
         _, q1, q2 = family_forms(c.t)
-        q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
-        point = find_point(q0)
-        if point is None:
-            continue
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
-        red = thue_reduction(parametrize(q0, point), qform, target)
+        red = thue_reduction(parametrize(q0, find_point(q0)), qform, target)
         targets = {s * inst.rhs for inst in red.instances for s in (1, -1)}
         if targets:
             cones.append((red.form, targets))
