@@ -11,8 +11,7 @@ from .fieldmodel import (FamilyParameter, V2Class,
                          NonPositiveParameter, ExcludedParameter,
                          OddSquareFactor, ParameterError, validate_parameter)
 from .elements import (AlgebraicInt, PowerRep, NotIntegral, canonical_triple,
-                       char_poly, from_power_rep, index_oracle, multiply,
-                       to_power_rep)
+                       from_power_rep, index_oracle, multiply, to_power_rep)
 from .indexcore import (QuarticCoeffs, ResolventForm, TernaryForm,
                         build_forms, family_coeffs, family_forms,
                         index_via_forms, rhs_decompositions)

@@ -28,9 +28,10 @@ test checks each one), so every branch ends in a proof or a Thue search.
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
 oracle `brute_force_minimal` shares no step with either branch: it
-interpolates disc(char_poly), a degree-12 form in (X1, X2, X3), from 91
-exact values, scans it over a box in Z/2^64, where disc = m^2 disc_K is
-a necessary congruence, and rechecks every match by the determinant.
+interpolates the signed index form det(1, e, e^2, e^3), of degree 6 in
+(X1, X2, X3), from 28 exact values, scans it over a box in Z/2^64, where
+det = +-m is a necessary congruence, and rechecks every match by the
+determinant.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fieldmodel import (_CLASS_GN, FamilyParameter, disc_quartic_monic,
-                         odd_square_divisor, v2, v2_class, validate_parameter)
-from .elements import (AlgebraicInt, _mult_table, canonical_triple, charpoly4,
-                       index_oracle, to_power_rep, triple_from_xyz)
+from .fieldmodel import (_CLASS_GN, FamilyParameter, odd_square_divisor, v2, v2_class,
+                         validate_parameter)
+from .elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple, index_oracle,
+                       to_power_rep, triple_from_xyz)
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
@@ -341,7 +342,8 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
 # --- box-scan oracle -------------------------------------------------------
 
 _WORD = 1 << 64  # the scan runs in Z/2^64: unsigned (uint64) overflow wraps by definition
-_TRIANGLE = [(j, k) for j in range(13) for k in range(13 - j)]
+_DEGREE = 6  # of the index form det(1, e, e^2, e^3) in (X1, X2, X3)
+_TRIANGLE = [(j, k) for j in range(_DEGREE + 1) for k in range(_DEGREE + 1 - j)]
 
 
 @cache  # built on first use: only the box oracle needs them
@@ -349,78 +351,74 @@ def _newton_matrices() -> tuple[np.ndarray, np.ndarray]:
     """(D, S), object arrays of Python ints: (Delta^j v)(0) = sum_i D[j, i] v(i), and
     a(a-1)..(a-j+1) = sum_i S[j, i] a^i, S the signed Stirling numbers of the first kind.
     """
-    d = np.array([[(-1) ** (j + i) * comb(j, i) for i in range(13)] for j in range(13)],
+    size = _DEGREE + 1
+    d = np.array([[(-1) ** (j + i) * comb(j, i) for i in range(size)] for j in range(size)],
                  dtype=object)
-    s = np.eye(13, dtype=object)
-    for j in range(2, 13):  # row j is row j-1 times (a - (j-1))
+    s = np.eye(size, dtype=object)
+    for j in range(2, size):  # row j is row j-1 times (a - (j-1))
         s[j, 1:j] = s[j - 1, :j - 1] - (j - 1) * s[j - 1, 1:j]
     return d, s
 
 
-def _disc_poly(param: FamilyParameter) -> dict[tuple[int, int, int], int]:
-    """f = disc(char_poly(X1*B1 + X2*B2 + X3*B3)), homogeneous of degree 12.
+def _index_form(param: FamilyParameter) -> dict[tuple[int, int, int], int]:
+    """f = det(1, e, e^2, e^3) for e = X1*b2 + X2*b3 + X3*b4, signed, homogeneous of degree 6.
 
-    Bi multiplies by b(i+1), read from the table behind `mult_matrix`.  f is
-    interpolated from g(a, b) = f(1, a, b) at the 91 points a, b >= 0,
-    a + b <= 12, by `charpoly4` and `disc_quartic_monic` on B1 + a*B2 + b*B3.
-    g has integer coefficients, so (Delta_a^j Delta_b^k g)(0, 0) is j! k! times
-    its integer coefficient at a(a-1)..(a-j+1) b(b-1)..(b-k+1); an inexact
-    division raises ArithmeticError.  Stirling numbers give the coefficient
-    c_jk of a^j b^k, which homogeneity puts at X1^(12-j-k) X2^j X3^k.
+    f is interpolated from g(a, b) = f(1, a, b) at the 28 points a, b >= 0,
+    a + b <= 6, each by `_basis_det` on the triple (1, a, b).  g has integer
+    coefficients, so (Delta_a^j Delta_b^k g)(0, 0) is j! k! times its integer
+    coefficient at a(a-1)..(a-j+1) b(b-1)..(b-k+1); an inexact division raises
+    ArithmeticError.  Stirling numbers give the coefficient c_jk of a^j b^k,
+    which homogeneity puts at X1^(6-j-k) X2^j X3^k.
     """
     table = _mult_table(param)
-
-    def g(a: int, b: int) -> int:
-        c0, c1, c2, c3 = charpoly4([[x1 + a * x2 + b * x3 for _, x1, x2, x3 in row]
-                                    for row in table])
-        return disc_quartic_monic(c3, c2, c1, c0)
-
-    vals = np.array([[g(a, b) if a + b <= 12 else 0 for b in range(13)] for a in range(13)],
-                    dtype=object)
+    vals = np.array([[_basis_det(table, (1, a, b)) if a + b <= _DEGREE else 0
+                      for b in range(_DEGREE + 1)] for a in range(_DEGREE + 1)], dtype=object)
     delta, stirling = _newton_matrices()
-    diffs = delta @ vals @ delta.T  # exact wherever j + k <= 12
+    diffs = delta @ vals @ delta.T  # exact wherever j + k <= _DEGREE
     falling = np.zeros_like(vals)
     for j, k in _TRIANGLE:
         falling[j, k], r = divmod(diffs[j, k], factorial(j) * factorial(k))
         if r:
-            raise ArithmeticError(f"disc(char_poly) of {param} is not an integral degree-12 form")
+            raise ArithmeticError(f"the index form of {param} is not an integral degree-6 form")
     coef = stirling.T @ falling @ stirling
-    return {(12 - j - k, j, k): coef[j, k] for j, k in _TRIANGLE}
+    return {(_DEGREE - j - k, j, k): coef[j, k] for j, k in _TRIANGLE}
 
 
-def _disc_scan(poly: dict[tuple[int, int, int], int], xs, start: int = 0):
-    """Yield (x1, D) for x1 in xs[start:], with D[a, b] = poly(x1, xs[a], xs[b]) mod 2^64.
+def _index_scan(form: dict[tuple[int, int, int], int], xs, start: int = 0):
+    """Yield (x1, D) for x1 in xs[start:], with D[a, b] = form(x1, xs[a], xs[b]) mod 2^64.
 
     Coefficients are reduced in Python before they become uint64, so the
     wrapping numpy products and sums are exact in Z/2^64.  For each x1
-    the polynomial collapses to a 13x13 matrix C(x1) in (X2, X3), and the
-    slice is V C(x1) V^T with V the degree-12 Vandermonde matrix of xs.
+    the form collapses to a 7x7 matrix C(x1) in (X2, X3), and the slice
+    is V C(x1) V^T with V the degree-6 Vandermonde matrix of xs.
     """
-    vander = np.array([[pow(x, j, _WORD) for j in range(13)] for x in xs], dtype=np.uint64)
-    coef = np.zeros((13, 13, 13), dtype=np.uint64)
-    for (i, j, k), c in poly.items():
+    size = _DEGREE + 1
+    vander = np.array([[pow(x, j, _WORD) for j in range(size)] for x in xs], dtype=np.uint64)
+    coef = np.zeros((size, size, size), dtype=np.uint64)
+    for (i, j, k), c in form.items():
         coef[i, j, k] = c % _WORD
-    by_x1 = vander[start:] @ coef.reshape(13, 169)
+    by_x1 = vander[start:] @ coef.reshape(size, size * size)
     for x1, row in zip(xs[start:], by_x1):
-        yield x1, vander @ row.reshape(13, 13) @ vander.T
+        yield x1, vander @ row.reshape(size, size) @ vander.T
 
 
 def brute_force_minimal(param: FamilyParameter, box: int
                         ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Minimum index over all elements with |X1|,|X2|,|X3| <= box, X0 = 0.
 
-    Independent oracle: disc(char_poly), interpolated once as an integer
+    Independent oracle: the index form, interpolated once as an integer
     form in (X1, X2, X3) and evaluated on the box in Z/2^64, gives the
-    congruence disc = m^2 * disc_K, so no element of index m <= n is missed;
-    the determinant (`index_oracle`) rechecks each match exactly.  e and -e
-    share both, and canonical triples have X1 >= 0, so only X1 >= 0 is scanned.
+    congruence det = +-m, so no element of index m <= n is missed; the
+    determinant (`index_oracle`) rechecks each match exactly.  e and -e
+    share the index, and canonical triples have X1 >= 0, so only X1 >= 0
+    is scanned.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
     hits: dict[int, set] = {m: set() for m in range(1, param.n + 1)}
-    keys = np.array([m * m * param.disc_K % _WORD for m in hits], dtype=np.uint64)
+    keys = np.array([s * m % _WORD for m in hits for s in (1, -1)], dtype=np.uint64)
     xs = range(-box, box + 1)
-    for x1, vals in _disc_scan(_disc_poly(param), xs, box):
+    for x1, vals in _index_scan(_index_form(param), xs, box):
         for a, b in zip(*np.nonzero(np.isin(vals, keys))):
             cand = (x1, xs[a], xs[b])
             m = index_oracle(AlgebraicInt((0, *cand)), param)

@@ -5,7 +5,10 @@ representation (a + x*xi + y*xi^2 + z*xi^3)/d is the bridge to the
 index-form machinery.  The index of an element is its definition, the
 determinant of the integral-basis coordinates of 1, e, e^2, e^3:
 
-    I(e) = |det(1, e, e^2, e^3)|,  so disc(char_poly(e)) = I(e)^2 * disc_K.
+    I(e) = |det(1, e, e^2, e^3)|,
+
+and the signed determinant is a form of degree 6 in (X1, X2, X3), the
+index form that the box oracle interpolates.
 
 M(e), the matrix of multiplication by e = X0*b1 + .. + X3*b4, is linear in
 the coordinates: M(e) = X0*B0 + X1*B1 + X2*B2 + X3*B3, Bi multiplying by
@@ -159,7 +162,7 @@ def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ..
     table = tuple(tuple(tuple(cols[k, j][i] for k in range(4)) for j in range(4))
                   for i in range(4))
     # xi = b2 in every class, so M(xi) = B1
-    if _basis_det(table, (1, 0, 0)) != param.n:
+    if abs(_basis_det(table, (1, 0, 0))) != param.n:
         raise ArithmeticError(f"multiplication table of {param} does not give I(xi) = n")
     return table
 
@@ -182,62 +185,20 @@ def mult_matrix(e: AlgebraicInt, param: FamilyParameter) -> list[list[int]]:
             for row in _mult_table(param)]
 
 
-def charpoly4(m: list[list[int]]) -> tuple[int, int, int, int]:
-    """(c0, c1, c2, c3) of det(xI - M) = x^4 + c3 x^3 + c2 x^2 + c1 x + c0."""
-    e1 = m[0][0] + m[1][1] + m[2][2] + m[3][3]
-    e2 = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e2 += m[i][i] * m[j][j] - m[i][j] * m[j][i]
-    e3 = 0
-    for rows in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        i, j, k = rows
-        e3 += (
-            m[i][i] * (m[j][j] * m[k][k] - m[j][k] * m[k][j])
-            - m[i][j] * (m[j][i] * m[k][k] - m[j][k] * m[k][i])
-            + m[i][k] * (m[j][i] * m[k][j] - m[j][j] * m[k][i])
-        )
-    e4 = _det4(m)
-    return (e4, -e3, e2, -e1)
-
-
-def _det4(m: list[list[int]]) -> int:
-    """4x4 determinant by Laplace expansion on the first two rows."""
-    m01 = {}
-    m23 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m01[(i, j)] = m[0][i] * m[1][j] - m[0][j] * m[1][i]
-            m23[(i, j)] = m[2][i] * m[3][j] - m[2][j] * m[3][i]
-    return (
-        m01[(0, 1)] * m23[(2, 3)]
-        - m01[(0, 2)] * m23[(1, 3)]
-        + m01[(0, 3)] * m23[(1, 2)]
-        + m01[(1, 2)] * m23[(0, 3)]
-        - m01[(1, 3)] * m23[(0, 2)]
-        + m01[(2, 3)] * m23[(0, 1)]
-    )
-
-
-def char_poly(e: AlgebraicInt, param: FamilyParameter) -> tuple[int, int, int, int, int]:
-    """Ascending coefficients of the characteristic polynomial of e (monic)."""
-    c0, c1, c2, c3 = charpoly4(mult_matrix(e, param))
-    return (c0, c1, c2, c3, 1)
-
-
 def index_oracle(e: AlgebraicInt, param: FamilyParameter) -> int | None:
     """I(e) = |det(1, e, e^2, e^3)| on the integral basis; None when e does not generate K.
 
     The index does not depend on X0, so it is computed from the triple (`_basis_det`).
     """
-    return _basis_det(_mult_table(param), e.triple)
+    return abs(_basis_det(_mult_table(param), e.triple)) or None
 
 
-def _basis_det(table, x) -> int | None:
-    """I(e), e = x1*b2 + x2*b3 + x3*b4; p, q, r, s are rows 0..3 of M' without column 0.
+def _basis_det(table, x) -> int:
+    """Signed det(1, e, e^2, e^3), e = x1*b2 + x2*b3 + x3*b4; p, q, r, s are rows 0..3 of M'.
 
-    Column 0 of M' is e (b1 = 1), so e^2 = y = M' (0, x) and e^3 = z = M' y; I(e) is
-    the minor of rows 1..3.  `_mult_table` runs this before caching the table.
+    M' = x1*B1 + x2*B2 + x3*B3 without column 0, which is e (b1 = 1), so e^2 = y =
+    M' (0, x) and e^3 = z = M' y; the determinant is the minor of rows 1..3.
+    `_mult_table` runs this before caching the table.
     """
     x1, x2, x3 = x
     (p1, p2, p3), (q1, q2, q3), (r1, r2, r3), (s1, s2, s3) = [
@@ -250,8 +211,7 @@ def _basis_det(table, x) -> int | None:
     z1 = x1 * y0 + q1 * y1 + q2 * y2 + q3 * y3
     z2 = x2 * y0 + r1 * y1 + r2 * y2 + r3 * y3
     z3 = x3 * y0 + s1 * y1 + s2 * y2 + s3 * y3
-    return abs(x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1)
-               + x3 * (y1 * z2 - y2 * z1)) or None
+    return x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1)
 
 
 def canonical_triple(triple: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -5,7 +5,8 @@ integers of Q(xi) (xi a root of P_t) has one of four known integral bases,
 selected by v_2(t).  This module validates t, classifies it, and carries
 the exact basis data used everywhere else.  The field data are the
 family's closed forms: disc(P_t) = 4*(t^2 + 16)^3 and disc(K) =
-disc(P_t) / n^2, with n = I(xi) fixed by the class.
+disc(P_t) / n^2, with n = I(xi) fixed by the class.  They are reported,
+not used: every index is a determinant over the basis (`elements`).
 
 All arithmetic is arbitrary-precision integer / rational; no floats.
 """
@@ -100,32 +101,6 @@ def odd_square_divisor(n: int) -> int | None:
             m //= d
         d += 2
     return None
-
-
-def disc_quartic_monic(a: int, b: int, c: int, d: int) -> int:
-    """Discriminant of x^4 + a*x^3 + b*x^2 + c*x + d, as the generic 16-term formula.
-
-    The box oracle interpolates its degree-12 form from the values of this
-    formula on the characteristic polynomials of 91 integer matrices.
-    """
-    return (
-        256 * d**3
-        - 192 * a * c * d**2
-        - 128 * b**2 * d**2
-        + 144 * b * c**2 * d
-        - 27 * c**4
-        + 144 * a**2 * b * d**2
-        - 6 * a**2 * c**2 * d
-        - 80 * a * b**2 * c * d
-        + 18 * a * b * c**3
-        + 16 * b**4 * d
-        - 4 * b**3 * c**2
-        - 27 * a**4 * d**2
-        + 18 * a**3 * b * c * d
-        - 4 * a**3 * c**3
-        - 4 * a**2 * b**3 * d
-        + a**2 * b**2 * c**2
-    )
 
 
 @dataclass(frozen=True)

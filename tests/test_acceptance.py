@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import sqindex as sq
 from sqindex.fieldmodel import odd_square_divisor, validate_parameter
-from sqindex.elements import (AlgebraicInt, char_poly, index_oracle,
-                              to_power_rep)
+from sqindex.elements import AlgebraicInt, index_oracle, mult_matrix, to_power_rep
 from sqindex.indexcore import TernaryForm, family_forms, index_via_forms
 from sqindex.thue import bounded_search_multi, family_form, solve_power_of_two
 from sqindex.conic import find_point, parametrize, thue_reduction
@@ -117,7 +116,7 @@ def test_criterion_5_brute_force_agreement():
             assert (bm, belems) == (res.m, inside), t
 
 
-def test_criterion_6_index_identity_suite(quartic_disc):
+def test_criterion_6_index_identity_suite(quartic_disc, char_poly):
     with criterion(6, "dual-oracle identity on 10^4 random elements", 300.0):
         rng = random.Random(20260810)
         checked = 0
@@ -129,7 +128,7 @@ def test_criterion_6_index_identity_suite(quartic_disc):
                 m_oracle = index_oracle(e, param)
                 m_forms = index_via_forms(to_power_rep(e, param), param)
                 assert m_oracle == m_forms
-                disc = quartic_disc(char_poly(e, param))
+                disc = quartic_disc(char_poly(mult_matrix(e, param)))
                 if m_oracle is None:
                     assert disc == 0
                 else:

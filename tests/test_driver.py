@@ -7,15 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.fieldmodel import (MAX_SUPPORTED_T, disc_quartic_monic, odd_square_divisor,
-                                validate_parameter)
-from sqindex.elements import (AlgebraicInt, canonical_triple, char_poly, charpoly4, index_oracle,
-                              mult_matrix, triple_from_xyz)
+from sqindex.fieldmodel import MAX_SUPPORTED_T, odd_square_divisor, validate_parameter
+from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
+                              index_oracle, mult_matrix, triple_from_xyz)
 from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, find_point, parametrize, thue_reduction
 from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
 from sqindex import driver
-from sqindex.driver import (Hit, _collect_solution, _decompositions, _disc_poly, _disc_scan,
+from sqindex.driver import (Hit, _collect_solution, _decompositions, _index_form, _index_scan,
                             _reachable_pairs, brute_force_minimal, case1_candidates,
                             case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
                             local_sieve, minimal_index_for)
@@ -348,58 +347,58 @@ def _valid_t(limit):
         lambda t: t != 3 and odd_square_divisor(t * t + 16) is None)
 
 
-def _exact_disc(param, x1, x2, x3):
-    c0, c1, c2, c3 = charpoly4(mult_matrix(AlgebraicInt((0, x1, x2, x3)), param))
-    return disc_quartic_monic(c3, c2, c1, c0)
+def _form_value(form, x1, x2, x3):
+    return sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in form.items())
 
 
 @settings(max_examples=60, deadline=None)
 @given(t=_valid_t(10_000), point=st.tuples(*[st.integers(-10_000, 10_000)] * 3))
 @example(t=9_999, point=(10_000, -10_000, 9_999))
-def test_disc_poly_matches_exact(t, point):
+def test_index_form_matches_exact(t, point):
     # the expansion is exact over Z, and the uint64 scan of it is exact mod
     # 2^64 even where (|Xi| and t up to 10^4) the values overflow 64 bits
     param = validate_parameter(t)
-    poly = _disc_poly(param)
-    assert {sum(k) for k in poly} == {12}
-    x1, x2, x3 = point
-    value = sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in poly.items())
-    assert value == _exact_disc(param, x1, x2, x3)
-    for y1, vals in _disc_scan(poly, point):
+    table = _mult_table(param)
+    form = _index_form(param)
+    assert {sum(k) for k in form} == {6}
+    assert _form_value(form, *point) == _basis_det(table, point)
+    for y1, vals in _index_scan(form, point):
         for a, ya in enumerate(point):
             for b, yb in enumerate(point):
-                want = _exact_disc(param, y1, ya, yb)
-                assert int(vals[a, b]) == want % 2 ** 64
+                assert int(vals[a, b]) == _basis_det(table, (y1, ya, yb)) % 2 ** 64
 
 
 @pytest.mark.parametrize("t", (1, 2, 4, 8, 9999))  # one t per 2-adic class, and a large one
-def test_disc_poly_against_sympy_discriminant(quartic_disc, t):
-    # the interpolation runs disc_quartic_monic itself, so the referee here is
-    # sympy's generic discriminant; X0 != 0 too, as disc(char_poly) ignores it
+def test_index_form_against_sympy_discriminant(quartic_disc, char_poly, t):
+    # the interpolation runs _basis_det itself, so the referee here is the
+    # theorem disc(char_poly(e)) = I(e)^2 disc_K, its right side by sympy's
+    # characteristic polynomial and discriminant; X0 != 0 too, as neither
+    # side depends on it
     param = validate_parameter(t)
-    poly = _disc_poly(param)
-    assert sorted(poly) == sorted((12 - j - k, j, k) for j in range(13) for k in range(13 - j))
+    form = _index_form(param)
+    assert sorted(form) == sorted((6 - j - k, j, k) for j in range(7) for k in range(7 - j))
     rng = random.Random(t)
     for _ in range(40):
         x0, x1, x2, x3 = (rng.randint(-10 ** 4, 10 ** 4) for _ in range(4))
-        value = sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in poly.items())
-        assert value == quartic_disc(char_poly(AlgebraicInt((x0, x1, x2, x3)), param))
+        matrix = mult_matrix(AlgebraicInt((x0, x1, x2, x3)), param)
+        assert _form_value(form, x1, x2, x3) ** 2 * param.disc_K == \
+            quartic_disc(char_poly(matrix))
 
 
-@pytest.mark.parametrize("point", (0, 1, 12, 45, 90))
-def test_disc_poly_rejects_a_wrong_value(monkeypatch, point):
-    # one lattice value off by one is no integral degree-12 form: some forward
+@pytest.mark.parametrize("point", (0, 1, 12, 20, 27))
+def test_index_form_rejects_a_wrong_value(monkeypatch, point):
+    # one lattice value off by one is no integral degree-6 form: some forward
     # difference is then not divisible by its j! k!
     calls = []
 
-    def off_by_one(a, b, c, d):
+    def off_by_one(table, x):
         calls.append(None)
-        return disc_quartic_monic(a, b, c, d) + (len(calls) - 1 == point)
+        return _basis_det(table, x) + (len(calls) - 1 == point)
 
-    monkeypatch.setattr(driver, "disc_quartic_monic", off_by_one)
-    with pytest.raises(ArithmeticError, match="not an integral degree-12 form"):
-        _disc_poly(validate_parameter(5))
-    assert len(calls) == 91
+    monkeypatch.setattr(driver, "_basis_det", off_by_one)
+    with pytest.raises(ArithmeticError, match="not an integral degree-6 form"):
+        _index_form(validate_parameter(5))
+    assert len(calls) == 28
 
 
 @settings(max_examples=60, deadline=None)

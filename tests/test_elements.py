@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from sqindex.fieldmodel import odd_square_divisor, validate_parameter
 from sqindex.indexcore import index_via_forms
-from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep, _det4,
-                              _mult_table, canonical_triple, char_poly,
+from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
+                              _mult_table, canonical_triple,
                               coords_from_power, from_power_rep,
                               index_oracle, mult_matrix, multiply, to_power_rep,
                               triple_from_xyz)
@@ -89,15 +89,15 @@ def test_basis_square_integral_t2():
     assert all(isinstance(c, int) for c in sq.coords)
 
 
-def test_char_poly_examples(quartic_disc):
+def test_char_poly_examples(quartic_disc, char_poly):
     for t in (1, 2, 12):
         param = validate_parameter(t)
-        assert char_poly(XI, param) == (1, t, -6, -t, 1)
+        assert char_poly(mult_matrix(XI, param)) == (1, t, -6, -t, 1)
         c = 5
-        assert char_poly(AlgebraicInt((c, 0, 0, 0)), param) == \
+        assert char_poly(mult_matrix(AlgebraicInt((c, 0, 0, 0)), param)) == \
             (c ** 4, -4 * c ** 3, 6 * c * c, -4 * c, 1)
     param = validate_parameter(1)
-    cp = char_poly(AlgebraicInt((0, 6, 1, -2)), param)
+    cp = char_poly(mult_matrix(AlgebraicInt((0, 6, 1, -2)), param))
     assert quartic_disc(cp) == 4 * param.disc_K
 
 
@@ -109,7 +109,7 @@ def test_index_oracle_examples():
     assert index_oracle(AlgebraicInt((0, 1, 1, 0)), param) == 1
 
 
-def test_disc_identity_random(quartic_disc):
+def test_disc_identity_random(quartic_disc, char_poly):
     rng = random.Random(3)
     for t in (1, 2, 12, 40):
         param = validate_parameter(t)
@@ -117,7 +117,7 @@ def test_disc_identity_random(quartic_disc):
             e = AlgebraicInt((0, rng.randint(-9, 9), rng.randint(-9, 9),
                               rng.randint(-9, 9)))
             m = index_oracle(e, param)
-            disc = quartic_disc(char_poly(e, param))
+            disc = quartic_disc(char_poly(mult_matrix(e, param)))
             if m is None:
                 assert disc == 0
             else:
@@ -166,8 +166,8 @@ def test_mult_table_against_resultant(t, u, v):
     res = sympy.resultant(Y ** 4 - t * Y ** 3 - 6 * Y ** 2 + t * Y + 1,
                           rep.d * X - (rep.a + rep.x * Y + rep.y * Y ** 2 + rep.z * Y ** 3), Y)
     want = sympy.Poly(res, X).all_coeffs()
-    assert [c * rep.d ** 4 for c in reversed(char_poly(e, param))] == want
     me, mf = sympy.Matrix(mult_matrix(e, param)), sympy.Matrix(mult_matrix(f, param))
+    assert [c * rep.d ** 4 for c in me.charpoly().all_coeffs()] == want
     assert me * mf == sympy.Matrix(mult_matrix(multiply(e, f, param), param))
 
 
@@ -176,13 +176,13 @@ def test_mult_table_against_resultant(t, u, v):
 @example(t=9_999, u=(10 ** 6, -10 ** 6, 10 ** 6, -10 ** 6))
 @example(t=8, u=(-10 ** 6, 0, 0, 0))
 @example(t=28, u=(3, 0, 0, 0))
-def test_index_oracle_at_benchmark_scale(quartic_disc, t, u):
+def test_index_oracle_at_benchmark_scale(quartic_disc, char_poly, t, u):
     # the determinant against sympy's discriminant of the characteristic
     # polynomial, at the coordinate and parameter sizes of the benchmark
     param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
     e = AlgebraicInt(u)
     m = index_oracle(e, param)
-    disc = quartic_disc(char_poly(e, param))
+    disc = quartic_disc(char_poly(mult_matrix(e, param)))
     assert (m is None) == (disc == 0)
     assert disc == (m or 0) ** 2 * param.disc_K
 
@@ -195,12 +195,14 @@ def test_index_oracle_at_benchmark_scale(quartic_disc, t, u):
 @example(t=1, u=(3, 1, -2, 0))
 def test_index_oracle_triple_path_against_definition(t, u):
     # the triple path drops X0 and column 0 of M'; the definition keeps both:
-    # (1, e, e^2, e^3) on the integral basis, the powers formed by the full M(e)
+    # (1, e, e^2, e^3) on the integral basis, the powers formed by the full M(e),
+    # the determinant by sympy
+    import sympy
     param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
     e = AlgebraicInt(u)
     e2 = multiply(e, e, param)
     e3 = multiply(e2, e, param)
-    det = _det4([[1, 0, 0, 0], list(e.coords), list(e2.coords), list(e3.coords)])
+    det = sympy.Matrix([[1, 0, 0, 0], e.coords, e2.coords, e3.coords]).det()
     m = index_oracle(e, param)
     assert (m is None) == (det == 0)
     assert m == (abs(det) or None)
@@ -360,17 +362,6 @@ def test_coordinate_solve_against_sympy_inverse(t):
         a = next((a for a in range(g) if expected((a, x, y, z), g) is not None), None)
         want = None if a is None else coords_from_power((a, x, y, z), g, param)[1:]
         assert triple_from_xyz(x, y, z, param) == want, (x, y, z)
-
-
-def test_charpoly4_matches_sympy():
-    import sympy
-    from sqindex.elements import charpoly4
-    rng = random.Random(23)
-    for _ in range(30):
-        m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        c0, c1, c2, c3 = charpoly4(m)
-        poly = sympy.Matrix(m).charpoly()
-        assert list(poly.all_coeffs()) == [1, c3, c2, c1, c0]
 
 
 def test_canonical_triple_rule():

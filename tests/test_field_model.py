@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-import sympy
 
 from sqindex.fieldmodel import (ExcludedParameter, NonPositiveParameter,
-                                OddSquareFactor, V2Class, disc_quartic_monic,
-                                odd_square_divisor, validate_parameter)
+                                OddSquareFactor, V2Class, odd_square_divisor,
+                                validate_parameter)
 
 
 def valid_t(limit):
@@ -83,27 +82,6 @@ def test_family_discriminant_against_float_roots():
             for j in range(i + 1, 4):
                 prod *= (roots[i] - roots[j]) ** 2
         assert int(mpmath.nint(prod.real)) == exact
-
-
-def test_resultant_and_closed_form_agree_with_sympy():
-    # disc_quartic_monic against sympy's discriminant and against sympy's
-    # resultant(f, f'), which equals the discriminant for a monic quartic
-    import random
-    rng = random.Random(1)
-    x = sympy.symbols("x")
-    cases = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(40)]
-    for c in cases:
-        poly = x ** 4 + c[3] * x ** 3 + c[2] * x ** 2 + c[1] * x + c[0]
-        want = sympy.discriminant(poly, x)
-        assert sympy.resultant(poly, sympy.diff(poly, x), x) == want
-        assert disc_quartic_monic(c[3], c[2], c[1], c[0]) == want
-
-
-def test_poly_discriminant_degenerate():
-    # repeated roots: the quartic discriminant vanishes
-    assert disc_quartic_monic(0, 0, 0, 0) == 0  # x^4
-    assert disc_quartic_monic(0, -2, 0, 1) == 0  # (x^2-1)^2
-    assert disc_quartic_monic(-2, -3, 4, 4) == 0  # (x-2)^2 (x+1)^2
 
 
 def test_disc_ratio_and_formula_for_all_small_t():
