@@ -11,11 +11,12 @@ two branches of the reduction:
   Case II (v != 0): finitely many (u, v) pairs survive an exact
                     divisor/perfect-square sweep.  A system with no
                     solution mod N has no integer solution, so a local
-                    sieve mod 32 and then mod 5 (`local_sieve`) proves
-                    a branch empty before any conic work.  The others
-                    lead to a parametrization and quartic Thue equations
-                    solved by bounded exhaustive search, so such a branch
-                    carries the Thue box as its search-box flag.
+                    sieve mod 32 and then mod 5 (`local_sieve`, on at most
+                    52 tables keyed by t mod N and the 2-adic class) proves
+                    a branch empty before any conic work.  The others lead
+                    to a parametrization and quartic Thue equations solved
+                    by bounded exhaustive search, so such a branch carries
+                    the Thue box as its search-box flag.
 
 The case-II sweep is finite over the whole family: every sum of
 `_decompositions` is at most 2^24 + 1 (as a*2^l = g^6 m / n <= 2^12), so
@@ -37,14 +38,14 @@ determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import comb, factorial, isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .fieldmodel import (_CLASS_GN, FamilyParameter, odd_square_divisor, v2, v2_class,
-                         validate_parameter)
+from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
+                         v2, v2_class, validate_parameter)
 from .elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple, index_oracle,
                        to_power_rep, triple_from_xyz)
 from .indexcore import (TernaryForm, family_forms, index_via_forms,
@@ -183,7 +184,6 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
 _SIEVE_MODULI = (32, 5)
 
 
-@lru_cache(maxsize=16)  # 32^2 + 5^2 booleans per t
 def _reachable_pairs(param: FamilyParameter, n: int) -> np.ndarray:
     """Boolean n x n table: entry (a, b) is set when Q1 = a, Q2 = b mod n somewhere.
 
@@ -191,9 +191,14 @@ def _reachable_pairs(param: FamilyParameter, n: int) -> np.ndarray:
     must also pass the `triple_from_xyz` congruences y = z*b32 (mod b22) and
     x = z*b31 + X2*b21 (mod b11), which X2 = (y - z*b32)/b22 mod n/b22 decides.
     """
-    _, q1, q2 = family_forms(param.t)
+    return _sieve_table(n, param.t % n, param.v2_class)
+
+
+@cache  # bounded by the 52 keys of the family (`local_sieve`), <= 1 KB each
+def _sieve_table(n: int, t: int, cls: V2Class) -> np.ndarray:
+    _, q1, q2 = family_forms(t)
     x, y, z = (c.ravel() for c in np.indices((n, n, n), dtype=np.int32))
-    _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = param.basis_num
+    _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = _BASIS_NUM[cls]
     if n % (b11 * b22) == 0:
         d = (y - z * b32) % n
         keep = (d % b22 == 0) & ((x - z * b31 - d // b22 * b21) % b11 == 0)
@@ -217,6 +222,11 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     Q1 = -u, Q2 = -v has a solution in (Z/N)^3 that also passes the
     `triple_from_xyz` congruences (those apply when b11*b22 divides N),
     or None when both moduli leave the branch open.
+
+    Theorem: the table for N is a function of (t mod N, 2-adic class), as
+    Q1 = (1, t, -6, t^2+12, -5t, t^2+37) and Q2 = (0, 0, 1, -1, t, -6) have
+    integer polynomial coefficients and the congruences read only the class's
+    basis.  As t mod 32 fixes the class, the family needs at most 32 + 5*4 = 52 tables.
     """
     for n in _SIEVE_MODULI:
         table = _reachable_pairs(param, n)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sqindex.elements import triple_from_xyz
 from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
-from sqindex.conic import (_QR_MOD, DegeneratePoint, _qr_table, divisors, find_point,
+from sqindex import conic
+from sqindex.conic import (_QR_MODS, DegeneratePoint, _qr_table, divisors, find_point,
                            parametrize, thue_reduction)
 from sqindex.driver import (Hit, candidate_uv_pairs, case1_candidates, enumerate_case2_triples,
                             local_sieve)
@@ -82,10 +83,32 @@ def test_find_point_worked_example():
     assert pt in ((15, 11, -1), (-15, -11, 1))
 
 
-def test_qr_table_holds_every_square_residue():
+@pytest.mark.parametrize("m", _QR_MODS)
+def test_qr_table_holds_every_square_residue(m):
     # a missing residue would silently drop rows of the conic point search
-    squares = {x * x % _QR_MOD for x in range(_QR_MOD)}
-    assert set(np.nonzero(_qr_table())[0].tolist()) == squares
+    squares = {x * x % m for x in range(m)}
+    assert set(np.nonzero(_qr_table(m))[0].tolist()) == squares
+
+
+def test_find_point_scans_each_cell_once(monkeypatch):
+    # t = 256, (u, v) = (-258, 1): the base point has |y| = 257, so radius 512
+    # is reached after 64, 128 and 256 failed
+    cells = []
+    scan = conic._first_row_solutions
+
+    def recording(q0, z0, z1, ys):
+        cells.extend((z, y) for z in range(z0, z1) for y in ys.tolist())
+        return scan(q0, z0, z1, ys)
+
+    monkeypatch.setattr(conic, "_first_row_solutions", recording)
+    _, q1, q2 = family_forms(256)
+    q0 = TernaryForm.combine(1, q1, 258, q2)
+    assert find_point(q0) == (249, -257, 1)
+    assert len(cells) == len(set(cells))
+    # the failed radii covered rows 0..256 at |y| <= 256, the annulus the rest
+    assert {c for c in cells if abs(c[1]) <= 256} == {
+        (z, y) for z in range(257) for y in range(-256, 257)}
+    assert max(abs(y) for _, y in cells) == 512
 
 
 _BRUTE_RADIUS = 15

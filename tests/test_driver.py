@@ -3,6 +3,7 @@ from itertools import product
 from math import isqrt
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,12 @@ from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_t
 from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, find_point, parametrize, thue_reduction
 from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
-from sqindex import driver
+from sqindex import conic, driver
 from sqindex.driver import (Hit, _collect_solution, _decompositions, _index_form, _index_scan,
                             _reachable_pairs, brute_force_minimal, case1_candidates,
                             case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
                             local_sieve, minimal_index_for)
-from sqindex.goldens import case2_golden, expected_minimal
+from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
 from test_conic import _GOLDEN_OBSTRUCTED, _time_limit
 
 
@@ -284,6 +285,53 @@ def test_local_sieve_tables_match_brute_force(t):
                      if (u % n, v % n) not in reached[n]
                      and (-u % n, -v % n) not in reached[n]), None)
         assert local_sieve(param, u, v) == want, (u, v)
+
+
+def _reachable_pairs_of_t(param, n):
+    """The sieve table of param built from its own t and basis, with no residue key."""
+    _, q1, q2 = family_forms(param.t)
+    x, y, z = (c.ravel() for c in np.indices((n, n, n), dtype=np.int32))
+    _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = param.basis_num
+    if n % (b11 * b22) == 0:
+        d = (y - z * b32) % n
+        keep = (d % b22 == 0) & ((x - z * b31 - d // b22 * b21) % b11 == 0)
+        x, y, z = x[keep], y[keep], z[keep]
+    monomials = (x * x, x * y, y * y, x * z, y * z, z * z)
+
+    def values(q):
+        return sum(c % n * mono for c, mono in zip(q.coeffs, monomials)) % n
+
+    table = np.zeros(n * n, dtype=bool)
+    table[values(q1) * n + values(q2)] = True
+    return table.reshape(n, n)
+
+
+def test_sieve_tables_keyed_by_t_mod_n_match_the_per_t_build():
+    # the table for N is a function of (t mod N, 2-adic class), so the family
+    # needs at most 32 + 5*4 = 52 of them (`local_sieve`); every valid t <= 300
+    # covers the t of the 108 family cones and the 24 golden t
+    ts = [t for t in range(1, 301) if t != 3]
+    assert {c.t for c, *_ in _family_cones()} | set(EXCEPTIONAL_T + GENERIC_SAMPLE_T) <= set(ts)
+    for t in ts:
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        for n in (32, 5):
+            want = _reachable_pairs_of_t(param, n)
+            assert np.array_equal(_reachable_pairs(param, n), want), (t, n)
+    assert driver._sieve_table.cache_info().currsize <= 52
+
+
+def test_find_point_exact_checks_on_the_residual_cones(monkeypatch):
+    # one visit per cell and the square-residue stages leave 1,721 exact isqrt
+    # checks on these cones; every row rescanned at every radius behind the
+    # mod-720720 stage alone makes 32,575
+    calls = []
+    monkeypatch.setattr(conic, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    residual = [q0 for _, _, q0, modulus in _family_cones() if modulus is None]
+    with _time_limit(10):
+        for q0 in residual:
+            find_point(q0)
+    assert len(residual) == 34
+    assert 0 < len(calls) <= 2000
 
 
 def test_local_sieve_same_verdict_on_sigma_pairs():
