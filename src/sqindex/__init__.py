@@ -12,8 +12,7 @@ from .fieldmodel import (FamilyParameter, V2Class,
                          OddSquareFactor, ParameterError, validate_parameter)
 from .elements import (AlgebraicInt, PowerRep, NotIntegral, canonical_triple,
                        from_power_rep, index_oracle, multiply, to_power_rep)
-from .indexcore import (QuarticCoeffs, ResolventForm, TernaryForm,
-                        build_forms, family_coeffs, family_forms,
+from .indexcore import (ResolventForm, TernaryForm, family_forms,
                         index_via_forms, rhs_decompositions)
 from .thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
                    family_form, solve_power_of_two)

@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"search box for w not of the form +-2^e (at most {MAX_THUE_BOUND})")
     p.set_defaults(func=cmd_thue)
 
-    p = sub.add_parser("enumerate", help="all (t,u,v) candidates up to t-max")
+    p = sub.add_parser("enumerate", help="all case-II (t,u,v) candidates up to t-max "
+                                         "(108 cones over the family, all at t <= 256)")
     p.add_argument("--t-max", type=int, default=256)
     p.add_argument("--compare-paper", action="store_true",
                    help="require the golden table to be a subset")

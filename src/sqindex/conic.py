@@ -5,10 +5,10 @@ A form with no x^2 term has the zero (1, 0, 0).  Otherwise a primitive integer
 zero (x, y, z) exists, and the doubling radius scan meets one once the radius
 reaches max(|y|, |z|); its scan order fixes the base point.  It visits each
 (z, y) cell once, and up to three square-residue stages pass few cells on to
-the exact square test.  The driver meets the precondition: the family has 108
-case-II cones (see `driver`), `driver.local_sieve` runs before any conic work,
-and a pinned test runs `find_point` under a time limit on each of the 34 cones
-the sieve leaves open.  Each of those has x^2 coefficient v != 0 and
+the exact square test.  The driver meets the precondition: the family's
+case-II cones are the 108 of one table (`driver._cones`), `driver.local_sieve`
+runs before any conic work, and a pinned test runs `find_point` under a time
+limit on each of the 34 cones the sieve leaves open.  Each of those has x^2 coefficient v != 0 and
 parametrizes, so `DegeneratePoint` is only a safety check.
 
 Given a nontrivial integer zero P of Q0, the line scheme through P turns

@@ -8,8 +8,8 @@ two branches of the reduction:
                     in closed form; the Thue equations are the family form
                     itself with a power-of-two right side, whose solution
                     sets are known completely, so this branch is rigorous.
-  Case II (v != 0): finitely many (u, v) pairs survive an exact
-                    divisor/perfect-square sweep.  A system with no
+  Case II (v != 0): the (u, v) pairs are read from `_cones`, one exact
+                    family-wide table (below).  A system with no
                     solution mod N has no integer solution, so a local
                     sieve mod 32 and then mod 5 (`local_sieve`, on at most
                     52 tables keyed by t mod N and the 2-adic class) proves
@@ -18,13 +18,15 @@ two branches of the reduction:
                     by bounded exhaustive search, so such a branch carries
                     the Thue box as its search-box flag.
 
-The case-II sweep is finite over the whole family: every sum of
-`_decompositions` is at most 2^24 + 1 (as a*2^l = g^6 m / n <= 2^12), so
-v^2 (t^2 + 16) <= 2^24 + 1 forces t <= 4095.  It yields 108 cones, all at
-t <= 256.  The sieve closes 74 of them: the 22 without a rational point
-and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  On each of the 34
-residual cones `find_point` ends and the cone parametrizes (a pinned
-test checks each one), so every branch ends in a proof or a Thue search.
+The case-II equation F(u, v) = +-g^6 m / n is solved once for the whole
+family: `_cones(class, m)` solves v^2 (t^2 + 16) = a1^2 4^i +- a2 2^(l-i)
+for t, so the table is finite by construction and needs no cut-off in t
+(every such sum is at most 2^24 + 1, whence t <= 4095).  It holds 108
+cones, all at t <= 256.  The sieve closes 74 of them: the 22 without a
+rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  On
+each of the 34 residual cones `find_point` ends and the cone parametrizes
+(a pinned test checks each one), so every branch ends in a proof or a
+Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
@@ -48,7 +50,7 @@ from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_sq
                          v2, v2_class, validate_parameter)
 from .elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple, index_oracle,
                        to_power_rep, triple_from_xyz)
-from .indexcore import (TernaryForm, family_forms, index_via_forms,
+from .indexcore import (NotInRange, TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
                    solve_power_of_two)
@@ -98,40 +100,50 @@ def _sort_elements(canon_set) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(canon_set, key=lambda c: (c[2], c[1], c[0])))
 
 
-def _decompositions(a: int, l: int):
-    """Yield (a1, a2, i, l, s, a1^2*4^i + s*a2*2^(l-i)) for a = a1*a2, 0 <= i <= l, s = +-1.
+@cache  # at most sum(n) = 30 keys over the family, each built on first use
+def _cones(cls: V2Class, m: int) -> dict[int, dict[tuple[int, int], CaseTwoTriple]]:
+    """Every case-II cone of the class at index m: t -> {(u, v): its provenance}.
 
-    The one sweep behind both `candidate_uv_pairs` and
-    `enumerate_case2_triples`: each case-II (u, v) has
-    v^2*(t^2+16) equal to one of these sums.
+    With s = u + 2v, F(u, v) = s*(s^2 - (t^2+16)*v^2) = +-g^6 m / n = +-a*2^l
+    (a odd), so |s| = a1*2^i with a = a1*a2 and v^2*(t^2+16) is one of the
+    sums a1^2*4^i + s'*a2*2^(l-i), s' = +-1.  Each sum is solved for t by a
+    scan over the v with v^2 dividing it; then u = +-a1*2^i - 2v.  (t, u, v)
+    fixes m through F, and each cone arises from one decomposition only.
     """
+    g, n = _CLASS_GN[cls]
+    val = g ** 6 * m // n
+    l = v2(val)
+    a = val >> l
+    cones: dict[int, dict[tuple[int, int], CaseTwoTriple]] = {}
     for a1 in divisors(a):
         a2 = a // a1
         for i in range(l + 1):
             for s in (1, -1):
-                yield a1, a2, i, l, s, a1 * a1 * (1 << (2 * i)) + s * a2 * (1 << (l - i))
+                total = a1 * a1 * (1 << (2 * i)) + s * a2 * (1 << (l - i))
+                if total < 17:
+                    continue
+                for v in range(1, isqrt(total // 17) + 1):  # then t^2 = total/v^2 - 16 >= 1
+                    if total % (v * v):
+                        continue
+                    tt = total // (v * v) - 16
+                    t = isqrt(tt)
+                    if t * t != tt or t == 3 or v2_class(t) is not cls:
+                        continue
+                    hypothesis_ok = odd_square_divisor(t * t + 16) is None
+                    for sigma in (1, -1):
+                        u = sigma * a1 * (1 << i) - 2 * v
+                        cones.setdefault(t, {})[u, v] = CaseTwoTriple(
+                            t=t, u=u, v=v, a1=a1, a2=a2, i=i, l=l,
+                            sign_inner=s, sign_outer=sigma,
+                            implied_m=m, hypothesis_ok=hypothesis_ok)
+    return cones
 
 
 def candidate_uv_pairs(param: FamilyParameter, m: int) -> list[tuple[int, int]]:
-    """All (u, v) with v >= 1 compatible with index m, from the exact sweep, sorted.
-
-    Splits the odd part a of g^6 m / n = a*2^l as a1*a2, and keeps
-    (a1, a2, i, s) whenever a1^2*4^i + s*a2*2^(l-i) equals v^2*(t^2+16)
-    for a positive integer v; then u = +-a1*2^i - 2v.
-    """
-    tt16 = param.t * param.t + 16
-    pairs = set()
-    for a1, a2, i, l, s, total in _decompositions(*rhs_decompositions(param, m)):
-        if total <= 0 or total % tt16:
-            continue
-        vv = total // tt16
-        v = isqrt(vv)
-        if v == 0 or v * v != vv:
-            continue
-        for sigma in (1, -1):
-            u = sigma * a1 * (1 << i) - 2 * v
-            pairs.add((u, v))
-    return sorted(pairs)
+    """All (u, v) with v >= 1 compatible with index m, sorted: the cones of param.t in `_cones`."""
+    if not 1 <= m <= param.n:
+        raise NotInRange(f"m = {m} outside 1..{param.n}")
+    return sorted(_cones(param.v2_class, m).get(param.t, ()))
 
 
 def case1_candidates(param: FamilyParameter, m: int) -> dict:
@@ -224,9 +236,9 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     or None when both moduli leave the branch open.
 
     Theorem: the table for N is a function of (t mod N, 2-adic class), as
-    Q1 = (1, t, -6, t^2+12, -5t, t^2+37) and Q2 = (0, 0, 1, -1, t, -6) have
-    integer polynomial coefficients and the congruences read only the class's
-    basis.  As t mod 32 fixes the class, the family needs at most 32 + 5*4 = 52 tables.
+    Q1 and Q2 (`family_forms`) have integer polynomial coefficients in t and
+    the congruences read only the class's basis.  As t mod 32 fixes the class,
+    the family needs at most 32 + 5*4 = 52 tables.
     """
     for n in _SIEVE_MODULI:
         table = _reachable_pairs(param, n)
@@ -312,41 +324,13 @@ def minimal_index_for(t: int, allow_hypothesis_violation: bool = False,
 def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
     """All (t, u, v) candidates with t <= t_max over every class and m <= n.
 
-    Solves a1^2*4^i + s*a2*2^(l-i) = v^2*(t^2+16) exactly for every
-    decomposition, extracting t by a divisor scan over v.  Parameters
-    violating the squarefree hypothesis are included and flagged.
+    Reads the `_cones` tables.  Parameters violating the squarefree
+    hypothesis are included and flagged.
     """
-    hypo_cache: dict[int, bool] = {}
-    found: dict[tuple[int, int, int], CaseTwoTriple] = {}
-    for cls, (g, n) in _CLASS_GN.items():
-        for m in range(1, n + 1):
-            val = g ** 6 * m // n
-            e = v2(val)
-            for a1, a2, i, l, s, total in _decompositions(val >> e, e):
-                if total < 17:
-                    continue
-                for v in range(1, isqrt(total // 17) + 1):
-                    if total % (v * v):
-                        continue
-                    tt = total // (v * v) - 16
-                    if tt <= 0:
-                        continue
-                    t = isqrt(tt)
-                    if t * t != tt or t == 0 or t == 3 or t > t_max:
-                        continue
-                    if v2_class(t) is not cls:
-                        continue
-                    if t not in hypo_cache:
-                        hypo_cache[t] = odd_square_divisor(t * t + 16) is None
-                    for sigma in (1, -1):
-                        u = sigma * a1 * (1 << i) - 2 * v
-                        key = (t, u, v)
-                        if key not in found:
-                            found[key] = CaseTwoTriple(
-                                t=t, u=u, v=v, a1=a1, a2=a2, i=i, l=l,
-                                sign_inner=s, sign_outer=sigma,
-                                implied_m=m, hypothesis_ok=hypo_cache[t])
-    return sorted(found.values(), key=lambda c: (c.t, c.implied_m, c.v, -c.u))
+    return sorted((c for cls, (_, n) in _CLASS_GN.items() for m in range(1, n + 1)
+                   for t, by_uv in _cones(cls, m).items() if t <= t_max
+                   for c in by_uv.values()),
+                  key=lambda c: (c.t, c.implied_m, c.v, -c.u))
 
 
 # --- box-scan oracle -------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Resolvent-form machinery for index computations in monic quartic fields.
+"""Resolvent forms of the family and the index they compute.
 
-For f(x) = x^4 + a1 x^3 + a2 x^2 + a3 x + a4 with root xi of index n, an
+For P_t(x) = x^4 - t*x^3 - 6*x^2 + t*x + 1 with root xi of index n, an
 element (a + x*xi + y*xi^2 + z*xi^3)/d of index m forces
 
     F(Q1(x,y,z), Q2(x,y,z)) = +- d^6 m / n
 
-with the binary cubic F and ternary quadratics Q1, Q2 built below.  The
-code is written for arbitrary monic quartics and specialised to the
-family by `family_coeffs`.
+with the binary cubic F and the ternary quadratics Q1, Q2 of
+`family_forms`: the cubic resolvent and the quadratics of Gaal's
+index-form reduction for monic quartics, at the coefficients of P_t.
 """
 
 from __future__ import annotations
@@ -21,16 +21,6 @@ from .elements import PowerRep
 
 class NotInRange(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Non-leading coefficients of a monic quartic x^4 + a1 x^3 + ... + a4."""
-
-    a1: int
-    a2: int
-    a3: int
-    a4: int
 
 
 @dataclass(frozen=True)
@@ -65,24 +55,12 @@ class TernaryForm:
                                  for e1, e2 in zip(q1.coeffs, q2.coeffs)))
 
 
-def build_forms(c: QuarticCoeffs) -> tuple[ResolventForm, TernaryForm, TernaryForm]:
-    """The cubic resolvent F and the quadratics Q1, Q2 of a monic quartic."""
-    a1, a2, a3, a4 = c.a1, c.a2, c.a3, c.a4
-    f = ResolventForm((1, -a2, a1 * a3 - 4 * a4,
-                       4 * a2 * a4 - a3 * a3 - a1 * a1 * a4))
-    q1 = TernaryForm((1, -a1, a2, a1 * a1 - 2 * a2, a3 - a1 * a2,
-                      -a1 * a3 + a2 * a2 + a4))
-    q2 = TernaryForm((0, 0, 1, -1, -a1, a2))
-    return f, q1, q2
-
-
-def family_coeffs(t: int) -> QuarticCoeffs:
-    return QuarticCoeffs(-t, -6, t, 1)
-
-
 @lru_cache(maxsize=None)
 def family_forms(t: int) -> tuple[ResolventForm, TernaryForm, TernaryForm]:
-    return build_forms(family_coeffs(t))
+    """F, Q1 and Q2 of P_t; F(u, v) = s*(s^2 - (t^2+16)*v^2) with s = u + 2v."""
+    return (ResolventForm((1, 6, -(t * t + 4), -(2 * t * t + 24))),
+            TernaryForm((1, t, -6, t * t + 12, -5 * t, t * t + 37)),
+            TernaryForm((0, 0, 1, -1, t, -6)))
 
 
 def index_via_forms(p: PowerRep, param: FamilyParameter) -> int | None:

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqindex.fieldmodel import MAX_SUPPORTED_T, odd_square_divisor, validate_parameter
+from sqindex.fieldmodel import (MAX_SUPPORTED_T, odd_square_divisor, v2_class,
+                                validate_parameter)
 from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
                               index_oracle, mult_matrix, triple_from_xyz)
-from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
+from sqindex.indexcore import NotInRange, TernaryForm, family_forms
 from sqindex.conic import _det3, find_point, parametrize, thue_reduction
 from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
 from sqindex import conic, driver
-from sqindex.driver import (Hit, _collect_solution, _decompositions, _index_form, _index_scan,
+from sqindex.driver import (Hit, _collect_solution, _index_form, _index_scan,
                             _reachable_pairs, brute_force_minimal, case1_candidates,
                             case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
                             local_sieve, minimal_index_for)
@@ -66,6 +67,14 @@ def test_case2_uv_sweep_examples():
     assert candidate_uv_pairs(validate_parameter(7), 2) == \
         [(-20, 2), (-3, 1), (-1, 1), (12, 2)]
     assert candidate_uv_pairs(validate_parameter(5), 2) == []
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 8])  # one t per 2-adic class
+def test_candidate_uv_pairs_rejects_m_out_of_range(t):
+    param = validate_parameter(t)
+    for m in (0, param.n + 1):
+        with pytest.raises(NotInRange):
+            candidate_uv_pairs(param, m)
 
 
 def test_case2_t2_produces_all_ten_generators():
@@ -167,24 +176,49 @@ def test_enumerate_golden_subset():
         assert (t, u, v) in keys or (t, -u, -v) in keys
 
 
+def _case2_solutions():
+    """(biggest sum, {(t, m): {(u, v)}}) from F = s (s^2 - (t^2+16) v^2) = +-N, s = u + 2v.
+
+    N = g^6 m / n; s runs over the signed divisors of N, so v^2 (t^2 + 16) = s^2 -+ N/s.
+    """
+    biggest, pairs = 0, {}
+    for t0 in (1, 2, 4, 8):  # one t per 2-adic class
+        rep = validate_parameter(t0)
+        for m in range(1, rep.n + 1):
+            big_n = rep.g ** 6 * m // rep.n
+            for s in (d * sign for d in range(1, big_n + 1) if big_n % d == 0 for sign in (1, -1)):
+                for eps in (1, -1):
+                    total = s * s - eps * big_n // s
+                    biggest = max(biggest, total)
+                    for v in range(1, isqrt(max(total, 0) // 17) + 1):
+                        tt, r = divmod(total, v * v)
+                        t = isqrt(tt - 16)
+                        if r == 0 and t * t == tt - 16 and t != 3 and \
+                                v2_class(t) is rep.v2_class:
+                            assert family_forms(t)[0](s - 2 * v, v) == eps * big_n
+                            pairs.setdefault((t, m), set()).add((s - 2 * v, v))
+    return biggest, pairs
+
+
 def test_case2_cones_of_the_whole_family():
-    # v^2 (t^2 + 16) is a decomposition sum and v >= 1, so the largest sum bounds t
-    reps = [validate_parameter(t) for t in (1, 2, 4, 8)]  # one t per 2-adic class
-    biggest = max(total for param in reps for m in range(1, param.n + 1)
-                  for *_, total in _decompositions(*rhs_decompositions(param, m)))
+    # v^2 (t^2 + 16) is one of the sums and v >= 1, so the largest sum bounds t
+    biggest, pairs = _case2_solutions()
     assert biggest == 2 ** 24 + 1
     bound = isqrt(biggest - 16)
     cones = enumerate_case2_triples(bound)
     assert cones == enumerate_case2_triples(MAX_SUPPORTED_T)
     assert len(cones) == 108 and len({c.t for c in cones}) == 26
     assert max(c.t for c in cones) == 256
+    assert {(c.t, c.implied_m, c.u, c.v) for c in cones} == \
+        {(t, m, u, v) for (t, m), uv in pairs.items() for u, v in uv}
 
-    # the per-t sweep lists exactly the family's cones at each (t, m)
-    for t in sorted({c.t for c in cones}):
+    # the per-t lookup lists exactly the solutions at each (t, m), for every t <= bound
+    for t in range(1, bound + 1):
+        if t == 3:
+            continue
         param = validate_parameter(t, allow_hypothesis_violation=True)
         for m in range(1, param.n + 1):
-            assert set(candidate_uv_pairs(param, m)) == \
-                {(c.u, c.v) for c in cones if c.t == t and c.implied_m == m}
+            assert candidate_uv_pairs(param, m) == sorted(pairs.get((t, m), ()))
 
     # each cone is nonsingular; the local sieve closes 74 of them, the 22 without a
     # rational point among them; on each of the 34 it leaves open find_point ends,

@@ -5,15 +5,14 @@ import sympy
 
 from sqindex.fieldmodel import validate_parameter
 from sqindex.elements import AlgebraicInt, index_oracle, to_power_rep
-from sqindex.indexcore import (NotInRange, QuarticCoeffs, build_forms,
-                               family_forms, index_via_forms,
+from sqindex.indexcore import (NotInRange, family_forms, index_via_forms,
                                rhs_decompositions)
 
 
 def test_family_forms_match_known_expansion():
     tsym = sympy.symbols("t")
     u, v = sympy.symbols("u v")
-    f, q1, q2 = build_forms(QuarticCoeffs(-tsym, -6, tsym, 1))
+    f, q1, q2 = family_forms(tsym)
     factored = sympy.expand((u + 2 * v) * (u * u + 4 * u * v - v * v * (tsym ** 2 + 12)))
     built = sum(c * m for c, m in zip(f.coeffs, (u ** 3, u * u * v, u * v * v, v ** 3)))
     assert sympy.expand(built - factored) == 0
@@ -33,13 +32,6 @@ def test_family_factorization_numeric():
         assert f.coeffs == (1, 6, -(t * t + 4), -(2 * t * t + 24))
         for u, v in ((3, 2), (-5, 1), (7, -4)):
             assert f(u, v) == (u + 2 * v) * (u * u + 4 * u * v - v * v * (t * t + 12))
-
-
-def test_zero_coefficients():
-    f, q1, q2 = build_forms(QuarticCoeffs(0, 0, 0, 0))
-    assert f.coeffs == (1, 0, 0, 0)
-    assert q1.coeffs == (1, 0, 0, 0, 0, 0)
-    assert q2.coeffs == (0, 0, 1, -1, 0, 0)
 
 
 def test_index_via_forms_xi():
