@@ -23,10 +23,12 @@ family: `_cones(class, m)` solves v^2 (t^2 + 16) = a1^2 4^i +- a2 2^(l-i)
 for t, so the table is finite by construction and needs no cut-off in t
 (every such sum is at most 2^24 + 1, whence t <= 4095).  It holds 108
 cones, all at t <= 256.  The sieve closes 74 of them: the 22 without a
-rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  On
-each of the 34 residual cones `find_point` ends and the cone parametrizes
-(a pinned test checks each one), so every branch ends in a proof or a
-Thue search.
+rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  The
+34 residual cones have base points in closed form (`find_point`): five
+rules in s = u + 2v, each a polynomial identity in (t, v), cover 32 of
+them, and a two-entry table the other two, at t = 4.  Each cone
+parametrizes through its point (a pinned test checks all 34), so every
+branch ends in a proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
@@ -54,7 +56,7 @@ from .indexcore import (NotInRange, TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
                    solve_power_of_two)
-from .conic import divisors, find_point, parametrize, thue_reduction
+from .conic import divisors, parametrize, thue_reduction
 
 
 class Hit(NamedTuple):
@@ -247,6 +249,39 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     return None
 
 
+# Base points of the two residual cones, both at t = 4, that no rule of
+# `find_point` covers: (t, u, v) -> the point
+_LITERAL_POINTS = {(4, 36, 10): (-11, -5, 1), (4, -76, 10): (1, -3, 1)}
+
+
+def find_point(t: int, u: int, v: int) -> tuple[int, int, int]:
+    """A nonzero integer point on the cone v*Q1 - u*Q2 = 0 of the family at t.
+
+    With s = u + 2v, the first rule that holds gives the point:
+
+      1. s = -4v:   (0, 1, 0)
+      2. s = 2tv:   (2, 1, 0)
+      3. s = -2tv:  (-2, 1, 0)
+      4. s = tv:    (-(t+3), -(t-1), 1)
+      5. s = -tv:   (t-7, -(t+1), 1)
+
+    Each rule is a polynomial identity in (t, v) on `family_forms` (a test
+    proves them with sympy).  Rule 3 at t = 2 and rule 5 at t = 4 read
+    s = -4v too; rule 1 goes first, so those cones take (0, 1, 0).
+    `_LITERAL_POINTS` holds the two residual cones no rule covers.  Any
+    other cone raises ValueError, and `parametrize` checks every point on
+    its cone.
+    """
+    s = u + 2 * v
+    for rule, point in ((-4 * v, (0, 1, 0)), (2 * t * v, (2, 1, 0)), (-2 * t * v, (-2, 1, 0)),
+                        (t * v, (-(t + 3), -(t - 1), 1)), (-t * v, (t - 7, -(t + 1), 1))):
+        if s == rule:
+            return point
+    if (t, u, v) in _LITERAL_POINTS:
+        return _LITERAL_POINTS[t, u, v]
+    raise ValueError(f"no base point known for the cone (t, u, v) = {(t, u, v)}")
+
+
 def case2_candidates(param: FamilyParameter, m: int,
                      thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
     """Elements of index m from the v != 0 branch.
@@ -255,9 +290,9 @@ def case2_candidates(param: FamilyParameter, m: int,
     Q0 = v*Q1 - u*Q2 = 0.  The branch is proven empty when the system
     has no admissible solution mod 32 or mod 5 (`local_sieve`), or when
     its Thue equations have no integral right side.  On every other cone
-    of the family `find_point` ends and the cone parametrizes (module
-    docstring), and the result is bounded only when a Thue search ran,
-    by the Thue box.
+    of the family `find_point` gives a base point in closed form and the
+    cone parametrizes through it (module docstring), and the result is
+    bounded only when a Thue search ran, by the Thue box.
     """
     _, q1, q2 = family_forms(param.t)
     out: dict = {}
@@ -265,8 +300,7 @@ def case2_candidates(param: FamilyParameter, m: int,
     for u, v in candidate_uv_pairs(param, m):
         if local_sieve(param, u, v) is not None:
             continue
-        q0 = TernaryForm.combine(v, q1, -u, q2)
-        par = parametrize(q0, find_point(q0))
+        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(param.t, u, v))
         qform, target = (q1, u) if u != 0 else (q2, v)
         red = thue_reduction(par, qform, target)
         if not red.instances:

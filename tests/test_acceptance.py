@@ -15,8 +15,8 @@ from sqindex.fieldmodel import odd_square_divisor, validate_parameter
 from sqindex.elements import AlgebraicInt, index_oracle, mult_matrix, to_power_rep
 from sqindex.indexcore import TernaryForm, family_forms, index_via_forms
 from sqindex.thue import bounded_search_multi, family_form, solve_power_of_two
-from sqindex.conic import find_point, parametrize, thue_reduction
-from sqindex.driver import brute_force_minimal, enumerate_case2_triples, minimal_index
+from sqindex.conic import parametrize, thue_reduction
+from sqindex.driver import brute_force_minimal, enumerate_case2_triples, find_point, minimal_index
 from sqindex.goldens import expected_minimal, case2_golden
 
 
@@ -183,7 +183,7 @@ def test_criterion_9_worked_example_regression():
         _, q1, q2 = family_forms(t)
         q0 = TernaryForm.combine(v, q1, -u, q2)
         assert q0.coeffs == (2, 24, -32, 332, -360, 482)
-        point = find_point(q0)
+        point = find_point(t, u, v)
         assert point in ((15, 11, -1), (-15, -11, 1))
         par = parametrize(q0, point)
         assert par.rows == ((-38, -344, 480), (-22, -272, 368), (2, 24, -32))

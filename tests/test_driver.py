@@ -13,15 +13,15 @@ from sqindex.fieldmodel import (MAX_SUPPORTED_T, odd_square_divisor, v2_class,
 from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
                               index_oracle, mult_matrix, triple_from_xyz)
 from sqindex.indexcore import NotInRange, TernaryForm, family_forms
-from sqindex.conic import _det3, find_point, parametrize, thue_reduction
+from sqindex.conic import _det3, parametrize, thue_reduction
 from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
-from sqindex import conic, driver
+from sqindex import driver
 from sqindex.driver import (Hit, _collect_solution, _index_form, _index_scan,
                             _reachable_pairs, brute_force_minimal, case1_candidates,
                             case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
-                            local_sieve, minimal_index_for)
+                            find_point, local_sieve, minimal_index_for)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
-from test_conic import _GOLDEN_OBSTRUCTED, _time_limit
+from test_conic import _GOLDEN_OBSTRUCTED, _find_point_by_rows
 
 
 def canon_set(rows):
@@ -221,11 +221,12 @@ def test_case2_cones_of_the_whole_family():
             assert candidate_uv_pairs(param, m) == sorted(pairs.get((t, m), ()))
 
     # each cone is nonsingular; the local sieve closes 74 of them, the 22 without a
-    # rational point among them; on each of the 34 it leaves open find_point ends,
-    # here within a time limit rather than never, and the cone parametrizes, as on
-    # the 52 soluble cones the sieve closes; each reduced Thue form is totally real
-    # with c0 != 0, as the bounded search requires
-    closed = {}
+    # rational point among them; find_point gives a point on the cone or raises, and
+    # it gives one on each of the 34 cones the sieve leaves open, which parametrize
+    # through it, as the 52 soluble cones the sieve closes do through the row scan's
+    # point; each reduced Thue form is totally real with c0 != 0, as the bounded
+    # search requires
+    closed, raised = {}, set()
     for c in cones:
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
@@ -233,18 +234,24 @@ def test_case2_cones_of_the_whole_family():
         assert cxx == c.v != 0
         assert _det3(((2 * cxx, cxy, cxz), (cxy, 2 * cyy, cyz), (cxz, cyz, 2 * czz))) != 0
         key = (c.t, c.implied_m, c.u, c.v)
+        try:
+            point = find_point(c.t, c.u, c.v)
+            assert point != (0, 0, 0) and q0(*point) == 0, key
+        except ValueError:
+            raised.add(key)
+            point = None
         modulus = local_sieve(validate_parameter(c.t, allow_hypothesis_violation=True), c.u, c.v)
         if modulus is not None:
             closed[key] = modulus
             if key not in _SIEVE_CLOSED:
                 continue
-        with _time_limit(5):
-            point = find_point(q0)
+            point = _find_point_by_rows(q0)
         par = parametrize(q0, point)
         assert _det3(par.rows) != 0
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
         assert thue_reduction(par, qform, target).form.totally_real()
     assert (len(cones), len(closed), len(cones) - len(closed)) == (108, 74, 34)
+    assert _GOLDEN_OBSTRUCTED <= raised <= set(closed)
 
 
 # (t, m, u, v) -> modulus of every soluble case-II cone of the family the local sieve closes
@@ -354,20 +361,6 @@ def test_sieve_tables_keyed_by_t_mod_n_match_the_per_t_build():
     assert driver._sieve_table.cache_info().currsize <= 52
 
 
-def test_find_point_exact_checks_on_the_residual_cones(monkeypatch):
-    # one visit per cell and the square-residue stages leave 1,721 exact isqrt
-    # checks on these cones; every row rescanned at every radius behind the
-    # mod-720720 stage alone makes 32,575
-    calls = []
-    monkeypatch.setattr(conic, "isqrt", lambda n: calls.append(n) or isqrt(n))
-    residual = [q0 for _, _, q0, modulus in _family_cones() if modulus is None]
-    with _time_limit(10):
-        for q0 in residual:
-            find_point(q0)
-    assert len(residual) == 34
-    assert 0 < len(calls) <= 2000
-
-
 def test_local_sieve_same_verdict_on_sigma_pairs():
     # u = sigma*a1*2^i - 2v: the partner of (u, v) is (-u - 4v, v)
     verdicts = {(c.t, c.u, c.v): modulus for c, _, _, modulus in _family_cones()}
@@ -384,7 +377,7 @@ def test_local_sieve_closed_branches_have_no_bounded_thue_solutions():
         if modulus is None:
             continue
         _, q1, q2 = family_forms(c.t)
-        par = parametrize(q0, find_point(q0))
+        par = parametrize(q0, _find_point_by_rows(q0))
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
         red = thue_reduction(par, qform, target)
         if not red.instances:

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqindex import thue
-from sqindex.conic import find_point, parametrize, thue_reduction
+from sqindex.conic import parametrize, thue_reduction
 from sqindex.indexcore import family_forms
+from sqindex.driver import find_point
 from sqindex.thue import (DEFAULT_THUE_BOUND, BinaryQuarticForm, Rigor, SolutionSet,
                           UnsupportedW, _convergents, _roots, bounded_search_multi,
                           canonical_pair, family_form, solve_power_of_two)
 from sqindex.goldens import thue_base_golden
+from test_conic import _find_point_by_rows
 from test_driver import _soluble_cones
 
 
@@ -226,10 +228,12 @@ def family_cones():
     """Reduced form and right sides of every soluble case-II cone of the family
     (tests/test_driver.py pins the family's 108 cones, 86 of them soluble)."""
     cones = []
-    for c, _, q0, _ in _soluble_cones():
+    for c, _, q0, modulus in _soluble_cones():
         _, q1, q2 = family_forms(c.t)
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
-        red = thue_reduction(parametrize(q0, find_point(q0)), qform, target)
+        # the driver's base point where it runs, the reference on the cones the sieve closes
+        point = find_point(c.t, c.u, c.v) if modulus is None else _find_point_by_rows(q0)
+        red = thue_reduction(parametrize(q0, point), qform, target)
         targets = {s * inst.rhs for inst in red.instances for s in (1, -1)}
         if targets:
             cones.append((red.form, targets))
