@@ -1,22 +1,24 @@
 """Minimal-index computation for the quartic family.
 
 For a given parameter t the minimal index m is found by trying
-m = 1, 2, ..., n and collecting, for each m, the elements produced by the
-two branches of the reduction:
+m = 1, 2, ..., n.  An element of index m has Q1 = +-u, Q2 = +-v with
+F(u, v) = +-g^6 m / n, so it lies on the cone v*Q1 - u*Q2 = 0 of one
+branch (u, v), and every branch runs one pipeline (`branch_candidates`):
 
-  Case I  (v = 0):  the cone is Q2 scaled, with the base point (-6, 0, 1)
-                    in closed form; the Thue equations are the family form
-                    itself with a power-of-two right side, whose solution
-                    sets are known completely, so this branch is rigorous.
-  Case II (v != 0): the (u, v) pairs are read from `_cones`, one exact
-                    family-wide table (below).  A system with no
-                    solution mod N has no integer solution, so a local
-                    sieve mod 32 and then mod 5 (`local_sieve`, on at most
-                    52 tables keyed by t mod N and the 2-adic class) proves
-                    a branch empty before any conic work.  The others lead
-                    to a parametrization and quartic Thue equations solved
-                    by bounded exhaustive search, so such a branch carries
-                    the Thue box as its search-box flag.
+  local sieve -> base point -> parametrization -> Thue equations -> elements
+
+Case I (v = 0) is the one cone (2^(l/3), 0), present when
+g^6 m / n = 2^l with 3 | l, through the closed-form point (-6, 0, 1).
+Case II (v != 0) reads its cones from `_cones`, one exact family-wide
+table (below).  A system with no solution mod N has no integer solution,
+so a local sieve mod 32 and then mod 5 (`local_sieve`, on at most 52
+tables keyed by t mod N and the 2-adic class) proves a branch empty
+before any conic work.  The solver is picked from the reduced equation:
+the family form F_t with right sides +-2^e goes to `solve_power_of_two`,
+which is complete (every case-I cone reduces so), anything else to the
+bounded search.  The rigor of a result is the first non-proven one its
+solvers returned, so a branch is bounded only by a Thue box that was
+searched.
 
 The case-II equation F(u, v) = +-g^6 m / n is solved once for the whole
 family: `_cones(class, m)` solves v^2 (t^2 + 16) = a1^2 4^i +- a2 2^(l-i)
@@ -32,7 +34,7 @@ branch ends in a proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
-oracle `brute_force_minimal` shares no step with either branch: it
+oracle `brute_force_minimal` shares no step with the pipeline: it
 interpolates the signed index form det(1, e, e^2, e^3), of degree 6 in
 (X1, X2, X3), from 28 exact values, scans it over a box in Z/2^64, where
 det = +-m is a necessary congruence, and rechecks every match by the
@@ -148,33 +150,7 @@ def candidate_uv_pairs(param: FamilyParameter, m: int) -> list[tuple[int, int]]:
     return sorted(_cones(param.v2_class, m).get(param.t, ()))
 
 
-def case1_candidates(param: FamilyParameter, m: int) -> dict:
-    """Elements of index m coming from the v = 0 branch (complete, so always proven).
-
-    Nonempty only when g^6 m / n = 2^l with l in {6, 9, 12}; then
-    u = 2^i, i = l/3, and the Thue equations are F_t = +-k^2/2^i over
-    k | 2^i, solved by the proven power-of-two solver.
-    """
-    a, l = rhs_decompositions(param, m)
-    if a != 1 or l not in (6, 9, 12):
-        return {}
-    i = l // 3
-    t = param.t
-    _, q1, q2 = family_forms(t)
-    par = parametrize(q2.scaled(1 << i), (-6, 0, 1))  # Q2(x, 0, 1) = -x - 6
-    u = 1 << i
-    red = thue_reduction(par, q1, u)
-    if red.form != family_form(t):
-        raise ArithmeticError("case I reduction did not return the family form")
-    out: dict = {}
-    for inst in red.instances:
-        for w in (inst.rhs, -inst.rhs):
-            for p, q in solve_power_of_two(t, w):
-                _collect_solution(param, par, inst.k, p, q, w, (u, 0), "I", out)
-    return out
-
-
-def _collect_solution(param, par, k, p, q, w, uv, case, out):
+def _collect_solution(param, par, k, p, q, w, uv, out):
     """Map a Thue solution through the parametrization and add its Hit to out."""
     vec = par.evaluate(p, q)
     if any(c % k for c in vec):
@@ -190,7 +166,8 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
     trip = triple_from_xyz(*xyz, param)
     if trip is None:
         return
-    out.setdefault(canonical_triple(trip), set()).add(Hit(case, u, v, k, p, q, w))
+    hit = Hit("I" if v == 0 else "II", u, v, k, p, q, w)
+    out.setdefault(canonical_triple(trip), set()).add(hit)
 
 
 # Moduli of `local_sieve`, in the order tried: 32 closes 46 of the family's
@@ -198,18 +175,15 @@ def _collect_solution(param, par, k, p, q, w, uv, case, out):
 _SIEVE_MODULI = (32, 5)
 
 
-def _reachable_pairs(param: FamilyParameter, n: int) -> np.ndarray:
+@cache  # bounded by the 52 keys of the family (`local_sieve`), <= 1 KB each
+def _sieve_table(n: int, t: int, cls: V2Class) -> np.ndarray:
     """Boolean n x n table: entry (a, b) is set when Q1 = a, Q2 = b mod n somewhere.
 
-    The points run over the whole grid (Z/n)^3; when b11*b22 divides n they
+    t is the parameter mod n, the key of the table (`local_sieve`).  The
+    points run over the whole grid (Z/n)^3; when b11*b22 divides n they
     must also pass the `triple_from_xyz` congruences y = z*b32 (mod b22) and
     x = z*b31 + X2*b21 (mod b11), which X2 = (y - z*b32)/b22 mod n/b22 decides.
     """
-    return _sieve_table(n, param.t % n, param.v2_class)
-
-
-@cache  # bounded by the 52 keys of the family (`local_sieve`), <= 1 KB each
-def _sieve_table(n: int, t: int, cls: V2Class) -> np.ndarray:
     _, q1, q2 = family_forms(t)
     x, y, z = (c.ravel() for c in np.indices((n, n, n), dtype=np.int32))
     _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = _BASIS_NUM[cls]
@@ -229,7 +203,7 @@ def _sieve_table(n: int, t: int, cls: V2Class) -> np.ndarray:
 
 
 def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
-    """The closing modulus of the case-II branch (u, v) of param, or None.
+    """The closing modulus of the branch (u, v) of param, or None.
 
     A system with no solution mod N has no integer solution.  The result
     is the first N in (32, 5) at which neither Q1 = u, Q2 = v nor
@@ -243,7 +217,7 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     the family needs at most 32 + 5*4 = 52 tables.
     """
     for n in _SIEVE_MODULI:
-        table = _reachable_pairs(param, n)
+        table = _sieve_table(n, param.t % n, param.v2_class)
         if not (table[u % n, v % n] or table[-u % n, -v % n]):
             return n
     return None
@@ -257,7 +231,9 @@ _LITERAL_POINTS = {(4, 36, 10): (-11, -5, 1), (4, -76, 10): (1, -3, 1)}
 def find_point(t: int, u: int, v: int) -> tuple[int, int, int]:
     """A nonzero integer point on the cone v*Q1 - u*Q2 = 0 of the family at t.
 
-    With s = u + 2v, the first rule that holds gives the point:
+    The case-I cone v = 0 is -u*Q2 = 0, through (-6, 0, 1) as
+    Q2(x, 0, 1) = -x - 6.  Otherwise, with s = u + 2v, the first rule
+    that holds gives the point:
 
       1. s = -4v:   (0, 1, 0)
       2. s = 2tv:   (2, 1, 0)
@@ -265,13 +241,16 @@ def find_point(t: int, u: int, v: int) -> tuple[int, int, int]:
       4. s = tv:    (-(t+3), -(t-1), 1)
       5. s = -tv:   (t-7, -(t+1), 1)
 
-    Each rule is a polynomial identity in (t, v) on `family_forms` (a test
-    proves them with sympy).  Rule 3 at t = 2 and rule 5 at t = 4 read
-    s = -4v too; rule 1 goes first, so those cones take (0, 1, 0).
+    Each rule is a polynomial identity on `family_forms`, in (t, u) for
+    v = 0 and in (t, v) for the others (a test proves them with sympy).
+    Rule 3 at t = 2 and rule 5 at t = 4 read s = -4v too; rule 1 goes
+    first, so those cones take (0, 1, 0).
     `_LITERAL_POINTS` holds the two residual cones no rule covers.  Any
     other cone raises ValueError, and `parametrize` checks every point on
     its cone.
     """
+    if v == 0:
+        return (-6, 0, 1)
     s = u + 2 * v
     for rule, point in ((-4 * v, (0, 1, 0)), (2 * t * v, (2, 1, 0)), (-2 * t * v, (-2, 1, 0)),
                         (t * v, (-(t + 3), -(t - 1), 1)), (-t * v, (t - 7, -(t + 1), 1))):
@@ -282,38 +261,43 @@ def find_point(t: int, u: int, v: int) -> tuple[int, int, int]:
     raise ValueError(f"no base point known for the cone (t, u, v) = {(t, u, v)}")
 
 
-def case2_candidates(param: FamilyParameter, m: int,
-                     thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
-    """Elements of index m from the v != 0 branch.
+def branch_candidates(param: FamilyParameter, m: int,
+                      thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
+    """Elements of index m from every branch (u, v), and the rigor of their solvers.
 
-    Any solution of the system Q1 = +-u, Q2 = +-v lies on the cone
-    Q0 = v*Q1 - u*Q2 = 0.  The branch is proven empty when the system
-    has no admissible solution mod 32 or mod 5 (`local_sieve`), or when
-    its Thue equations have no integral right side.  On every other cone
-    of the family `find_point` gives a base point in closed form and the
-    cone parametrizes through it (module docstring), and the result is
-    bounded only when a Thue search ran, by the Thue box.
+    The cones are the case-I cone (2^(l/3), 0) when g^6 m / n = 2^l with
+    3 | l, then `candidate_uv_pairs`.  A cone the local sieve closes is
+    proven empty; every other one parametrizes through `find_point` into
+    Thue equations, proven empty when no right side is integral.  Those of
+    the family form F_t with right sides +-2^e go to the complete
+    `solve_power_of_two`, the others to `bounded_search_multi` with box
+    thue_bound.  The rigor is the first non-proven one returned, if any.
     """
-    _, q1, q2 = family_forms(param.t)
+    t = param.t
+    a, l = rhs_decompositions(param, m)
+    cones = [(1 << l // 3, 0)] if a == 1 and l % 3 == 0 else []
+    _, q1, q2 = family_forms(t)
     out: dict = {}
     rigor = Rigor.certain()
-    for u, v in candidate_uv_pairs(param, m):
+    for u, v in cones + candidate_uv_pairs(param, m):
         if local_sieve(param, u, v) is not None:
             continue
-        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(param.t, u, v))
+        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
         qform, target = (q1, u) if u != 0 else (q2, v)
         red = thue_reduction(par, qform, target)
         if not red.instances:
             continue
-        targets = set()
-        for inst in red.instances:
-            targets.update((inst.rhs, -inst.rhs))
-        sols = bounded_search_multi(red.form, targets, thue_bound)
-        rigor = Rigor.bounded(thue_bound)
+        targets = {w for inst in red.instances for w in (inst.rhs, -inst.rhs)}
+        if red.form == family_form(t) and not any(w & (w - 1) for w in map(abs, targets)):
+            sols = {w: solve_power_of_two(t, w) for w in targets}
+        else:
+            sols = bounded_search_multi(red.form, targets, thue_bound)
+        if rigor.proven:
+            rigor = next((sol.rigor for sol in sols.values() if not sol.rigor.proven), rigor)
         for inst in red.instances:
             for w in (inst.rhs, -inst.rhs):
                 for p, q in sols[w]:
-                    _collect_solution(param, par, inst.k, p, q, w, (u, v), "II", out)
+                    _collect_solution(param, par, inst.k, p, q, w, (u, v), out)
     return out, rigor
 
 
@@ -321,19 +305,17 @@ def minimal_index(param: FamilyParameter,
                   thue_bound: int = DEFAULT_THUE_BOUND) -> MinimalIndexResult:
     """Minimal index of the field and every element attaining it.
 
-    Tries m = 1, 2, ... and stops at the first m with solutions; the
-    result is bounded when a Thue search ran at the successful m or below
-    it (every such search has the one box thue_bound), else proven.
-    Every element is re-verified with both index computations.
+    Tries m = 1, 2, ... and stops at the first m with solutions, each m
+    through the one pipeline of `branch_candidates`.  The rigor is the
+    first non-proven one the solvers returned at the successful m or below
+    it, else proven.  Every element is re-verified with both index
+    computations.
     """
     rigor = Rigor.certain()
     for m in range(1, param.n + 1):
-        found = case1_candidates(param, m)
-        found2, rigor2 = case2_candidates(param, m, thue_bound)
+        found, branch_rigor = branch_candidates(param, m, thue_bound)
         if rigor.proven:
-            rigor = rigor2
-        for canon, hits in found2.items():
-            found.setdefault(canon, set()).update(hits)
+            rigor = branch_rigor
         for canon in found:
             e = AlgebraicInt((0, *canon))
             m_oracle = index_oracle(e, param)

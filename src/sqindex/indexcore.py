@@ -45,9 +45,6 @@ class TernaryForm:
         return (cxx * x * x + cxy * x * y + cyy * y * y
                 + cxz * x * z + cyz * y * z + czz * z * z)
 
-    def scaled(self, c: int) -> "TernaryForm":
-        return TernaryForm(tuple(c * e for e in self.coeffs))
-
     @staticmethod
     def combine(cv: int, q1: "TernaryForm", cu: int, q2: "TernaryForm") -> "TernaryForm":
         """cv*Q1 + cu*Q2 as a new form."""

@@ -8,7 +8,7 @@ from sqindex.elements import triple_from_xyz
 from sqindex.fieldmodel import validate_parameter
 from sqindex.indexcore import TernaryForm, family_forms
 from sqindex.conic import DegeneratePoint, divisors, parametrize, thue_reduction
-from sqindex.driver import (Hit, candidate_uv_pairs, case1_candidates, enumerate_case2_triples,
+from sqindex.driver import (Hit, branch_candidates, candidate_uv_pairs, enumerate_case2_triples,
                             find_point, local_sieve)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
@@ -52,19 +52,25 @@ _CASE1_PINNED = {
 
 
 def test_case1_base_point_and_records():
-    # case I takes (-6, 0, 1) in closed form: Q2(x, 0, 1) = -x - 6 for every t
+    # the case-I cone -u*Q2 = 0 takes (-6, 0, 1) in closed form: Q2(x, 0, 1) = -x - 6
+    # for every t
     for t in (1, 2, 4, 7, 8, 12, 16, 9999):
-        _, _, q2 = family_forms(t)
+        _, q1, q2 = family_forms(t)
         for i in (2, 3, 4):
-            assert q2.scaled(1 << i)(-6, 0, 1) == 0
-            assert q2.scaled(1 << i).coeffs[0] == 0
-    # and case I yields the same elements and records
+            q0 = TernaryForm.combine(0, q1, -(1 << i), q2)
+            assert find_point(t, 1 << i, 0) == (-6, 0, 1)
+            assert q0(-6, 0, 1) == 0
+            assert q0.coeffs[0] == 0
+    # and the v = 0 cone yields the same elements and records; an element lies on
+    # one cone, so none of them has a case-II record as well
     for t in (1, 2, 4, 8):
         param = validate_parameter(t)
         for m in range(1, param.n + 1):
-            found = case1_candidates(param, m)
+            found, _ = branch_candidates(param, m)
+            case1 = {canon: hits for canon, hits in found.items()
+                     if any(h.v == 0 for h in hits)}
             u, pinned = _CASE1_PINNED.get((t, m), (None, {}))
-            assert found == {canon: {Hit("I", u, 0, k, p, q, w) for k, p, q, w in recs}
+            assert case1 == {canon: {Hit("I", u, 0, k, p, q, w) for k, p, q, w in recs}
                              for canon, recs in pinned.items()}
 
 
@@ -78,10 +84,14 @@ def test_find_point_worked_example():
 
 
 def test_find_point_rules_are_identities():
-    # each rule, run on symbolic (t, v) with u = s - 2v, returns its own point,
-    # and that point lies on v*Q1 - u*Q2 = 0 for every t and v
-    t, v = sympy.symbols("t v")
+    # the v = 0 rule, run on symbolic (t, u), returns (-6, 0, 1), which lies on
+    # -u*Q2 = 0 for every t and u; each other rule, run on symbolic (t, v) with
+    # u = s - 2v, returns its own point, and that point lies on v*Q1 - u*Q2 = 0
+    # for every t and v
+    t, u, v = sympy.symbols("t u v")
     _, q1, q2 = family_forms(t)
+    assert find_point(t, u, 0) == (-6, 0, 1)
+    assert sympy.expand(TernaryForm.combine(0, q1, -u, q2)(-6, 0, 1)) == 0
     rules = {-4 * v: (0, 1, 0), 2 * t * v: (2, 1, 0), -2 * t * v: (-2, 1, 0),
              t * v: (-(t + 3), -(t - 1), 1), -t * v: (t - 7, -(t + 1), 1)}
     for s, want in rules.items():
@@ -193,10 +203,10 @@ def test_golden_obstructed_cones_close_mod_32():
 
 def test_parametrize_case1_rows():
     for t in (5, 7):
-        _, _, q2 = family_forms(t)
+        _, q1, q2 = family_forms(t)
         for i in (2, 3, 4):
             s = 1 << i
-            par = parametrize(q2.scaled(s), (-6, 0, 1))
+            par = parametrize(TernaryForm.combine(0, q1, -s, q2), (-6, 0, 1))
             assert par.rows == ((s, -s * t, -6 * s), (0, s, -s * t), (0, 0, s))
             assert par.k_bound == s
             assert par.base_point == (-6, 0, 1)
@@ -224,7 +234,7 @@ def test_parametrize_requires_point_on_cone():
 def test_parametrized_triples_lie_on_cone():
     cones = []
     _, q1, q2 = family_forms(7)
-    cones.append((q2.scaled(4), (-6, 0, 1)))
+    cones.append((TernaryForm.combine(0, q1, -4, q2), (-6, 0, 1)))
     cones.append((TernaryForm((2, 24, -32, 332, -360, 482)), (-15, -11, 1)))
     _, q1b, q2b = family_forms(2)
     q0b = TernaryForm.combine(1, q1b, -2, q2b)
@@ -240,7 +250,7 @@ def test_thue_reduction_case1():
     from sqindex.thue import family_form
     t = 7
     _, q1, q2 = family_forms(t)
-    par = parametrize(q2.scaled(4), (-6, 0, 1))
+    par = parametrize(TernaryForm.combine(0, q1, -4, q2), (-6, 0, 1))
     red = thue_reduction(par, q1, 4)
     assert red.raw_form.coeffs == tuple(16 * c for c in family_form(t).coeffs)
     assert [(inst.k, inst.rhs) for inst in red.instances] == [(2, 1), (4, 4)]
@@ -251,7 +261,7 @@ def test_thue_reduction_case1_i3_infeasible_or_unsolvable():
     from sqindex.thue import solve_power_of_two
     t = 4
     _, q1, q2 = family_forms(t)
-    par = parametrize(q2.scaled(8), (-6, 0, 1))
+    par = parametrize(TernaryForm.combine(0, q1, -8, q2), (-6, 0, 1))
     red = thue_reduction(par, q1, 8)
     assert [(inst.k, inst.rhs) for inst in red.instances] == [(4, 2), (8, 8)]
     for inst in red.instances:

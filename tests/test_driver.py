@@ -12,13 +12,13 @@ from sqindex.fieldmodel import (MAX_SUPPORTED_T, odd_square_divisor, v2_class,
                                 validate_parameter)
 from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
                               index_oracle, mult_matrix, triple_from_xyz)
-from sqindex.indexcore import NotInRange, TernaryForm, family_forms
+from sqindex.indexcore import NotInRange, TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, parametrize, thue_reduction
-from sqindex.thue import DEFAULT_THUE_BOUND, Rigor, bounded_search_multi
+from sqindex.thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
+                          solve_power_of_two)
 from sqindex import driver
-from sqindex.driver import (Hit, _collect_solution, _index_form, _index_scan,
-                            _reachable_pairs, brute_force_minimal, case1_candidates,
-                            case2_candidates, candidate_uv_pairs, enumerate_case2_triples,
+from sqindex.driver import (Hit, _collect_solution, _index_form, _index_scan, branch_candidates,
+                            brute_force_minimal, candidate_uv_pairs, enumerate_case2_triples,
                             find_point, local_sieve, minimal_index_for)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
 from test_conic import _GOLDEN_OBSTRUCTED, _find_point_by_rows
@@ -28,9 +28,22 @@ def canon_set(rows):
     return {canonical_triple(tuple(r)) for r in rows}
 
 
+def _case_candidates(param, m, case):
+    """The elements `branch_candidates` finds at (param, m) through cones of the case.
+
+    Hit.case is "I" exactly on the v = 0 cone, and an element lies on one cone,
+    so its hits never mix the cases.
+    """
+    found, _ = branch_candidates(param, m)
+    for hits in found.values():
+        assert all((h.case == "I") == (h.v == 0) for h in hits)
+        assert len({h.case for h in hits}) == 1
+    return {canon: hits for canon, hits in found.items() if next(iter(hits)).case == case}
+
+
 def test_case1_generic_v0():
     param = validate_parameter(5)
-    found = case1_candidates(param, 2)
+    found = _case_candidates(param, 2, "I")
     assert set(found) == canon_set([(1, 0, 0), (6, 5, -2), (5, 2, -1), (0, 3, -1)])
     assert all(hits and {h.case for h in hits} == {"I"} for hits in found.values())
 
@@ -38,7 +51,7 @@ def test_case1_generic_v0():
 def test_case1_generic_v3plus():
     t = 40
     param = validate_parameter(t)
-    found = case1_candidates(param, 16)
+    found = _case_candidates(param, 16, "I")
     assert all(hits and {h.case for h in hits} == {"I"} for hits in found.values())
     assert set(found) == canon_set([
         (1, 0, 0), (9 + 2 * t, -4 - 4 * t, -4),
@@ -47,14 +60,14 @@ def test_case1_generic_v3plus():
 
 def test_case1_empty_when_not_power_case():
     param = validate_parameter(5)
-    found = case1_candidates(param, 1)  # l = 5, no i
+    found = _case_candidates(param, 1, "I")  # l = 5, no i
     assert found == {}
 
 
 def test_case1_t1_extra_solutions():
     # the base Thue sets for t = 1 contribute four extra index-2 elements
     param = validate_parameter(1)
-    found = case1_candidates(param, 2)
+    found = _case_candidates(param, 2, "I")
     assert set(found) == canon_set([
         (1, 0, 0), (6, 1, -2), (3, 0, -1), (2, 1, -1),
         (0, 1, 1), (0, -3, 2), (-25, -2, 8), (-25, -6, 9)])
@@ -79,7 +92,8 @@ def test_candidate_uv_pairs_rejects_m_out_of_range(t):
 
 def test_case2_t2_produces_all_ten_generators():
     param = validate_parameter(2)
-    found, rigor = case2_candidates(param, 1)
+    _, rigor = branch_candidates(param, 1)
+    found = _case_candidates(param, 1, "II")
     assert not rigor.proven
     want = canon_set([(4, 2, -1), (-13, -9, 4), (-2, 1, 0), (1, 1, 0),
                       (-8, -3, 2), (-12, -4, 3), (0, -4, 1), (6, 5, -2),
@@ -90,7 +104,7 @@ def test_case2_t2_produces_all_ten_generators():
 def test_case2_t7_empty():
     param = validate_parameter(7)
     for m in (1, 2):
-        found, _ = case2_candidates(param, m)
+        found = _case_candidates(param, m, "II")
         assert found == {}
 
 
@@ -98,12 +112,12 @@ def test_case2_obstructed_branches_are_proven_empty():
     # both (u, v) at t = 8, m = 3 give cones with no rational point; the sieve closes them
     param = validate_parameter(8)
     assert candidate_uv_pairs(param, 3) == [(-14, 1), (10, 1)]
-    assert case2_candidates(param, 3) == ({}, Rigor.certain())
+    assert branch_candidates(param, 3) == ({}, Rigor.certain())
 
 
 def test_case2_t12():
     param = validate_parameter(12)
-    found, _ = case2_candidates(param, 3)
+    found = _case_candidates(param, 3, "II")
     assert set(found) == canon_set([(5, 6, -1), (4, 6, -1), (-2, -20, 3),
                                     (-1, 7, -1), (8, 19, -3), (2, -7, 1)])
 
@@ -296,10 +310,10 @@ def test_local_sieve_closes_exactly_the_pinned_cones():
               for c, _, _, modulus in _family_cones() if modulus is not None}
     assert closed == {**_SIEVE_CLOSED, **dict.fromkeys(_GOLDEN_OBSTRUCTED, 32)}
     assert len(_soluble_cones()) == 86
-    # the closed branches never reach the conic: case2_candidates proves them empty
+    # the closed branches never reach the conic: branch_candidates proves them empty
     param = validate_parameter(5)
     assert candidate_uv_pairs(param, 1) == [(-42, 5), (22, 5)]
-    assert case2_candidates(param, 1) == ({}, Rigor.certain())
+    assert branch_candidates(param, 1) == ({}, Rigor.certain())
 
 
 @pytest.mark.parametrize("t", [1, 2, 4, 8])  # one t per 2-adic class
@@ -316,7 +330,7 @@ def test_local_sieve_tables_match_brute_force(t):
             if n % (b11 * b22) == 0 and triple_from_xyz(x, y, z, param) is None:
                 continue
             want.add((q1(x, y, z) % n, q2(x, y, z) % n))
-        table = _reachable_pairs(param, n)
+        table = driver._sieve_table(n, t % n, param.v2_class)
         assert {(a, b) for a in range(n) for b in range(n) if table[a, b]} == want
         reached[n] = want
     # the verdict tests both signs; mod 32 some (a, b) is reached while (-a, -b) is not
@@ -357,7 +371,7 @@ def test_sieve_tables_keyed_by_t_mod_n_match_the_per_t_build():
         param = validate_parameter(t, allow_hypothesis_violation=True)
         for n in (32, 5):
             want = _reachable_pairs_of_t(param, n)
-            assert np.array_equal(_reachable_pairs(param, n), want), (t, n)
+            assert np.array_equal(driver._sieve_table(n, t % n, param.v2_class), want), (t, n)
     assert driver._sieve_table.cache_info().currsize <= 52
 
 
@@ -388,10 +402,99 @@ def test_local_sieve_closed_branches_have_no_bounded_thue_solutions():
         for inst in red.instances:
             for w in (inst.rhs, -inst.rhs):
                 for p, q in sols[w]:
-                    _collect_solution(param, par, inst.k, p, q, w, (c.u, c.v), "II", out)
+                    _collect_solution(param, par, inst.k, p, q, w, (c.u, c.v), out)
         assert out == {}, (c.t, c.u, c.v)
         searched += 1
     assert searched > 0
+
+
+def _case1_cones(ts):
+    """(param, m, u) for the case-I cone (u, 0), u = 2^(l/3), of every m at each t."""
+    for t in ts:
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        for m in range(1, param.n + 1):
+            a, l = rhs_decompositions(param, m)
+            if a == 1 and l % 3 == 0:
+                yield param, m, 1 << l // 3
+
+
+def _case1_reduction(param, u):
+    """The parametrization of the case-I cone (u, 0) of param and its Thue reduction."""
+    _, q1, q2 = family_forms(param.t)
+    par = parametrize(TernaryForm.combine(0, q1, -u, q2), find_point(param.t, u, 0))
+    return par, thue_reduction(par, q1, u)
+
+
+def test_solver_choice_over_the_family():
+    # the case-I cone of every class and every m with 3 | l reduces to F_t with
+    # right sides +-2^e only, so it takes the complete solver; one t per 2-adic
+    # class plus the largest supported t
+    ts = (1, 2, 4, 8, MAX_SUPPORTED_T)
+    cones = list(_case1_cones(ts))
+    assert {param.t for param, _, _ in cones} == set(ts)
+    for param, m, u in cones:
+        _, red = _case1_reduction(param, u)
+        assert red.form == family_form(param.t), (param.t, m)
+        assert red.instances and all(inst.rhs & (inst.rhs - 1) == 0
+                                     for inst in red.instances), (param.t, m)
+    # no residual case-II cone reduces to F_t, so each takes the bounded search
+    residual = [(c, q0) for c, _, q0, modulus in _family_cones() if modulus is None]
+    assert len(residual) == 34
+    for c, q0 in residual:
+        _, q1, q2 = family_forms(c.t)
+        par = parametrize(q0, find_point(c.t, c.u, c.v))
+        qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
+        assert thue_reduction(par, qform, target).form != family_form(c.t), (c.t, c.u, c.v)
+
+
+def test_branch_rigor_comes_from_the_solvers_that_ran(monkeypatch):
+    # every m at one t per 2-adic class and at t = 10, 12: the family form goes to the
+    # complete solver, every other form to the bounded search, and a branch set is
+    # proven exactly when no bounded search ran
+    calls = []
+
+    def power_of_two(t, w):
+        calls.append(("power", family_form(t)))
+        return solve_power_of_two(t, w)
+
+    def bounded(form, targets, bound):
+        calls.append(("bounded", form))
+        return bounded_search_multi(form, targets, bound)
+
+    monkeypatch.setattr(driver, "solve_power_of_two", power_of_two)
+    monkeypatch.setattr(driver, "bounded_search_multi", bounded)
+    kinds = set()
+    for t in (1, 2, 4, 8, 10, 12):
+        param = validate_parameter(t)
+        for m in range(1, param.n + 1):
+            calls.clear()
+            _, rigor = branch_candidates(param, m, 500)
+            for kind, form in calls:
+                assert (form == family_form(t)) == (kind == "power"), (t, m)
+            ran = {kind for kind, _ in calls}
+            assert rigor == (Rigor.bounded(500) if "bounded" in ran else Rigor.certain())
+            kinds |= ran
+    assert kinds == {"power", "bounded"}
+
+
+def test_local_sieve_closed_case1_branches_have_no_solutions():
+    # differential: on every case-I branch the sieve closes at t < 600, the complete
+    # solver the sieve skips finds no pair, so no element.  They are the
+    # u = 8 branches (l = 9), all closed mod 32, whose right sides +-k^2/8 are odd
+    # powers of two, so the parity lift of the solver gives no pair at all
+    branches, closed = 0, {}
+    for param, m, u in _case1_cones(t for t in range(1, 600) if t != 3):
+        branches += 1
+        modulus = local_sieve(param, u, 0)
+        if modulus is None:
+            continue
+        closed[u, modulus] = closed.get((u, modulus), 0) + 1
+        _, red = _case1_reduction(param, u)
+        assert red.form == family_form(param.t)
+        for inst in red.instances:
+            for w in (inst.rhs, -inst.rhs):
+                assert len(solve_power_of_two(param.t, w)) == 0, (param.t, m, w)
+    assert branches == 747 and closed == {(8, 32): 149}
 
 
 def test_brute_force_examples():
