@@ -11,7 +11,7 @@ from .fieldmodel import (FamilyParameter, V2Class,
                          NonPositiveParameter, ExcludedParameter,
                          OddSquareFactor, ParameterError, validate_parameter)
 from .elements import (AlgebraicInt, PowerRep, NotIntegral, canonical_triple,
-                       from_power_rep, index_oracle, multiply, to_power_rep)
+                       from_power_rep, index_oracle, multiply, sigma, to_power_rep)
 from .indexcore import (ResolventForm, TernaryForm, family_forms,
                         index_via_forms, rhs_decompositions)
 from .thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,

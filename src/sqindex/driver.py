@@ -20,6 +20,14 @@ bounded search.  The rigor of a result is the first non-proven one its
 solvers returned, so a branch is bounded only by a Thue box that was
 searched.
 
+K is cyclic and sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q)
+(`elements.sigma`); the index is Galois-invariant.  So the case-II cones
+come in sigma-pairs: the mate of (u, v) is (-u - 4v, v), where s = u + 2v
+and F change sign, and its elements are the sigma-images of the cone's.
+Only the case-I cone and the s > 0 cones are sieved and searched; each
+mate takes the sigma-images of its pair's elements, with their Hits
+recovered exactly on its own parametrization, and the rigor of its pair.
+
 The case-II equation F(u, v) = +-g^6 m / n is solved once for the whole
 family: `_cones(class, m)` solves v^2 (t^2 + 16) = a1^2 4^i +- a2 2^(l-i)
 for t, so the table is finite by construction and needs no cut-off in t
@@ -53,7 +61,7 @@ import numpy as np
 from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
                          v2, v2_class, validate_parameter)
 from .elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple, index_oracle,
-                       to_power_rep, triple_from_xyz)
+                       sigma, to_power_rep, triple_from_xyz)
 from .indexcore import (NotInRange, TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
@@ -266,25 +274,37 @@ def branch_candidates(param: FamilyParameter, m: int,
     """Elements of index m from every branch (u, v), and the rigor of their solvers.
 
     The cones are the case-I cone (2^(l/3), 0) when g^6 m / n = 2^l with
-    3 | l, then `candidate_uv_pairs`.  A cone the local sieve closes is
+    3 | l, then `candidate_uv_pairs`.  The case-I cone and each case-II cone
+    with s = u + 2v > 0 are searched: a cone the local sieve closes is
     proven empty; every other one parametrizes through `find_point` into
     Thue equations, proven empty when no right side is integral.  Those of
     the family form F_t with right sides +-2^e go to the complete
     `solve_power_of_two`, the others to `bounded_search_multi` with box
     thue_bound.  The rigor is the first non-proven one returned, if any.
+
+    The case-II cones come in sigma-pairs: the mate of (u, v) is
+    (-u - 4v, v), with s and F negated, and its elements are the sigma-images
+    of the searched cone's (`sigma`), so the mate is not searched and
+    carries the rigor, and the box, of its pair.  sigma^2 keeps each cone,
+    so the searched cone's elements are first closed under it (a box too
+    small for a whole orbit would otherwise leave the set not sigma-stable),
+    then mapped by sigma.  Each image gets its Hits on its cone's
+    parametrization from `_image_hits`; a cone without its mate raises
+    ArithmeticError.
     """
     t = param.t
     a, l = rhs_decompositions(param, m)
-    cones = [(1 << l // 3, 0)] if a == 1 and l % 3 == 0 else []
-    _, q1, q2 = family_forms(t)
+    cones = candidate_uv_pairs(param, m)
+    if any((-u - 4 * v, v) not in cones for u, v in cones):
+        raise ArithmeticError(f"the case-II cones of {param} at m = {m} are not sigma-pairs")
+    if a == 1 and l % 3 == 0:
+        cones.insert(0, (1 << l // 3, 0))
     out: dict = {}
     rigor = Rigor.certain()
-    for u, v in cones + candidate_uv_pairs(param, m):
-        if local_sieve(param, u, v) is not None:
+    for u, v in cones:
+        if u + 2 * v < 0 or local_sieve(param, u, v) is not None:
             continue
-        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
-        qform, target = (q1, u) if u != 0 else (q2, v)
-        red = thue_reduction(par, qform, target)
+        red, par = _reduction(t, u, v)
         if not red.instances:
             continue
         targets = {w for inst in red.instances for w in (inst.rhs, -inst.rhs)}
@@ -294,11 +314,77 @@ def branch_candidates(param: FamilyParameter, m: int,
             sols = bounded_search_multi(red.form, targets, thue_bound)
         if rigor.proven:
             rigor = next((sol.rigor for sol in sols.values() if not sol.rigor.proven), rigor)
+        found: dict = {}
         for inst in red.instances:
             for w in (inst.rhs, -inst.rhs):
                 for p, q in sols[w]:
-                    _collect_solution(param, par, inst.k, p, q, w, (u, v), out)
+                    _collect_solution(param, par, inst.k, p, q, w, (u, v), found)
+        if v and found:  # close found under sigma^2, which keeps the cone, then map it
+            _image_hits(param, (u, v), red, par,
+                        {_sigma_image(c, param, 2) for c in found} - found.keys(), found)
+            mate = (-u - 4 * v, v)
+            _image_hits(param, mate, *_reduction(t, *mate),
+                        [_sigma_image(c, param) for c in found], out)
+        out.update(found)
     return out, rigor
+
+
+def _reduction(t: int, u: int, v: int):
+    """(Thue reduction, parametrization) of the cone (u, v) through its `find_point`."""
+    _, q1, q2 = family_forms(t)
+    par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
+    qform, target = (q1, u) if u != 0 else (q2, v)
+    return thue_reduction(par, qform, target), par
+
+
+def _sigma_image(canon, param: FamilyParameter, times: int = 1) -> tuple[int, int, int]:
+    """The canonical triple of sigma^times of the element with triple canon."""
+    e = AlgebraicInt((0, *canon))
+    for _ in range(times):
+        e = sigma(e, param)
+    return canonical_triple(e.triple)
+
+
+def _image_hits(param: FamilyParameter, cone: tuple[int, int], red, par, images,
+                out: dict) -> None:
+    """Add each image triple, with its Hits on the cone's reduction (red, par), to out.
+
+    The image's power part (x*xi + y*xi^2 + z*xi^3)/g solves
+    k*sign*(x, y, z) = C.(p^2, pq, q^2) for an instance k of red exactly
+    when the adjugate of C gives (p^2, pq, q^2) = adj(C).k*sign*(x, y, z)/det C
+    with two integral square roots; each (p, q), first nonzero entry
+    positive as in the search, goes through `_collect_solution`, which
+    re-verifies it.  An image that gets no Hit raises ArithmeticError.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = par.rows
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    _, (_, r11, _, _), (_, r21, r22, _), (_, r31, r32, r33) = param.basis_num
+    for x1, x2, x3 in images:
+        xyz = (x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33)
+        adj_xyz = [sum(r * c for r, c in zip(row, xyz)) for row in adj]
+        hits: dict = {}
+        for inst in red.instances:
+            for sign in (1, -1):
+                num = [sign * inst.k * n for n in adj_xyz]
+                if any(n % det for n in num):
+                    continue
+                pp, pq, qq = (n // det for n in num)
+                if pp < 0 or qq < 0:
+                    continue
+                p, q = isqrt(pp), isqrt(qq)
+                if p * p != pp or q * q != qq or p * q != abs(pq):
+                    continue
+                if pq < 0:
+                    q = -q
+                _collect_solution(param, par, inst.k, p, q, red.form(p, q), cone, hits)
+        if not hits:
+            raise ArithmeticError(f"the sigma-image {(x1, x2, x3)} at t = {param.t} "
+                                  f"has no Hit on the cone {cone}")
+        for canon, new in hits.items():
+            out.setdefault(canon, set()).update(new)
 
 
 def minimal_index(param: FamilyParameter,
@@ -306,10 +392,12 @@ def minimal_index(param: FamilyParameter,
     """Minimal index of the field and every element attaining it.
 
     Tries m = 1, 2, ... and stops at the first m with solutions, each m
-    through the one pipeline of `branch_candidates`.  The rigor is the
-    first non-proven one the solvers returned at the successful m or below
-    it, else proven.  Every element is re-verified with both index
-    computations.
+    through the one pipeline of `branch_candidates`, which searches one
+    cone of each sigma-pair.  The rigor is the first non-proven one the
+    solvers returned at the successful m or below it, else proven.  Every
+    element is re-verified with both index computations, and the set is
+    checked to be sigma-stable: the canonical sigma-image of each element
+    is in it.  Either check raises ArithmeticError when it fails.
     """
     rigor = Rigor.certain()
     for m in range(1, param.n + 1):
@@ -324,6 +412,10 @@ def minimal_index(param: FamilyParameter,
                 raise ArithmeticError(
                     f"verification failed for {canon} at t={param.t}: "
                     f"oracle={m_oracle}, forms={m_forms}, expected {m}")
+            image = _sigma_image(canon, param)
+            if image not in found:
+                raise ArithmeticError(f"the sigma-image {image} of {canon} at t={param.t} "
+                                      f"is missing from the elements of index {m}")
         if found:
             return MinimalIndexResult(
                 t=param.t, m=m, elements=_sort_elements(found), rigor=rigor,

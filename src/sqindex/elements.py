@@ -17,6 +17,9 @@ basis, which certifies once that the basis spans a ring; every M(e) and
 every product is then integral by construction.  b1 = 1 (B0 = id) and Z_K
 is commutative, so only six products b(i+1)*b(j+1), 1 <= i <= j <= 3, are
 formed.  The index is translation invariant: it is computed on the triple.
+
+K is cyclic: sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q), and
+`sigma` applies it as an integer matrix built from the same table.
 """
 
 from __future__ import annotations
@@ -137,7 +140,12 @@ def _back_substitute(x: int, y: int, z: int, param: FamilyParameter
     return x1, x2, z
 
 
-@lru_cache(maxsize=16)
+# Parameters whose tables stay cached, about 4 KB each: more than a pass of
+# any caller visits, so a caller cycling through its parameters never rebuilds.
+_CACHED_PARAMETERS = 128
+
+
+@lru_cache(maxsize=_CACHED_PARAMETERS)
 def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Entry (i, j) of M(e) as its coefficients (B0[i][j], .., B3[i][j]) in X0..X3.
 
@@ -165,6 +173,53 @@ def _mult_table(param: FamilyParameter) -> tuple[tuple[tuple[int, ...], ...], ..
     if abs(_basis_det(table, (1, 0, 0))) != param.n:
         raise ArithmeticError(f"multiplication table of {param} does not give I(xi) = n")
     return table
+
+
+def _exact_div(vec, d: int, what: str) -> tuple[int, ...]:
+    if any(c % d for c in vec):
+        raise ArithmeticError(f"{what}: {vec} is not divisible by {d}")
+    return tuple(c // d for c in vec)
+
+
+@lru_cache(maxsize=_CACHED_PARAMETERS)  # the lifetime of `_mult_table`
+def _sigma_columns(param: FamilyParameter) -> tuple[tuple[int, int, int, int], ...]:
+    """Column j holds the coordinates of sigma(b(j+1)), sigma(xi) = (xi - 1)/(xi + 1).
+
+    P_t(x) = (x + 1) Q(x) - 4 with Q(x) = x^3 - (t+1) x^2 + (t-5) x + 5, so
+    1/(xi + 1) = Q(xi)/4 and sigma(xi) = (xi - 1) Q(xi) / 4; then
+    sigma(b_i) = (sum_k r_ik sigma(xi)^k) / g over the basis rows r_i.  The
+    products go through `multiply`, and every division is exact or raises
+    ArithmeticError.  The basis lattice is sigma-stable also where the odd
+    part of t^2 + 16 is not squarefree: only 2 divides g and 4, so at each
+    odd prime the lattice is Z[xi] and sigma maps Z[xi] into it, and at 2
+    the basis is that of the maximal order, which sigma keeps.
+    """
+    t = param.t
+
+    def mul(a, b):
+        return multiply(AlgebraicInt(a), AlgebraicInt(b), param).coords
+
+    one, xi = (1, 0, 0, 0), (0, 1, 0, 0)
+    xi2 = mul(xi, xi)
+    q = _combine((5, t - 5, -(t + 1), 1), (one, xi, xi2, mul(xi2, xi)))
+    s = _exact_div(mul((-1, 1, 0, 0), q), 4, f"sigma(xi) of {param}")
+    s2 = mul(s, s)
+    powers = (one, s, s2, mul(s2, s))
+    return tuple(_exact_div(_combine(row, powers), param.g, f"sigma(b) of {param}")
+                 for row in param.basis_num)
+
+
+def _combine(coeffs, vecs) -> tuple[int, int, int, int]:
+    """sum c*vec over the pairs, coordinatewise."""
+    return tuple(sum(c * vec[i] for c, vec in zip(coeffs, vecs)) for i in range(4))
+
+
+def sigma(e: AlgebraicInt, param: FamilyParameter) -> AlgebraicInt:
+    """sigma(e) for the generator sigma(xi) = (xi - 1)/(xi + 1) of Gal(K/Q).
+
+    sigma fixes Q, so it commutes with translation, and I(sigma(e)) = I(e).
+    """
+    return AlgebraicInt(_combine(e.coords, _sigma_columns(param)))
 
 
 def multiply(u: AlgebraicInt, v: AlgebraicInt, param: FamilyParameter) -> AlgebraicInt:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 # Supported range for the trial-division squarefree test of the odd part
 # of t^2 + 16.  Enough for desk scale; raise deliberately, not silently.
@@ -86,21 +87,25 @@ def v2_class(t: int) -> V2Class:
 def odd_square_divisor(n: int) -> int | None:
     """Smallest square d^2 > 1 of an odd prime d dividing the odd part of n.
 
-    Trial division up to sqrt of the odd part; None if the odd part is
-    squarefree.
+    Trial division while d^3 <= m, m the odd part with the primes below d
+    divided out.  Then every prime factor of m is at least d > m^(1/3), so
+    m has at most two, and it has a square factor exactly when it is the
+    square p^2 > 1 of a prime p >= d, the smallest odd prime square left.
+    None if the odd part is squarefree.
     """
     m = abs(n)
     if m == 0:
         return None
     m >>= v2(m)
     d = 3
-    while d * d <= m:
+    while d * d * d <= m:
         if m % (d * d) == 0:
             return d * d
         while m % d == 0:
             m //= d
         d += 2
-    return None
+    r = isqrt(m)
+    return m if r > 1 and r * r == m else None
 
 
 @dataclass(frozen=True)

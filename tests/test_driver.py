@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sqindex.fieldmodel import (MAX_SUPPORTED_T, odd_square_divisor, v2_class,
                                 validate_parameter)
 from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
-                              index_oracle, mult_matrix, triple_from_xyz)
+                              index_oracle, mult_matrix, sigma, triple_from_xyz)
 from sqindex.indexcore import NotInRange, TernaryForm, family_forms, rhs_decompositions
 from sqindex.conic import _det3, parametrize, thue_reduction
 from sqindex.thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
@@ -19,7 +19,7 @@ from sqindex.thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, famil
 from sqindex import driver
 from sqindex.driver import (Hit, _collect_solution, _index_form, _index_scan, branch_candidates,
                             brute_force_minimal, candidate_uv_pairs, enumerate_case2_triples,
-                            find_point, local_sieve, minimal_index_for)
+                            find_point, local_sieve, minimal_index, minimal_index_for)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
 from test_conic import _GOLDEN_OBSTRUCTED, _find_point_by_rows
 
@@ -381,6 +381,134 @@ def test_local_sieve_same_verdict_on_sigma_pairs():
     assert len(verdicts) == 108
     for (t, u, v), modulus in verdicts.items():
         assert verdicts[(t, -u - 4 * v, v)] == modulus
+
+
+def test_sigma_pairs_of_the_whole_family():
+    # sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q) and the index is Galois-invariant,
+    # so each cone (u, v) has the mate (-u - 4v, v) at the same (t, m): s = u + 2v and
+    # F change sign, and the local sieve gives both the same verdict
+    cones = {(c.t, c.implied_m, c.u, c.v) for c in enumerate_case2_triples(4095)}
+    assert len(cones) == 108
+    for t, m, u, v in cones:
+        mate = (t, m, -u - 4 * v, v)
+        assert mate in cones and mate != (t, m, u, v)
+        f = family_forms(t)[0]
+        assert f(-u - 4 * v, v) == -f(u, v) != 0
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        assert local_sieve(param, *mate[2:]) == local_sieve(param, u, v)
+    assert sum(u + 2 * v > 0 for _, _, u, v in cones) == 54
+
+
+def _both_cones(param, m, thue_bound=DEFAULT_THUE_BOUND):
+    """`branch_candidates` as it searched both cones of each sigma-pair: the referee."""
+    t = param.t
+    a, l = rhs_decompositions(param, m)
+    cones = [(1 << l // 3, 0)] if a == 1 and l % 3 == 0 else []
+    _, q1, q2 = family_forms(t)
+    out = {}
+    rigor = Rigor.certain()
+    for u, v in cones + candidate_uv_pairs(param, m):
+        if local_sieve(param, u, v) is not None:
+            continue
+        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
+        qform, target = (q1, u) if u != 0 else (q2, v)
+        red = thue_reduction(par, qform, target)
+        if not red.instances:
+            continue
+        targets = {w for inst in red.instances for w in (inst.rhs, -inst.rhs)}
+        if red.form == family_form(t) and not any(w & (w - 1) for w in map(abs, targets)):
+            sols = {w: solve_power_of_two(t, w) for w in targets}
+        else:
+            sols = bounded_search_multi(red.form, targets, thue_bound)
+        if rigor.proven:
+            rigor = next((sol.rigor for sol in sols.values() if not sol.rigor.proven), rigor)
+        for inst in red.instances:
+            for w in (inst.rhs, -inst.rhs):
+                for p, q in sols[w]:
+                    _collect_solution(param, par, inst.k, p, q, w, (u, v), out)
+    return out, rigor
+
+
+def _cone_t_pairs():
+    """(param, m) for every m at the 26 t that have case-II cones."""
+    for t in sorted({c.t for c in enumerate_case2_triples(4095)}):
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        for m in range(1, param.n + 1):
+            yield param, m
+
+
+def test_one_search_per_sigma_pair_matches_searching_both_cones(monkeypatch):
+    # the mate's elements are the sigma-images of its pair's, with the Hits its own
+    # search would give: elements, Hits and rigor agree at every (t, m) of the cone t,
+    # and the bounded search runs on no s < 0 cone
+    searched = []
+
+    def bounded(form, targets, bound):
+        searched.append(form)
+        return bounded_search_multi(form, targets, bound)
+
+    pairs, mate_hits, negated = 0, 0, 0
+    for param, m in _cone_t_pairs():
+        want = _both_cones(param, m)
+        monkeypatch.setattr(driver, "bounded_search_multi", bounded)
+        got = branch_candidates(param, m)
+        monkeypatch.undo()
+        assert got == want, (param.t, m)
+        pairs += 1
+        for canon, hits in got[0].items():
+            for h in (h for h in hits if h.u + 2 * h.v < 0):
+                # the Hit's point is +-k times the element's power part
+                par = driver._reduction(param.t, h.u, h.v)[1]
+                point = triple_from_xyz(*(c // h.k for c in par.evaluate(h.p, h.q)), param)
+                assert canonical_triple(point) == canon
+                mate_hits += 1
+                negated += point != canon
+    assert pairs == 330 and mate_hits > 0 and negated > 0
+    assert len(searched) == 17  # one per open sigma-pair of case-II cones; 34 cones are open
+
+
+def test_small_boxes_keep_the_elements_sigma_stable():
+    # with a box too small to hold every solution, the searched cone's elements are
+    # closed under sigma^2 (which keeps the cone) before the mate takes their images,
+    # so the sigma-check of minimal_index holds for any box
+    for t in (2, 8, 12, 16, 20, 24, 28, 32):
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        for bound in (1, 2, 5, 10):
+            res = minimal_index(param, bound)
+            assert res.rigor == Rigor.bounded(bound)
+            for canon in res.elements:
+                image = canonical_triple(sigma(AlgebraicInt((0, *canon)), param).triple)
+                assert image in res.elements, (t, bound, canon)
+
+
+def test_a_sigma_image_without_hits_raises(monkeypatch):
+    # with sigma the identity, each image lies on the searched cone, not on its mate
+    param = validate_parameter(12)
+    assert branch_candidates(param, 3)[0]
+    monkeypatch.setattr(driver, "sigma", lambda e, p: e)
+    with pytest.raises(ArithmeticError, match="has no Hit on the cone"):
+        branch_candidates(param, 3)
+
+
+def test_a_cone_without_its_mate_raises(monkeypatch):
+    param = validate_parameter(12)
+    pairs = candidate_uv_pairs(param, 3)
+    assert pairs and all((-u - 4 * v, v) in pairs for u, v in pairs)
+    for drop in pairs:
+        monkeypatch.setattr(driver, "candidate_uv_pairs",
+                            lambda p, m, drop=drop: [uv for uv in pairs if uv != drop])
+        with pytest.raises(ArithmeticError, match="not sigma-pairs"):
+            branch_candidates(param, 3)
+
+
+def test_minimal_index_sigma_check_raises_on_a_missing_image(monkeypatch):
+    param = validate_parameter(12)
+    found, rigor = branch_candidates(param, 3)
+    dropped = dict(sorted(found.items())[1:])
+    monkeypatch.setattr(driver, "branch_candidates",
+                        lambda p, m, b: (dropped, rigor) if m == 3 else ({}, Rigor.certain()))
+    with pytest.raises(ArithmeticError, match="sigma-image"):
+        driver.minimal_index(param)
 
 
 def test_local_sieve_closed_branches_have_no_bounded_thue_solutions():

@@ -14,7 +14,7 @@ from sqindex.indexcore import index_via_forms
 from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
                               _mult_table, canonical_triple,
                               coords_from_power, from_power_rep,
-                              index_oracle, mult_matrix, multiply, to_power_rep,
+                              index_oracle, mult_matrix, multiply, sigma, to_power_rep,
                               triple_from_xyz)
 
 XI = AlgebraicInt((0, 1, 0, 0))
@@ -245,6 +245,54 @@ def test_mult_table_six_products_against_sixteen(t):
             assert table[i][j][0] == int(i == j)  # B0 = id
             for k in range(4):
                 assert table[i][j][k] == table[i][k][j]  # Bk[i][j] = Bj[i][k]
+
+
+def _polynomial_at(e, param):
+    """P_t(e) = e^4 - t*e^3 - 6*e^2 + t*e + 1 in coordinates, through `multiply`."""
+    t, acc = param.t, AlgebraicInt((1, 0, 0, 0))
+    for c in (-t, -6, t, 1):  # Horner: acc = acc*e + c
+        prod = multiply(acc, e, param).coords
+        acc = AlgebraicInt((prod[0] + c, *prod[1:]))
+    return acc
+
+
+# one t per 2-adic class, larger ones, and the hypothesis violators 28 and 128
+@pytest.mark.parametrize("t", (1, 2, 4, 8, 5, 12, 40, 28, 128, 9_999, 10 ** 6))
+def test_sigma_is_a_galois_generator(t):
+    # sigma(xi) = (xi - 1)/(xi + 1) is a root of P_t, sigma^4 = id, and sigma^2 is not id:
+    # it generates the cyclic group Gal(K/Q) of order 4
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    s = sigma(XI, param)
+    assert s != XI and _polynomial_at(s, param) == AlgebraicInt((0, 0, 0, 0))
+    # (xi + 1) sigma(xi) = xi - 1
+    assert multiply(AlgebraicInt((1, 1, 0, 0)), s, param) == AlgebraicInt((-1, 1, 0, 0))
+    assert sigma(s, param) != XI
+    for i in range(4):
+        b = AlgebraicInt(tuple(int(k == i) for k in range(4)))
+        image = b
+        for _ in range(4):
+            image = sigma(image, param)
+        assert image == b, (t, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_TABLE_T, u=_COORDS, v=_COORDS)
+@example(t=1, u=(0, 1, 0, 0), v=(0, 1, 0, 0))
+@example(t=2, u=(0, 0, 0, 1), v=(0, 0, 1, 0))
+@example(t=4, u=(0, 0, 1, 0), v=(0, 0, 0, 1))
+@example(t=8, u=(0, 0, 1, 1), v=(0, 0, 0, 1))
+@example(t=28, u=(0, 0, 0, 1), v=(3, 0, 0, 1))
+@example(t=128, u=(10 ** 6, -10 ** 6, 10 ** 6, -10 ** 6), v=(1, 2, 3, 4))
+def test_sigma_is_a_ring_automorphism_preserving_the_index(t, u, v):
+    # also on the hypothesis violators: the basis lattice is sigma-stable
+    param = validate_parameter(t, allow_hypothesis_violation=t in (28, 128))
+    u, v = AlgebraicInt(u), AlgebraicInt(v)
+    assert sigma(multiply(u, v, param), param) == \
+        multiply(sigma(u, param), sigma(v, param), param)
+    assert index_oracle(sigma(u, param), param) == index_oracle(u, param)
+    # sigma fixes Q, so it commutes with translation
+    shifted = AlgebraicInt((u.coords[0] + 7, *u.triple))
+    assert sigma(shifted, param).triple == sigma(u, param).triple
 
 
 @settings(max_examples=150, deadline=None)

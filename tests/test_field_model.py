@@ -18,6 +18,34 @@ def valid_t(limit):
     return out
 
 
+def _odd_square_divisor_to_sqrt(n):
+    """The squarefree test by trial division up to the square root of the odd part."""
+    m = abs(n)
+    if m == 0:
+        return None
+    m >>= (m & -m).bit_length() - 1
+    d = 3
+    while d * d <= m:
+        if m % (d * d) == 0:
+            return d * d
+        while m % d == 0:
+            m //= d
+        d += 2
+    return None
+
+
+def test_odd_square_divisor_to_the_cube_root_matches_trial_division_to_the_root():
+    for n in range(-10, 2 * 10 ** 5 + 1):
+        assert odd_square_divisor(n) == _odd_square_divisor_to_sqrt(n), n
+    for t in range(1, 2 * 10 ** 4 + 1):
+        n = t * t + 16
+        assert odd_square_divisor(n) == _odd_square_divisor_to_sqrt(n), t
+    # the cofactor left past the cube root is a prime square, or a square of the smallest prime
+    assert [odd_square_divisor(n) for n in (9, 25 * 7, 3 * 101 ** 2, 2 ** 5 * 997 ** 2,
+                                            101 * 103, 5 ** 3)] == \
+        [9, 25, 101 ** 2, 997 ** 2, None, 25]
+
+
 def test_validate_examples():
     p = validate_parameter(2)
     assert (p.v2_class, p.n, p.g) == (V2Class.V1, 4, 2)
