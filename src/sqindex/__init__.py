@@ -17,8 +17,8 @@ from .indexcore import (ResolventForm, TernaryForm, family_forms,
 from .thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
                    family_form, solve_power_of_two)
 from .conic import DegeneratePoint, Parametrization, parametrize, thue_reduction
-from .driver import (CaseTwoTriple, Hit, MinimalIndexResult, branch_candidates,
-                     brute_force_minimal, enumerate_case2_triples, find_point, local_sieve,
-                     minimal_index, minimal_index_for)
+from .driver import (CaseTwoTriple, GaloisImage, Hit, MinimalIndexResult, VerificationError,
+                     branch_candidates, brute_force_minimal, enumerate_case2_triples, find_point,
+                     local_sieve, minimal_index, minimal_index_for)
 
 __version__ = "0.1.0"

@@ -24,9 +24,10 @@ K is cyclic and sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q)
 (`elements.sigma`); the index is Galois-invariant.  So the case-II cones
 come in sigma-pairs: the mate of (u, v) is (-u - 4v, v), where s = u + 2v
 and F change sign, and its elements are the sigma-images of the cone's.
-Only the case-I cone and the s > 0 cones are sieved and searched; each
-mate takes the sigma-images of its pair's elements, with their Hits
-recovered exactly on its own parametrization, and the rigor of its pair.
+Only the case-I cone and the s > 0 cones are sieved and searched.  A mate
+is never parametrized: it takes the sigma-images of its pair's elements,
+each recorded as a `GaloisImage` (not a Thue `Hit`) and checked to lie on
+the mate, and the rigor of its pair.
 
 The case-II equation F(u, v) = +-g^6 m / n is solved once for the whole
 family: `_cones(class, m)` solves v^2 (t^2 + 16) = a1^2 4^i +- a2 2^(l-i)
@@ -34,11 +35,11 @@ for t, so the table is finite by construction and needs no cut-off in t
 (every such sum is at most 2^24 + 1, whence t <= 4095).  It holds 108
 cones, all at t <= 256.  The sieve closes 74 of them: the 22 without a
 rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  The
-34 residual cones have base points in closed form (`find_point`): five
-rules in s = u + 2v, each a polynomial identity in (t, v), cover 32 of
-them, and a two-entry table the other two, at t = 4.  Each cone
-parametrizes through its point (a pinned test checks all 34), so every
-branch ends in a proof or a Thue search.
+34 residual cones form 17 sigma-pairs, and the 17 with s > 0 have base
+points in closed form (`find_point`): two rules in s = u + 2v, each a
+polynomial identity in (t, v), cover 16 of them, and a literal point
+the cone (36, 10) at t = 4.  Each parametrizes through its point, so
+every searched branch ends in a proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
@@ -69,6 +70,10 @@ from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
 from .conic import divisors, parametrize, thue_reduction
 
 
+class VerificationError(ArithmeticError):
+    """A computed result failed one of its exact checks."""
+
+
 class Hit(NamedTuple):
     """One Thue solution (p, q) of form = w, divisor k, that gave an element."""
 
@@ -79,6 +84,16 @@ class Hit(NamedTuple):
     p: int
     q: int
     w: int
+
+
+class GaloisImage(NamedTuple):
+    """The element is sigma^power of the element `of`; it lies on the cone (u, v)."""
+
+    case: str
+    u: int
+    v: int
+    power: int
+    of: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,7 @@ class MinimalIndexResult:
     m: int
     elements: tuple[tuple[int, int, int], ...]
     rigor: Rigor
-    trace: dict  # canonical element -> sorted tuple of its Hits
+    trace: dict  # canonical element -> sorted tuple of its Hits and GaloisImages
     hypothesis_ok: bool
 
 
@@ -231,47 +246,38 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     return None
 
 
-# Base points of the two residual cones, both at t = 4, that no rule of
-# `find_point` covers: (t, u, v) -> the point
-_LITERAL_POINTS = {(4, 36, 10): (-11, -5, 1), (4, -76, 10): (1, -3, 1)}
-
-
 def find_point(t: int, u: int, v: int) -> tuple[int, int, int]:
     """A nonzero integer point on the cone v*Q1 - u*Q2 = 0 of the family at t.
 
     The case-I cone v = 0 is -u*Q2 = 0, through (-6, 0, 1) as
-    Q2(x, 0, 1) = -x - 6.  Otherwise, with s = u + 2v, the first rule
-    that holds gives the point:
+    Q2(x, 0, 1) = -x - 6.  Otherwise, with s = u + 2v, two rules give the
+    point:
 
-      1. s = -4v:   (0, 1, 0)
-      2. s = 2tv:   (2, 1, 0)
-      3. s = -2tv:  (-2, 1, 0)
-      4. s = tv:    (-(t+3), -(t-1), 1)
-      5. s = -tv:   (t-7, -(t+1), 1)
+      s = 2tv:  (2, 1, 0)
+      s = tv:   (-(t+3), -(t-1), 1)
 
     Each rule is a polynomial identity on `family_forms`, in (t, u) for
     v = 0 and in (t, v) for the others (a test proves them with sympy).
-    Rule 3 at t = 2 and rule 5 at t = 4 read s = -4v too; rule 1 goes
-    first, so those cones take (0, 1, 0).
-    `_LITERAL_POINTS` holds the two residual cones no rule covers.  Any
-    other cone raises ValueError, and `parametrize` checks every point on
-    its cone.
+    With the literal point (-11, -5, 1) of (t, u, v) = (4, 36, 10) they
+    cover every cone the driver parametrizes: the case-I cones and the 17
+    residual s > 0 cones (a mate, s < 0, is never parametrized).  Any other
+    cone raises ValueError, and `parametrize` checks every point on its cone.
     """
     if v == 0:
         return (-6, 0, 1)
     s = u + 2 * v
-    for rule, point in ((-4 * v, (0, 1, 0)), (2 * t * v, (2, 1, 0)), (-2 * t * v, (-2, 1, 0)),
-                        (t * v, (-(t + 3), -(t - 1), 1)), (-t * v, (t - 7, -(t + 1), 1))):
-        if s == rule:
-            return point
-    if (t, u, v) in _LITERAL_POINTS:
-        return _LITERAL_POINTS[t, u, v]
+    if s == 2 * t * v:
+        return (2, 1, 0)
+    if s == t * v:
+        return (-(t + 3), -(t - 1), 1)
+    if (t, u, v) == (4, 36, 10):
+        return (-11, -5, 1)
     raise ValueError(f"no base point known for the cone (t, u, v) = {(t, u, v)}")
 
 
 def branch_candidates(param: FamilyParameter, m: int,
                       thue_bound: int = DEFAULT_THUE_BOUND) -> tuple[dict, Rigor]:
-    """Elements of index m from every branch (u, v), and the rigor of their solvers.
+    """Elements of index m from every branch (u, v), each with its records, and the rigor.
 
     The cones are the case-I cone (2^(l/3), 0) when g^6 m / n = 2^l with
     3 | l, then `candidate_uv_pairs`.  The case-I cone and each case-II cone
@@ -281,30 +287,31 @@ def branch_candidates(param: FamilyParameter, m: int,
     the family form F_t with right sides +-2^e go to the complete
     `solve_power_of_two`, the others to `bounded_search_multi` with box
     thue_bound.  The rigor is the first non-proven one returned, if any.
+    Each element found carries one `Hit` per Thue solution that gave it.
 
     The case-II cones come in sigma-pairs: the mate of (u, v) is
     (-u - 4v, v), with s and F negated, and its elements are the sigma-images
-    of the searched cone's (`sigma`), so the mate is not searched and
-    carries the rigor, and the box, of its pair.  sigma^2 keeps each cone,
-    so the searched cone's elements are first closed under it (a box too
-    small for a whole orbit would otherwise leave the set not sigma-stable),
-    then mapped by sigma.  Each image gets its Hits on its cone's
-    parametrization from `_image_hits`; a cone without its mate raises
-    ArithmeticError.
+    of the searched cone's, so the mate is neither parametrized nor searched
+    and carries the rigor, and the box, of its pair: `_add_sigma_images`
+    records each image as a `GaloisImage`.  A cone without its mate raises
+    VerificationError.
     """
     t = param.t
     a, l = rhs_decompositions(param, m)
     cones = candidate_uv_pairs(param, m)
     if any((-u - 4 * v, v) not in cones for u, v in cones):
-        raise ArithmeticError(f"the case-II cones of {param} at m = {m} are not sigma-pairs")
+        raise VerificationError(f"the case-II cones of {param} at m = {m} are not sigma-pairs")
     if a == 1 and l % 3 == 0:
         cones.insert(0, (1 << l // 3, 0))
+    _, q1, q2 = family_forms(t)
     out: dict = {}
     rigor = Rigor.certain()
     for u, v in cones:
         if u + 2 * v < 0 or local_sieve(param, u, v) is not None:
             continue
-        red, par = _reduction(t, u, v)
+        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
+        qform, target = (q1, u) if u != 0 else (q2, v)
+        red = thue_reduction(par, qform, target)
         if not red.instances:
             continue
         targets = {w for inst in red.instances for w in (inst.rhs, -inst.rhs)}
@@ -319,72 +326,39 @@ def branch_candidates(param: FamilyParameter, m: int,
             for w in (inst.rhs, -inst.rhs):
                 for p, q in sols[w]:
                     _collect_solution(param, par, inst.k, p, q, w, (u, v), found)
-        if v and found:  # close found under sigma^2, which keeps the cone, then map it
-            _image_hits(param, (u, v), red, par,
-                        {_sigma_image(c, param, 2) for c in found} - found.keys(), found)
-            mate = (-u - 4 * v, v)
-            _image_hits(param, mate, *_reduction(t, *mate),
-                        [_sigma_image(c, param) for c in found], out)
+        if v:  # the case-I cone has no mate
+            _add_sigma_images(param, (u, v), found, out)
         out.update(found)
     return out, rigor
 
 
-def _reduction(t: int, u: int, v: int):
-    """(Thue reduction, parametrization) of the cone (u, v) through its `find_point`."""
-    _, q1, q2 = family_forms(t)
-    par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
-    qform, target = (q1, u) if u != 0 else (q2, v)
-    return thue_reduction(par, qform, target), par
+def _add_sigma_images(param: FamilyParameter, cone: tuple[int, int], found: dict,
+                      out: dict) -> None:
+    """Add to out sigma^k(c), k = 1, 2, 3, of each element c found on the searched cone.
 
-
-def _sigma_image(canon, param: FamilyParameter, times: int = 1) -> tuple[int, int, int]:
-    """The canonical triple of sigma^times of the element with triple canon."""
-    e = AlgebraicInt((0, *canon))
-    for _ in range(times):
-        e = sigma(e, param)
-    return canonical_triple(e.triple)
-
-
-def _image_hits(param: FamilyParameter, cone: tuple[int, int], red, par, images,
-                out: dict) -> None:
-    """Add each image triple, with its Hits on the cone's reduction (red, par), to out.
-
-    The image's power part (x*xi + y*xi^2 + z*xi^3)/g solves
-    k*sign*(x, y, z) = C.(p^2, pq, q^2) for an instance k of red exactly
-    when the adjugate of C gives (p^2, pq, q^2) = adj(C).k*sign*(x, y, z)/det C
-    with two integral square roots; each (p, q), first nonzero entry
-    positive as in the search, goes through `_collect_solution`, which
-    re-verifies it.  An image that gets no Hit raises ArithmeticError.
+    sigma and sigma^3 map the cone onto its mate (-u - 4v, v).  sigma^2 keeps
+    the cone, so sigma^2(c) is added only when the search did not find it (a
+    box too small for a whole orbit would otherwise leave the set not
+    sigma-stable).  Each image is checked to lie on its cone: Q1 and Q2 of
+    its power part (x*xi + y*xi^2 + z*xi^3)/g must be +-(u', v'), else
+    VerificationError.
     """
-    (a, b, c), (d, e, f), (g, h, i) = par.rows
-    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-           (f * g - d * i, a * i - c * g, c * d - a * f),
-           (d * h - e * g, b * g - a * h, a * e - b * d))
-    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    u, v = cone
+    _, q1, q2 = family_forms(param.t)
     _, (_, r11, _, _), (_, r21, r22, _), (_, r31, r32, r33) = param.basis_num
-    for x1, x2, x3 in images:
-        xyz = (x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33)
-        adj_xyz = [sum(r * c for r, c in zip(row, xyz)) for row in adj]
-        hits: dict = {}
-        for inst in red.instances:
-            for sign in (1, -1):
-                num = [sign * inst.k * n for n in adj_xyz]
-                if any(n % det for n in num):
-                    continue
-                pp, pq, qq = (n // det for n in num)
-                if pp < 0 or qq < 0:
-                    continue
-                p, q = isqrt(pp), isqrt(qq)
-                if p * p != pp or q * q != qq or p * q != abs(pq):
-                    continue
-                if pq < 0:
-                    q = -q
-                _collect_solution(param, par, inst.k, p, q, red.form(p, q), cone, hits)
-        if not hits:
-            raise ArithmeticError(f"the sigma-image {(x1, x2, x3)} at t = {param.t} "
-                                  f"has no Hit on the cone {cone}")
-        for canon, new in hits.items():
-            out.setdefault(canon, set()).update(new)
+    for canon in found:
+        e = AlgebraicInt((0, *canon))
+        for power in (1, 2, 3):
+            e = sigma(e, param)
+            x1, x2, x3 = image = canonical_triple(e.triple)
+            if power == 2 and image in found:
+                continue
+            iu, iv = (u, v) if power == 2 else (-u - 4 * v, v)
+            xyz = (x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33)
+            if (q1(*xyz), q2(*xyz)) not in ((iu, iv), (-iu, -iv)):
+                raise VerificationError(f"the sigma^{power}-image {image} of {canon} at "
+                                        f"t={param.t} is not on the cone {(iu, iv)}")
+            out.setdefault(image, set()).add(GaloisImage("sigma", iu, iv, power, canon))
 
 
 def minimal_index(param: FamilyParameter,
@@ -397,7 +371,7 @@ def minimal_index(param: FamilyParameter,
     solvers returned at the successful m or below it, else proven.  Every
     element is re-verified with both index computations, and the set is
     checked to be sigma-stable: the canonical sigma-image of each element
-    is in it.  Either check raises ArithmeticError when it fails.
+    is in it.  Either check raises VerificationError when it fails.
     """
     rigor = Rigor.certain()
     for m in range(1, param.n + 1):
@@ -409,19 +383,19 @@ def minimal_index(param: FamilyParameter,
             m_oracle = index_oracle(e, param)
             m_forms = index_via_forms(to_power_rep(e, param), param)
             if m_oracle != m or m_forms != m:
-                raise ArithmeticError(
+                raise VerificationError(
                     f"verification failed for {canon} at t={param.t}: "
                     f"oracle={m_oracle}, forms={m_forms}, expected {m}")
-            image = _sigma_image(canon, param)
+            image = canonical_triple(sigma(e, param).triple)
             if image not in found:
-                raise ArithmeticError(f"the sigma-image {image} of {canon} at t={param.t} "
-                                      f"is missing from the elements of index {m}")
+                raise VerificationError(f"the sigma-image {image} of {canon} at t={param.t} "
+                                        f"is missing from the elements of index {m}")
         if found:
             return MinimalIndexResult(
                 t=param.t, m=m, elements=_sort_elements(found), rigor=rigor,
                 trace={c: tuple(sorted(hits)) for c, hits in found.items()},
                 hypothesis_ok=param.odd_part_squarefree)
-    raise ArithmeticError(f"no index <= n found for t={param.t}; I(xi) = n is always attained")
+    raise VerificationError(f"no index <= n found for t={param.t}; I(xi) = n is always attained")
 
 
 def minimal_index_for(t: int, allow_hypothesis_violation: bool = False,

@@ -6,15 +6,17 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from sqindex import cli, driver
 from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, MAX_THUE_RHS, build_parser, main
 from sqindex.fieldmodel import MAX_SUPPORTED_T
-from sqindex.driver import DEFAULT_THUE_BOUND
+from sqindex.driver import DEFAULT_THUE_BOUND, minimal_index_for
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
@@ -146,6 +148,41 @@ def test_minimal_index_command(capsys):
     assert doc["results"]["brute_agrees"] is True
     assert len(doc["results"]["elements"]) == 6
     assert doc["results"]["rigor"] == f"BoundedSearchOnly({DEFAULT_THUE_BOUND})"
+
+
+@pytest.mark.parametrize("argv, same_m", [
+    (("minimal-index", "24", "--brute-check"), True),  # some minimal elements lie outside t + 40
+    (("minimal-index", "4", "--brute-check", "--box", "1"), False),  # none lies inside
+])
+def test_brute_check_agrees_on_what_its_box_holds(capsys, argv, same_m):
+    code, out, _ = run(capsys, "--json", *argv)
+    results = json.loads(out)["results"]
+    brute, box = results["brute_force"], results["brute_force"]["box"]
+    inside = [e for e in results["elements"] if max(map(abs, e)) <= box]
+    assert code == 0 and results["brute_agrees"] is True
+    assert len(inside) < len(results["elements"])
+    if same_m:
+        assert brute["m"] == results["m"] and brute["elements"] == inside
+    else:
+        assert brute["m"] > results["m"] and inside == []
+
+
+def test_brute_check_disagrees_when_an_element_in_the_box_is_missing(capsys, monkeypatch):
+    res = minimal_index_for(12)
+    dropped = next(e for e in res.elements if max(map(abs, e)) <= 30)
+    monkeypatch.setattr(cli, "minimal_index", lambda param, thue_bound: replace(
+        res, elements=tuple(e for e in res.elements if e != dropped)))
+    code, out, _ = run(capsys, "minimal-index", "12", "--brute-check", "--box", "30")
+    assert code == 1 and "brute-force box 30: m = 3 (DISAGREES)" in out
+
+
+def test_a_verification_failure_exits_1_with_one_line(capsys, monkeypatch):
+    # with sigma the identity, an image lands on the searched cone, not on the mate
+    monkeypatch.setattr(driver, "sigma", lambda e, param: e)
+    code, out, err = run(capsys, "minimal-index", "12")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert "t=12" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

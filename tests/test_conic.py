@@ -92,8 +92,7 @@ def test_find_point_rules_are_identities():
     _, q1, q2 = family_forms(t)
     assert find_point(t, u, 0) == (-6, 0, 1)
     assert sympy.expand(TernaryForm.combine(0, q1, -u, q2)(-6, 0, 1)) == 0
-    rules = {-4 * v: (0, 1, 0), 2 * t * v: (2, 1, 0), -2 * t * v: (-2, 1, 0),
-             t * v: (-(t + 3), -(t - 1), 1), -t * v: (t - 7, -(t + 1), 1)}
+    rules = {2 * t * v: (2, 1, 0), t * v: (-(t + 3), -(t - 1), 1)}
     for s, want in rules.items():
         u = sympy.expand(s - 2 * v)
         point = find_point(t, u, v)
@@ -153,19 +152,24 @@ _GOLDEN_OBSTRUCTED = {
 }
 
 
-# (t, u, v) of the residual cones whose closed-form base point is not the
-# row scan's first point (both lie on the cone)
-_MOVED_POINTS = {(8, 12, 2), (8, -20, 2), (12, -28, 2), (16, 28, 2), (16, -36, 2),
-                 (20, 36, 2), (28, -60, 2)}
+# (t, u, v) of the searched residual cones whose closed-form base point is
+# not the row scan's first point (both lie on the cone)
+_MOVED_POINTS = {(8, 12, 2), (16, 28, 2), (20, 36, 2)}
 
 
 def test_find_point_matches_row_by_row_reference():
-    # on the residual cones the closed forms agree with the row scan but for seven
-    # cones, and the scan reproduces the two literal points at t = 4
-    residual, moved = 0, set()
+    # the 34 residual cones are 17 sigma-pairs; on the 17 searched ones (s > 0) the
+    # closed forms agree with the row scan but for three cones, and the scan
+    # reproduces the literal point at t = 4; find_point knows no mate (s < 0)
+    residual, searched, moved = 0, 0, set()
     for c in enumerate_case2_triples(256):
         param = validate_parameter(c.t, allow_hypothesis_violation=True)
         if local_sieve(param, c.u, c.v) is not None:
+            continue
+        residual += 1
+        if c.u + 2 * c.v < 0:
+            with pytest.raises(ValueError, match="no base point"):
+                find_point(c.t, c.u, c.v)
             continue
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
@@ -173,11 +177,10 @@ def test_find_point_matches_row_by_row_reference():
         assert q0(*point) == 0 == q0(*reference)
         if point != reference:
             moved.add((c.t, c.u, c.v))
-        residual += 1
-    assert residual == 34 and moved == _MOVED_POINTS
-    for t, u, v in ((4, 36, 10), (4, -76, 10)):
-        _, q1, q2 = family_forms(t)
-        assert _find_point_by_rows(TernaryForm.combine(v, q1, -u, q2)) == find_point(t, u, v)
+        searched += 1
+    assert (residual, searched) == (34, 17) and moved == _MOVED_POINTS
+    _, q1, q2 = family_forms(4)
+    assert _find_point_by_rows(TernaryForm.combine(10, q1, -36, q2)) == find_point(4, 36, 10)
 
 
 def test_golden_obstructed_cones_close_mod_32():
@@ -296,8 +299,11 @@ def test_sign_symmetry_of_uv_candidates():
             continue  # (14,1), (-18,1): no rational point, the sieve closes them
         qa = TernaryForm.combine(v, q1, -u, q2)
         qb = TernaryForm.combine(-v, q1, u, q2)  # the negated form, same cone
-        pa = find_point(12, u, v)
-        assert find_point(12, -u, -v) == pa
+        if u + 2 * v > 0:  # the searched cone of the sigma-pair
+            pa = find_point(12, u, v)
+            assert find_point(12, -u, -v) == pa
+        else:
+            pa = _find_point_by_rows(qa)
         assert qb(*pa) == 0
         assert parametrize(qa, pa).rows == parametrize(qb, pa).rows
 
@@ -334,8 +340,10 @@ def test_small_instance_completeness():
                 assert not brute
                 continue
             q0 = TernaryForm.combine(v, q1, -u, q2)
-            # the driver's base point where it runs, the reference on the cones the sieve closes
-            par = parametrize(q0, _find_point_by_rows(q0) if closed else find_point(t, u, v))
+            # the driver's base point where it runs, the reference on the cones the sieve
+            # closes and on the mates (s < 0), which take sigma-images instead
+            searched = not closed and u + 2 * v > 0
+            par = parametrize(q0, find_point(t, u, v) if searched else _find_point_by_rows(q0))
             vecs = [c0 * ps * ps + c1 * ps * qs + c2 * qs * qs
                     for c0, c1, c2 in par.rows]
             reproduced = set()

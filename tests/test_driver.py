@@ -17,9 +17,10 @@ from sqindex.conic import _det3, parametrize, thue_reduction
 from sqindex.thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
                           solve_power_of_two)
 from sqindex import driver
-from sqindex.driver import (Hit, _collect_solution, _index_form, _index_scan, branch_candidates,
-                            brute_force_minimal, candidate_uv_pairs, enumerate_case2_triples,
-                            find_point, local_sieve, minimal_index, minimal_index_for)
+from sqindex.driver import (GaloisImage, Hit, VerificationError, _collect_solution, _index_form,
+                            _index_scan, branch_candidates, brute_force_minimal,
+                            candidate_uv_pairs, enumerate_case2_triples, find_point, local_sieve,
+                            minimal_index, minimal_index_for)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
 from test_conic import _GOLDEN_OBSTRUCTED, _find_point_by_rows
 
@@ -29,16 +30,18 @@ def canon_set(rows):
 
 
 def _case_candidates(param, m, case):
-    """The elements `branch_candidates` finds at (param, m) through cones of the case.
+    """The elements `branch_candidates` finds at (param, m) on the cones of the case.
 
-    Hit.case is "I" exactly on the v = 0 cone, and an element lies on one cone,
-    so its hits never mix the cases.
+    Hit.case is "I" exactly on the v = 0 cone, a GaloisImage (case "sigma")
+    lies on a case-II cone, and an element lies on one cone, so its records
+    never mix the cases.
     """
     found, _ = branch_candidates(param, m)
-    for hits in found.values():
-        assert all((h.case == "I") == (h.v == 0) for h in hits)
-        assert len({h.case for h in hits}) == 1
-    return {canon: hits for canon, hits in found.items() if next(iter(hits)).case == case}
+    for records in found.values():
+        assert all((r.case == "I") == (r.v == 0) for r in records)
+        assert len({r.v == 0 for r in records}) == 1
+    return {canon: records for canon, records in found.items()
+            if (next(iter(records)).v == 0) == (case == "I")}
 
 
 def test_case1_generic_v0():
@@ -159,11 +162,16 @@ def test_minimal_index_hypothesis_flag():
 
 
 def test_trace_provenance_present():
+    # the searched cone's elements carry Thue Hits, its mate's carry sigma-images
     res = minimal_index_for(12)
     assert set(res.trace) == set(res.elements)
-    for hits in res.trace.values():
-        assert hits and hits == tuple(sorted(set(hits)))
-        assert all(isinstance(h, Hit) and h.case == "II" for h in hits)
+    kinds = set()
+    for records in res.trace.values():
+        assert records and records == tuple(sorted(set(records)))
+        kind = {(type(r), r.case) for r in records}
+        assert kind in ({(Hit, "II")}, {(GaloisImage, "sigma")})
+        kinds |= kind
+    assert len(kinds) == 2
 
 
 def test_enumerate_contains_key_triples():
@@ -236,11 +244,11 @@ def test_case2_cones_of_the_whole_family():
 
     # each cone is nonsingular; the local sieve closes 74 of them, the 22 without a
     # rational point among them; find_point gives a point on the cone or raises, and
-    # it gives one on each of the 34 cones the sieve leaves open, which parametrize
-    # through it, as the 52 soluble cones the sieve closes do through the row scan's
-    # point; each reduced Thue form is totally real with c0 != 0, as the bounded
-    # search requires
-    closed, raised = {}, set()
+    # it gives one on each of the 17 searched cones (s > 0) the sieve leaves open,
+    # which parametrize through it, as their 17 mates and the 52 soluble cones the
+    # sieve closes do through the row scan's point; each reduced Thue form is totally
+    # real with c0 != 0, as the bounded search requires
+    closed, raised, mates = {}, set(), set()
     for c in cones:
         _, q1, q2 = family_forms(c.t)
         q0 = TernaryForm.combine(c.v, q1, -c.u, q2)
@@ -260,12 +268,15 @@ def test_case2_cones_of_the_whole_family():
             if key not in _SIEVE_CLOSED:
                 continue
             point = _find_point_by_rows(q0)
+        elif c.u + 2 * c.v < 0:
+            mates.add(key)
+            point = _find_point_by_rows(q0)
         par = parametrize(q0, point)
         assert _det3(par.rows) != 0
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
         assert thue_reduction(par, qform, target).form.totally_real()
     assert (len(cones), len(closed), len(cones) - len(closed)) == (108, 74, 34)
-    assert _GOLDEN_OBSTRUCTED <= raised <= set(closed)
+    assert len(mates) == 17 and _GOLDEN_OBSTRUCTED <= raised <= set(closed) | mates
 
 
 # (t, m, u, v) -> modulus of every soluble case-II cone of the family the local sieve closes
@@ -400,7 +411,10 @@ def test_sigma_pairs_of_the_whole_family():
 
 
 def _both_cones(param, m, thue_bound=DEFAULT_THUE_BOUND):
-    """`branch_candidates` as it searched both cones of each sigma-pair: the referee."""
+    """`branch_candidates` as it searched both cones of each sigma-pair: the referee.
+
+    A mate (s < 0) takes its base point from the row scan, as `find_point` has none.
+    """
     t = param.t
     a, l = rhs_decompositions(param, m)
     cones = [(1 << l // 3, 0)] if a == 1 and l % 3 == 0 else []
@@ -410,7 +424,8 @@ def _both_cones(param, m, thue_bound=DEFAULT_THUE_BOUND):
     for u, v in cones + candidate_uv_pairs(param, m):
         if local_sieve(param, u, v) is not None:
             continue
-        par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(t, u, v))
+        q0 = TernaryForm.combine(v, q1, -u, q2)
+        par = parametrize(q0, find_point(t, u, v) if u + 2 * v > 0 else _find_point_by_rows(q0))
         qform, target = (q1, u) if u != 0 else (q2, v)
         red = thue_reduction(par, qform, target)
         if not red.instances:
@@ -438,39 +453,84 @@ def _cone_t_pairs():
 
 
 def test_one_search_per_sigma_pair_matches_searching_both_cones(monkeypatch):
-    # the mate's elements are the sigma-images of its pair's, with the Hits its own
-    # search would give: elements, Hits and rigor agree at every (t, m) of the cone t,
-    # and the bounded search runs on no s < 0 cone
-    searched = []
+    # the mate's elements are the sigma-images of its pair's: elements and rigor agree
+    # with searching both cones at every (t, m) of the cone t, and so do the Hits of
+    # every element found on a searched cone; no mate (s < 0) is given a base point,
+    # parametrized, reduced or searched: each call below is fed by the one before it
+    calls = {"find_point": [], "parametrize": [], "thue_reduction": [], "bounded": []}
+
+    def find_point_(t, u, v):
+        assert u + 2 * v > 0, (t, u, v)
+        calls["find_point"].append(find_point(t, u, v))
+        return calls["find_point"][-1]
+
+    def parametrize_(q0, base):
+        assert base == calls["find_point"][-1]
+        calls["parametrize"].append(parametrize(q0, base))
+        return calls["parametrize"][-1]
+
+    def thue_reduction_(par, qform, target):
+        assert par is calls["parametrize"][-1]
+        calls["thue_reduction"].append(thue_reduction(par, qform, target))
+        return calls["thue_reduction"][-1]
 
     def bounded(form, targets, bound):
-        searched.append(form)
+        assert form is calls["thue_reduction"][-1].form
+        calls["bounded"].append(form)
         return bounded_search_multi(form, targets, bound)
 
-    pairs, mate_hits, negated = 0, 0, 0
+    pairs, images = 0, 0
     for param, m in _cone_t_pairs():
-        want = _both_cones(param, m)
-        monkeypatch.setattr(driver, "bounded_search_multi", bounded)
-        got = branch_candidates(param, m)
+        want, want_rigor = _both_cones(param, m)
+        for name, fake in (("find_point", find_point_), ("parametrize", parametrize_),
+                           ("thue_reduction", thue_reduction_), ("bounded_search_multi", bounded)):
+            monkeypatch.setattr(driver, name, fake)
+        got, rigor = branch_candidates(param, m)
         monkeypatch.undo()
-        assert got == want, (param.t, m)
+        assert (got.keys(), rigor) == (want.keys(), want_rigor), (param.t, m)
+        for canon, records in got.items():
+            hits = {r for r in records if isinstance(r, Hit)}
+            assert hits == {h for h in want[canon] if h.u + 2 * h.v > 0}, (param.t, m, canon)
+            images += not hits
         pairs += 1
-        for canon, hits in got[0].items():
-            for h in (h for h in hits if h.u + 2 * h.v < 0):
-                # the Hit's point is +-k times the element's power part
-                par = driver._reduction(param.t, h.u, h.v)[1]
-                point = triple_from_xyz(*(c // h.k for c in par.evaluate(h.p, h.q)), param)
-                assert canonical_triple(point) == canon
-                mate_hits += 1
-                negated += point != canon
-    assert pairs == 330 and mate_hits > 0 and negated > 0
-    assert len(searched) == 17  # one per open sigma-pair of case-II cones; 34 cones are open
+    assert pairs == 330 and images > 0
+    assert len(calls["find_point"]) == len(calls["parametrize"]) == len(calls["thue_reduction"])
+    assert len(calls["bounded"]) == 17  # one per open sigma-pair of case-II cones; 34 are open
+
+
+def test_sigma_images_are_recorded_against_a_searched_element():
+    # at every (t, m) of the cone t: an element with no Hit has GaloisImage records only;
+    # each names an element `of` with Hits on the searched cone, sigma^power(of) is the
+    # element, power 2 names the searched cone and odd powers its mate (-u - 4v, v)
+    records_seen, powers = 0, set()
+    for param, m in _cone_t_pairs():
+        found, _ = branch_candidates(param, m)
+        for canon, records in found.items():
+            if any(isinstance(r, Hit) for r in records):
+                assert all(isinstance(r, Hit) for r in records)
+                continue
+            for r in records:
+                assert isinstance(r, GaloisImage) and r.case == "sigma"
+                cones = {(h.u, h.v) for h in found[r.of] if isinstance(h, Hit)}
+                assert len(cones) == 1, (param.t, m, r)
+                (u, v), = cones
+                assert u + 2 * v > 0
+                assert (r.u, r.v) == ((u, v) if r.power == 2 else (-u - 4 * v, v)), r
+                e = AlgebraicInt((0, *r.of))
+                for _ in range(r.power):
+                    e = sigma(e, param)
+                assert canonical_triple(e.triple) == canon, (param.t, m, r)
+                records_seen += 1
+                powers.add(r.power)
+    assert records_seen > 0 and powers == {1, 3}  # the default box finds whole sigma^2-orbits
 
 
 def test_small_boxes_keep_the_elements_sigma_stable():
     # with a box too small to hold every solution, the searched cone's elements are
-    # closed under sigma^2 (which keeps the cone) before the mate takes their images,
-    # so the sigma-check of minimal_index holds for any box
+    # closed under sigma^2 (which keeps the cone) beside their images on the mate, so
+    # the sigma-check of minimal_index holds for any box, and every element is found
+    # (it has Hits) or recorded as the sigma-image of a found one
+    powers = set()
     for t in (2, 8, 12, 16, 20, 24, 28, 32):
         param = validate_parameter(t, allow_hypothesis_violation=True)
         for bound in (1, 2, 5, 10):
@@ -479,14 +539,20 @@ def test_small_boxes_keep_the_elements_sigma_stable():
             for canon in res.elements:
                 image = canonical_triple(sigma(AlgebraicInt((0, *canon)), param).triple)
                 assert image in res.elements, (t, bound, canon)
+                records = res.trace[canon]
+                if not all(isinstance(r, Hit) for r in records):
+                    assert all(any(isinstance(h, Hit) for h in res.trace[r.of])
+                               for r in records), (t, bound, canon)
+                    powers |= {r.power for r in records}
+    assert powers == {1, 2, 3}
 
 
-def test_a_sigma_image_without_hits_raises(monkeypatch):
+def test_a_sigma_image_off_its_cone_raises(monkeypatch):
     # with sigma the identity, each image lies on the searched cone, not on its mate
     param = validate_parameter(12)
     assert branch_candidates(param, 3)[0]
     monkeypatch.setattr(driver, "sigma", lambda e, p: e)
-    with pytest.raises(ArithmeticError, match="has no Hit on the cone"):
+    with pytest.raises(VerificationError, match="is not on the cone"):
         branch_candidates(param, 3)
 
 
@@ -497,7 +563,7 @@ def test_a_cone_without_its_mate_raises(monkeypatch):
     for drop in pairs:
         monkeypatch.setattr(driver, "candidate_uv_pairs",
                             lambda p, m, drop=drop: [uv for uv in pairs if uv != drop])
-        with pytest.raises(ArithmeticError, match="not sigma-pairs"):
+        with pytest.raises(VerificationError, match="not sigma-pairs"):
             branch_candidates(param, 3)
 
 
@@ -507,7 +573,7 @@ def test_minimal_index_sigma_check_raises_on_a_missing_image(monkeypatch):
     dropped = dict(sorted(found.items())[1:])
     monkeypatch.setattr(driver, "branch_candidates",
                         lambda p, m, b: (dropped, rigor) if m == 3 else ({}, Rigor.certain()))
-    with pytest.raises(ArithmeticError, match="sigma-image"):
+    with pytest.raises(VerificationError, match="sigma-image"):
         driver.minimal_index(param)
 
 
@@ -570,7 +636,8 @@ def test_solver_choice_over_the_family():
     assert len(residual) == 34
     for c, q0 in residual:
         _, q1, q2 = family_forms(c.t)
-        par = parametrize(q0, find_point(c.t, c.u, c.v))
+        par = parametrize(q0, find_point(c.t, c.u, c.v) if c.u + 2 * c.v > 0
+                          else _find_point_by_rows(q0))
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
         assert thue_reduction(par, qform, target).form != family_form(c.t), (c.t, c.u, c.v)
 

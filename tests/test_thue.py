@@ -231,8 +231,10 @@ def family_cones():
     for c, _, q0, modulus in _soluble_cones():
         _, q1, q2 = family_forms(c.t)
         qform, target = (q1, c.u) if c.u != 0 else (q2, c.v)
-        # the driver's base point where it runs, the reference on the cones the sieve closes
-        point = find_point(c.t, c.u, c.v) if modulus is None else _find_point_by_rows(q0)
+        # the driver's base point where it runs, the reference on the cones the sieve
+        # closes and on the mates (s < 0), which take sigma-images instead
+        searched = modulus is None and c.u + 2 * c.v > 0
+        point = find_point(c.t, c.u, c.v) if searched else _find_point_by_rows(q0)
         red = thue_reduction(parametrize(q0, point), qform, target)
         targets = {s * inst.rhs for inst in red.instances for s in (1, -1)}
         if targets:
