@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: basis, index, minimal-index, thue, enumerate, verify-paper.
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure (any ArithmeticError), 2 invalid input.
 Output is a human-readable table by default or a deterministic JSON
 document with --json (identical runs differ only in the timing field).
 Every Thue box (thue --bound, --thue-bound) is capped at MAX_THUE_BOUND.
@@ -28,8 +28,7 @@ from .elements import AlgebraicInt, NotIntegral, PowerRep, from_power_rep, \
 from .indexcore import index_via_forms
 from .thue import (DEFAULT_THUE_BOUND, UnsupportedW, bounded_search_multi, family_form,
                    solve_power_of_two)
-from .driver import (VerificationError, brute_force_minimal, enumerate_case2_triples,
-                     minimal_index)
+from .driver import brute_force_minimal, enumerate_case2_triples, minimal_index
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
     except (ParameterError, NotIntegral, UnsupportedW) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except VerificationError as exc:
+    except ArithmeticError as exc:  # VerificationError and every other failed exact check
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

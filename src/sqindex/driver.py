@@ -10,15 +10,15 @@ branch (u, v), and every branch runs one pipeline (`branch_candidates`):
 Case I (v = 0) is the one cone (2^(l/3), 0), present when
 g^6 m / n = 2^l with 3 | l, through the closed-form point (-6, 0, 1).
 Case II (v != 0) reads its cones from `_cones`, one exact family-wide
-table (below).  A system with no solution mod N has no integer solution,
-so a local sieve mod 32 and then mod 5 (`local_sieve`, on at most 52
-tables keyed by t mod N and the 2-adic class) proves a branch empty
-before any conic work.  The solver is picked from the reduced equation:
-the family form F_t with right sides +-2^e goes to `solve_power_of_two`,
-which is complete (every case-I cone reduces so), anything else to the
-bounded search.  The rigor of a result is the first non-proven one its
-solvers returned, so a branch is bounded only by a Thue box that was
-searched.
+table (below).  A local sieve mod 32 and then mod 5 (`local_sieve`, on
+at most 52 tables keyed by t mod N and the 2-adic class) proves a branch
+empty before any conic work when no integral element has Q1, Q2 =
++-(u, v) mod N at its power part.  The solver is picked from the reduced
+equation: the family form F_t with right sides +-2^e goes to
+`solve_power_of_two`, which is complete (every case-I cone reduces so),
+anything else to the bounded search.  The rigor of a result is the first
+non-proven one its solvers returned, so a branch is bounded only by a
+Thue box that was searched.
 
 K is cyclic and sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q)
 (`elements.sigma`); the index is Galois-invariant.  So the case-II cones
@@ -62,7 +62,7 @@ import numpy as np
 from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
                          v2, v2_class, validate_parameter)
 from .elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple, index_oracle,
-                       sigma, to_power_rep, triple_from_xyz)
+                       power_part, sigma, to_power_rep, triple_from_xyz)
 from .indexcore import (NotInRange, TernaryForm, family_forms, index_via_forms,
                         rhs_decompositions)
 from .thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
@@ -173,23 +173,25 @@ def candidate_uv_pairs(param: FamilyParameter, m: int) -> list[tuple[int, int]]:
     return sorted(_cones(param.v2_class, m).get(param.t, ()))
 
 
+def _check_on_cone(param: FamilyParameter, xyz, cone: tuple[int, int], what: str) -> None:
+    """Raise VerificationError unless Q1, Q2 at the power part xyz are +-cone; what names it."""
+    _, q1, q2 = family_forms(param.t)
+    u, v = cone
+    if (q1(*xyz), q2(*xyz)) not in ((u, v), (-u, -v)):
+        raise VerificationError(f"{what} at t={param.t} is not on the cone {cone}")
+
+
 def _collect_solution(param, par, k, p, q, w, uv, out):
-    """Map a Thue solution through the parametrization and add its Hit to out."""
+    """Map a Thue solution to its element, if integral, and add its Hit to out; off uv it raises."""
     vec = par.evaluate(p, q)
     if any(c % k for c in vec):
         return
     xyz = tuple(c // k for c in vec)
-    if xyz == (0, 0, 0):
-        return
-    _, q1, q2 = family_forms(param.t)
-    got = (q1(*xyz), q2(*xyz))
-    u, v = uv
-    if got != (u, v) and got != (-u, -v):
-        return
+    _check_on_cone(param, xyz, uv, f"the point {xyz} of the Thue solution {(p, q)} of {w}")
     trip = triple_from_xyz(*xyz, param)
     if trip is None:
         return
-    hit = Hit("I" if v == 0 else "II", u, v, k, p, q, w)
+    hit = Hit("I" if uv[1] == 0 else "II", *uv, k, p, q, w)
     out.setdefault(canonical_triple(trip), set()).add(hit)
 
 
@@ -200,27 +202,19 @@ _SIEVE_MODULI = (32, 5)
 
 @cache  # bounded by the 52 keys of the family (`local_sieve`), <= 1 KB each
 def _sieve_table(n: int, t: int, cls: V2Class) -> np.ndarray:
-    """Boolean n x n table: entry (a, b) is set when Q1 = a, Q2 = b mod n somewhere.
+    """Boolean n x n table: entry (a, b) is set when Q1, Q2 = a, b mod n at an integral element.
 
     t is the parameter mod n, the key of the table (`local_sieve`).  The
-    points run over the whole grid (Z/n)^3; when b11*b22 divides n they
-    must also pass the `triple_from_xyz` congruences y = z*b32 (mod b22) and
-    x = z*b31 + X2*b21 (mod b11), which X2 = (y - z*b32)/b22 mod n/b22 decides.
+    power part is linear in (X1, X2, X3) over the integers, so the table
+    reads Q1, Q2 at the power part of every X in (Z/n)^3.  int32 (twice as
+    fast as int64) is exact: the basis entries give |x|, |y|, |z| < 8n and
+    the coefficients are below n^2 + 37, so each value is below
+    6*64*n^2*(n^2 + 37) < 2^29 at n = 32.
     """
     _, q1, q2 = family_forms(t)
-    x, y, z = (c.ravel() for c in np.indices((n, n, n), dtype=np.int32))
-    _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = _BASIS_NUM[cls]
-    if n % (b11 * b22) == 0:
-        d = (y - z * b32) % n
-        keep = (d % b22 == 0) & ((x - z * b31 - d // b22 * b21) % b11 == 0)
-        x, y, z = x[keep], y[keep], z[keep]
-    monomials = (x * x, x * y, y * y, x * z, y * z, z * z)
-
-    def values(q):
-        return sum(c % n * mono for c, mono in zip(q.coeffs, monomials)) % n
-
+    xyz = power_part(*np.indices((n, n, n), dtype=np.int32).reshape(3, -1), _BASIS_NUM[cls])
     table = np.zeros(n * n, dtype=bool)
-    table[values(q1) * n + values(q2)] = True
+    table[q1(*xyz) % n * n + q2(*xyz) % n] = True
     table.flags.writeable = False  # cached: shared by every caller
     return table.reshape(n, n)
 
@@ -229,15 +223,14 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     """The closing modulus of the branch (u, v) of param, or None.
 
     A system with no solution mod N has no integer solution.  The result
-    is the first N in (32, 5) at which neither Q1 = u, Q2 = v nor
-    Q1 = -u, Q2 = -v has a solution in (Z/N)^3 that also passes the
-    `triple_from_xyz` congruences (those apply when b11*b22 divides N),
-    or None when both moduli leave the branch open.
+    is the first N in (32, 5) at which no integral element has
+    Q1, Q2 = +-(u, v) mod N at its power part, or None when both moduli
+    leave the branch open.
 
     Theorem: the table for N is a function of (t mod N, 2-adic class), as
     Q1 and Q2 (`family_forms`) have integer polynomial coefficients in t and
-    the congruences read only the class's basis.  As t mod 32 fixes the class,
-    the family needs at most 32 + 5*4 = 52 tables.
+    the power part reads only the class's basis.  As t mod 32 fixes the
+    class, the family needs at most 32 + 5*4 = 52 tables.
     """
     for n in _SIEVE_MODULI:
         table = _sieve_table(n, param.t % n, param.v2_class)
@@ -339,25 +332,19 @@ def _add_sigma_images(param: FamilyParameter, cone: tuple[int, int], found: dict
     sigma and sigma^3 map the cone onto its mate (-u - 4v, v).  sigma^2 keeps
     the cone, so sigma^2(c) is added only when the search did not find it (a
     box too small for a whole orbit would otherwise leave the set not
-    sigma-stable).  Each image is checked to lie on its cone: Q1 and Q2 of
-    its power part (x*xi + y*xi^2 + z*xi^3)/g must be +-(u', v'), else
-    VerificationError.
+    sigma-stable).  Each image must lie on its cone (`_check_on_cone`).
     """
     u, v = cone
-    _, q1, q2 = family_forms(param.t)
-    _, (_, r11, _, _), (_, r21, r22, _), (_, r31, r32, r33) = param.basis_num
     for canon in found:
         e = AlgebraicInt((0, *canon))
         for power in (1, 2, 3):
             e = sigma(e, param)
-            x1, x2, x3 = image = canonical_triple(e.triple)
+            image = canonical_triple(e.triple)
             if power == 2 and image in found:
                 continue
             iu, iv = (u, v) if power == 2 else (-u - 4 * v, v)
-            xyz = (x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33)
-            if (q1(*xyz), q2(*xyz)) not in ((iu, iv), (-iu, -iv)):
-                raise VerificationError(f"the sigma^{power}-image {image} of {canon} at "
-                                        f"t={param.t} is not on the cone {(iu, iv)}")
+            _check_on_cone(param, power_part(*image, param.basis_num), (iu, iv),
+                           f"the sigma^{power}-image {image} of {canon}")
             out.setdefault(image, set()).add(GaloisImage("sigma", iu, iv, power, canon))
 
 

@@ -82,12 +82,19 @@ class PowerRep:
         return (self.a, self.x, self.y, self.z)
 
 
+def power_part(x1, x2, x3, rows):
+    """(x, y, z) with X1*b2 + X2*b3 + X3*b4 = (const + x*xi + y*xi^2 + z*xi^3)/g, rows the
+    triangular `basis_num`; + and * only, so the X may be ints or numpy integer arrays."""
+    _, (_, r11, _, _), (_, r21, r22, _), (_, r31, r32, r33) = rows
+    return x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33
+
+
 def to_power_rep(e: AlgebraicInt, param: FamilyParameter) -> PowerRep:
-    """Exact power representation of e, in lowest form; the basis rows are triangular."""
+    """Exact power representation of e, in lowest form; the constant is the first basis column."""
     x0, x1, x2, x3 = e.coords
-    (r00, _, _, _), (r10, r11, _, _), (r20, r21, r22, _), (r30, r31, r32, r33) = param.basis_num
-    return PowerRep.reduced(x0 * r00 + x1 * r10 + x2 * r20 + x3 * r30,
-                            x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33, param.g)
+    rows = param.basis_num
+    const = x0 * rows[0][0] + x1 * rows[1][0] + x2 * rows[2][0] + x3 * rows[3][0]
+    return PowerRep.reduced(const, *power_part(x1, x2, x3, rows), param.g)
 
 
 def coords_from_power(vec: tuple[int, int, int, int], d: int,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sqindex import cli, driver
+from sqindex import cli, driver, thue
 from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, MAX_THUE_RHS, build_parser, main
 from sqindex.fieldmodel import MAX_SUPPORTED_T
 from sqindex.driver import DEFAULT_THUE_BOUND, minimal_index_for
@@ -183,6 +183,16 @@ def test_a_verification_failure_exits_1_with_one_line(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("verification failure: ") and err.count("\n") == 1
     assert "t=12" in err and "Traceback" not in err
+
+
+def test_a_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch):
+    # any ArithmeticError, not only VerificationError: with no precision to try,
+    # the bounded search cannot isolate the roots of the form
+    monkeypatch.setattr(thue, "_PREC_TRIES", 0)
+    code, out, err = run(capsys, "thue", "5", "12", "--bound", "50")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert "could not isolate the roots" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

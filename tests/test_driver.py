@@ -1,7 +1,11 @@
 from functools import cache
 from itertools import product
 from math import isqrt
+from pathlib import Path
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +390,21 @@ def test_sieve_tables_keyed_by_t_mod_n_match_the_per_t_build():
     assert driver._sieve_table.cache_info().currsize <= 52
 
 
+def test_import_builds_no_cached_table():
+    # every table is built on first use, so importing the package costs no build;
+    # a fresh process, since this one has built them all
+    code = ("import sqindex\n"
+            "from sqindex import driver, elements\n"
+            "caches = (driver._cones, driver._sieve_table, driver._newton_matrices,\n"
+            "          elements._mult_table, elements._sigma_columns)\n"
+            "print([f.cache_info().currsize for f in caches])\n")
+    src = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 0, 0]\n"
+
+
 def test_local_sieve_same_verdict_on_sigma_pairs():
     # u = sigma*a1*2^i - 2v: the partner of (u, v) is (-u - 4v, v)
     verdicts = {(c.t, c.u, c.v): modulus for c, _, _, modulus in _family_cones()}
@@ -554,6 +573,28 @@ def test_a_sigma_image_off_its_cone_raises(monkeypatch):
     monkeypatch.setattr(driver, "sigma", lambda e, p: e)
     with pytest.raises(VerificationError, match="is not on the cone"):
         branch_candidates(param, 3)
+
+
+def test_a_thue_point_off_its_cone_raises():
+    # the Thue solutions of the searched cone (20, 2) at t = 12, m = 3 give elements on it;
+    # collected against its mate (-28, 2), the shared on-cone check raises, never drops them
+    param = validate_parameter(12)
+    (u, v), mate = (20, 2), (-28, 2)
+    assert {(u, v), mate} <= set(candidate_uv_pairs(param, 3))
+    _, q1, q2 = family_forms(12)
+    par = parametrize(TernaryForm.combine(v, q1, -u, q2), find_point(12, u, v))
+    red = thue_reduction(par, q1, u)
+    sols = bounded_search_multi(red.form, {w for inst in red.instances
+                                           for w in (inst.rhs, -inst.rhs)}, DEFAULT_THUE_BOUND)
+    points = [(inst.k, p, q, w) for inst in red.instances
+              for w in (inst.rhs, -inst.rhs) for p, q in sols[w]]
+    found = {}
+    for point in points:
+        _collect_solution(param, par, *point, (u, v), found)
+    assert found
+    with pytest.raises(VerificationError, match="is not on the cone"):
+        for point in points:
+            _collect_solution(param, par, *point, mate, {})
 
 
 def test_a_cone_without_its_mate_raises(monkeypatch):

@@ -14,8 +14,8 @@ from sqindex.indexcore import index_via_forms
 from sqindex.elements import (AlgebraicInt, NotIntegral, PowerRep,
                               _mult_table, canonical_triple,
                               coords_from_power, from_power_rep,
-                              index_oracle, mult_matrix, multiply, sigma, to_power_rep,
-                              triple_from_xyz)
+                              index_oracle, mult_matrix, multiply, power_part, sigma,
+                              to_power_rep, triple_from_xyz)
 
 XI = AlgebraicInt((0, 1, 0, 0))
 
@@ -410,6 +410,16 @@ def test_coordinate_solve_against_sympy_inverse(t):
         a = next((a for a in range(g) if expected((a, x, y, z), g) is not None), None)
         want = None if a is None else coords_from_power((a, x, y, z), g, param)[1:]
         assert triple_from_xyz(x, y, z, param) == want, (x, y, z)
+
+    # power_part is the forward map that triple_from_xyz inverts, on ints and on
+    # int32 arrays alike
+    triples = [tuple(rng.randint(-60, 60) for _ in range(3)) for _ in range(400)]
+    for triple in triples:
+        assert triple_from_xyz(*power_part(*triple, basis), param) == triple, triple
+    arrays = power_part(*np.array(triples, dtype=np.int32).T, basis)
+    assert all(a.dtype == np.int32 for a in arrays)
+    assert [tuple(map(int, xyz)) for xyz in zip(*arrays)] == \
+        [power_part(*triple, basis) for triple in triples]
 
 
 def test_canonical_triple_rule():

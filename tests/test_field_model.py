@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -18,28 +19,55 @@ def valid_t(limit):
     return out
 
 
-def _odd_square_divisor_to_sqrt(n):
-    """The squarefree test by trial division up to the square root of the odd part."""
-    m = abs(n)
-    if m == 0:
-        return None
-    m >>= (m & -m).bit_length() - 1
-    d = 3
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return d * d
-        while m % d == 0:
-            m //= d
-        d += 2
+def _odd_primes_to(limit):
+    """The odd primes p <= limit, by the sieve of Eratosthenes."""
+    is_prime = bytearray([1]) * (limit + 1)
+    for p in range(2, isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(3, limit + 1) if is_prime[p]]
+
+
+def _least_odd_prime_squares_to(limit):
+    """s[n] = the least square p^2 of an odd prime p dividing n, or None, for 0 <= n <= limit.
+
+    A sieve: each p^2 marks its multiples in increasing p, so the first mark
+    stands; s[0] stays None, as odd_square_divisor(0) is.
+    """
+    s = [None] * (limit + 1)
+    for p in _odd_primes_to(isqrt(limit)):
+        for n in range(p * p, limit + 1, p * p):
+            if s[n] is None:
+                s[n] = p * p
+    return s
+
+
+def _odd_square_by_primes(n, primes):
+    """The least odd prime square dividing n > 0, by trial division by primes.
+
+    primes holds every odd prime up to the square root of n.  Each prime is
+    divided out once; the cofactor left when p^2 exceeds it is 1 or a prime.
+    """
+    m = n >> (n & -n).bit_length() - 1
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return p * p
     return None
 
 
 def test_odd_square_divisor_to_the_cube_root_matches_trial_division_to_the_root():
-    for n in range(-10, 2 * 10 ** 5 + 1):
-        assert odd_square_divisor(n) == _odd_square_divisor_to_sqrt(n), n
-    for t in range(1, 2 * 10 ** 4 + 1):
+    n_max, t_max = 2 * 10 ** 5, 2 * 10 ** 4
+    least = _least_odd_prime_squares_to(n_max)
+    for n in range(-10, n_max + 1):
+        assert odd_square_divisor(n) == least[abs(n)], n
+    primes = _odd_primes_to(isqrt(t_max ** 2 + 16))
+    for t in range(1, t_max + 1):
         n = t * t + 16
-        assert odd_square_divisor(n) == _odd_square_divisor_to_sqrt(n), t
+        assert odd_square_divisor(n) == _odd_square_by_primes(n, primes), t
     # the cofactor left past the cube root is a prime square, or a square of the smallest prime
     assert [odd_square_divisor(n) for n in (9, 25 * 7, 3 * 101 ** 2, 2 ** 5 * 997 ** 2,
                                             101 * 103, 5 ** 3)] == \
