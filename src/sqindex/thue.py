@@ -42,37 +42,45 @@ Proof: |a| prod |p - alpha_i q| = |G(p, q)| <= W;
 S = all gives |p - alpha q| < R = floor((W/|a|)^(1/4)) + 1, so in the
 box |q| <= qmax = (B + R) / |alpha|; S = {} gives
 |p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|).  The windows are
-certified: every root sits in an interval proven in exact arithmetic to
-hold exactly one root, each p-range is widened by an explicit bound on
-its float64 rounding, and every candidate is re-checked with exact
-integers.  As G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row
+certified: every root sits in an interval proven in exact arithmetic
+to hold exactly one root (below), each p-range is widened by an explicit
+bound on its float64 rounding, and every candidate is re-checked with
+exact integers.  As G(-p, -q) = G(p, q), only q >= 1 is scanned; the q = 0 row
 is solved directly.
 
 Past a threshold q* the rows of a root come from a theorem instead.
 S = {} reads |p - alpha q| <= C / q^3 with
 C = 8 W / (|a| prod |alpha - beta|), so q^2 > 2C gives
 |alpha - p/q| < 1 / (2 q^2), and by Legendre's theorem on continued
-fractions p/q is then a convergent p'/q' of alpha: (p, q) = g (p', q').
+fractions p/q is then a convergent p_n/q_n of alpha (of |alpha|, negated,
+when alpha < 0): (p, q) = g (p_n, q_n).
 q* = isqrt(floor(2C)) + 1 bounds that threshold from above, with C taken
-from the separation lower bounds and widened for rounding.  The
-convergents come from Euclid's algorithm run in integers on both ends
-of the root's exact dyadic enclosure at once.  A partial quotient counts
-only where the two ends agree and neither end is the convergent itself,
-so every number in between, alpha included, shares it, and p'/q' lies
-outside the enclosure: |p' - alpha q'| >= delta > 0, with delta exact
-from the ends.  Then g |p' - alpha q'| = |p - alpha q| < 1 / (2 g q')
-gives g^2 < 1 / (2 q' delta).  When the ends part before the
-denominators pass qmax, every root is isolated again at twice the
-precision, which ends: as the enclosure of the irrational alpha shrinks,
-both ends share every partial quotient up to any fixed depth.  So a
-search costs a scan to min(qmax, q*) plus O(log B) rows per root.
+from the separation lower bounds and widened for rounding.  As
+|q_n alpha - p_n| > 1 / (q_n + q_n+1), g |q_n alpha - p_n| = |p - alpha q|
+< 1 / (2 g q_n) gives g^2 < (q_n + q_n+1) / (2 q_n).  So a search costs a
+scan to min(qmax, q*) plus O(log B) rows per root.
+
+The roots come from their continued fractions, expanded in integers by
+the method of Vincent, Collins and Akritas.  Every Moebius image
+g(y) = (q y + q')^4 f((p y + p') / (q y + q')) of f has only real roots,
+and for such a polynomial Descartes' rule of signs is exact: the sign
+variations of its coefficients count its positive roots.  So the floor b
+of g's least positive root is the largest b at which g(x + b) keeps
+every one of them, or, for a lone root, the last b where g keeps its
+sign at 0.  Shifting by b and inverting gives the next partial quotient
+of each root in (b, b + 1), and by Vincent's theorem the roots part
+after finitely many steps.  Each expansion runs until q_n passes
+max(B, |c0|).  A rational root p/q in lowest terms has q | c0 (Gauss), so
+its expansion ends before that, in an exact zero of some g at an integer
+tried, and is rejected there.  A root lies between its last convergent
+and the mediant with the one before; these intervals are disjoint and
+give the float centre, radius and separations of the windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 
@@ -222,125 +230,129 @@ def solve_power_of_two(t: int, w: int) -> SolutionSet:
 _U = 2.0 ** -53           # unit roundoff of float64
 _GROW = 1 + 2.0 ** -20    # covers the relative rounding of a few float64 operations
 _Q_CHUNK = 1 << 16        # q values per vectorised window step
-_PREC_START = 64          # bits after the binary point of the root approximations
-_PREC_TRIES = 6           # precisions, doubling from _PREC_START, before root isolation gives up
+_ROW_LIMIT = 1 << 62      # the float rows stay inside int64
 _LEGENDRE = True          # the convergent tail; the tests switch it off to scan every row to qmax
 
 
 @dataclass(frozen=True)
 class _Root:
-    """Certified data of one (simple, real) root alpha of f(x) = G(x, 1).
+    """Exact data of one (simple, irrational, real) root alpha of f(x) = G(x, 1).
 
-    |alpha - x| <= rho, and alpha lies in [lo, hi] / 2^k with
-    enclosure = (lo, hi, k).  seps holds a lower bound on |alpha - beta|
-    for every other root beta.
+    convergents holds the convergents p_n/q_n, n = 0..N, of the continued
+    fraction of |alpha|, with p_n negated when alpha < 0; q_N passes the box,
+    and alpha lies strictly between p_N/q_N and (p_N + p_N-1)/(q_N + q_N-1).
+    |alpha - x| <= rho, and seps holds a lower bound on |alpha - beta| for
+    every other root beta.
     """
 
     x: float
     rho: float
     seps: tuple[float, ...]
-    enclosure: tuple[int, int, int]
+    convergents: tuple[tuple[int, int], ...]
 
 
-def _below(v: Fraction) -> float:
-    return math.nextafter(float(v), -math.inf)
+def _shift(g: tuple, b: int) -> tuple:
+    """g(x + b) for a quartic g, coefficients lowest degree first (Taylor shift)."""
+    a0, a1, a2, a3, a4 = g
+    a3 += b * a4
+    a2 += b * a3
+    a1 += b * a2
+    a0 += b * a1
+    a3 += b * a4
+    a2 += b * a3
+    a1 += b * a2
+    a3 += b * a4
+    a2 += b * a3
+    a3 += b * a4
+    return a0, a1, a2, a3, a4
 
 
-def _above(v: Fraction) -> float:
-    return math.nextafter(float(v), math.inf)
+def _variations(g: tuple) -> int:
+    """The sign variations of g's coefficients."""
+    signs = [c > 0 for c in g if c]
+    return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
-def _eval_scaled(g: list[int], x: int, k: int) -> tuple[int, int]:
-    """2^(k n) g(z) and 2^(k (n-1)) g'(z) at z = x / 2^k, by integer Horner."""
-    v, u = g[-1], 0
-    scale = 1
-    for c in reversed(g[:-1]):
-        scale <<= k
-        u = u * x + v
-        v = v * x + c * scale
-    return v, u
+def _floor(ok, b: int) -> int:
+    """The largest b' >= b with ok(b'), where ok holds at b and on an interval of integers."""
+    step = 1
+    while ok(b + step):
+        b += step
+        step <<= 1
+    while step > 1:  # ok(b) and not ok(b + step)
+        step >>= 1
+        if ok(b + step):
+            b += step
+    return b
 
 
-def _certify(g: list[int], xs: list[int], k: int):
-    """Radii (in units 2^-k) of disjoint intervals each holding one root of g, or None.
+def _roots(form: BinaryQuarticForm, bound: int) -> list[_Root]:
+    """Every root of f(x) = G(x, 1), expanded into its continued fraction up
+    to a denominator past max(bound, |c0|).
 
-    A disk |w - x| <= n |g(x) / g'(x)| holds a root of g (n = deg g), since
-    g'/g = sum 1/(x - alpha_i).  n pairwise disjoint such disks hold one
-    root each, so they account for every root.  A disk centred on the real
-    line is its own mirror image, so its one root is its own conjugate:
-    it is real and lies on the diameter, and the disks are disjoint
-    exactly when their diameters are.
+    G must be totally real with c0 != 0.  A state (g, p, p', q, q') stands
+    for the roots alpha = (p y + p') / (q y + q') with y > 0 a root of
+    g(y) = (q y + q')^4 f(alpha), at first g = f; the negative roots are
+    the positive roots of f(-x), negated.  Each state's roots are counted
+    by sign variations and split at the floor b of the least one (module
+    docstring).  After the convergent (p b + p') / (q b + q'), the roots in
+    (b, b + 1) go on as the roots past 1 of x^4 g(b + 1 / x), taken from
+    (x + 1)^4 g(b + 1 / (x + 1)) while they are several; the others go on
+    as g(x + b + 1).  An exact zero of g at any integer tried is a rational
+    root and raises ValueError.  A lone root takes two partial quotients at
+    least, so its interval lies strictly inside the one that isolated it,
+    apart from every other root's.
     """
-    n = len(g) - 1
-    rad = []
-    for x in xs:
-        v, u = _eval_scaled(g, x, k)
-        if u == 0:
-            return None
-        rad.append(n * abs(v) // abs(u) + 1)
-    if all(abs(xs[i] - xs[j]) > rad[i] + rad[j] for i in range(n) for j in range(i + 1, n)):
-        return rad
-    return None
+    f = form.coeffs[::-1]  # lowest degree first
+    stop = max(bound, abs(f[4]))
 
+    def nonzero(v: int) -> int:
+        if v == 0:
+            raise ValueError(f"the form {form.coeffs} has a rational root")
+        return v
 
-def _roots(form: BinaryQuarticForm):
-    """Certified enclosures of the roots of f(x) = G(x, 1): one list of
-    `_Root`s per precision k = 64, 128, ...
+    def expand_lone(g, p, p1, q, q1, convs):
+        b, n = 0, 0
+        while n < 2 or q <= stop:
+            a0, a1, a2, a3, a4 = g  # g has the sign of a0 on [0, y)
+            b = _floor(lambda b: nonzero((((a4 * b + a3) * b + a2) * b + a1) * b + a0) * a0 > 0, b)
+            g = _shift(g, b)[::-1]
+            p, p1, q, q1 = p * b + p1, p, q * b + q1, q
+            convs.append((p, q))
+            b, n = 1, n + 1  # the root of x^4 g(b + 1 / x) is > 1
+        return convs
 
-    G must be totally real with c0 != 0.  The real parts of the float roots
-    of f, sorted and made distinct, are refined in exact integers by
-    Aberth's method, Newton's method on f(x) / prod (x - x_j) over the
-    other iterates x_j: it stays on the real line and keeps the iterates
-    apart where the float roots cannot tell a cluster apart.  `_certify`
-    then proves the intervals.  A rational root p/q in lowest terms has
-    q | c0 (Gauss), so c0 p/q is an integer: once c0 [lo, hi] / 2^k is
-    shorter than 1 it holds at most one integer P, and the root is rational
-    exactly when P exists and G(P, c0) = 0; that raises ValueError.  The
-    precision k doubles, for all roots at once, until both steps succeed and
-    whenever the caller asks for the next list; ArithmeticError after
-    _PREC_TRIES precisions.
-    """
-    f, c0 = list(reversed(form.coeffs)), form.coeffs[0]  # f lowest degree first
-    k = _PREC_START
-    xs = sorted(int(math.ldexp(z.real, k)) for z in np.roots([float(c) for c in form.coeffs]))
-    xs = [x + i for i, x in enumerate(xs)]
-    for _ in range(_PREC_TRIES):
-        for _ in range(100):
-            moved = False
-            for i, x in enumerate(xs):
-                v, u = _eval_scaled(f, x, k)
-                # Aberth's step v / (u - v sum 1 / (x - x_j)), both sides times prod (x - x_j)
-                ds = [x - y for y in xs if y != x]
-                prod = math.prod(ds)
-                den = u * prod - v * sum(prod // d for d in ds)
-                if den == 0:
-                    continue
-                dx = (2 * v * prod + den) // (2 * den)  # rounded
-                xs[i] = x - dx
-                moved |= abs(dx) > 1
-            if not moved:
-                break
-        rad = _certify(f, xs, k)
-        one = 1 << k
-        if rad is not None and all(abs(c0) * 2 * r < one for r in rad):
-            roots = []
-            for i, (x, r) in enumerate(zip(xs, rad)):
-                lo, hi = sorted((c0 * (x - r), c0 * (x + r)))
-                p = -(-lo >> k)  # the least integer >= lo / 2^k
-                if p << k <= hi and form(p, c0) == 0:
-                    raise ValueError(f"the form {form.coeffs} has a rational root")
-                xf = x / one
-                seps = tuple(max(_below(Fraction(abs(x - x2) - r - r2, one)), 0.0)
-                             for j, (x2, r2) in enumerate(zip(xs, rad)) if j != i)
-                roots.append(_Root(
-                    x=xf,
-                    rho=_above(Fraction(r, one) + abs(Fraction(x, one) - Fraction(xf))),
-                    seps=seps,
-                    enclosure=(x - r, x + r, k)))
-            yield roots
-        xs = [x << k for x in xs]
-        k *= 2
-    raise ArithmeticError(f"could not isolate the roots of {f}")
+    def positive_roots(g):
+        todo = [(g, 1, 0, 0, 1, ())]
+        while todo:
+            g, p, p1, q, q1, convs = todo.pop()
+            k = _variations(g)
+            if k == 1:
+                yield expand_lone(g, p, p1, q, q1, list(convs))
+            elif k > 1:
+                b = _floor(lambda b: nonzero((h := _shift(g, b))[0]) and _variations(h) == k, 0)
+                g1 = _shift(g, b)
+                pb, qb = p * b + p1, q * b + q1
+                todo.append((_shift(g1, 1), p, pb + p, q, qb + q, convs))
+                todo.append((_shift(g1[::-1], 1), pb, pb + p, qb, qb + q, convs + ((pb, qb),)))
+
+    nonzero(f[0])
+    chains = list(positive_roots(f))
+    chains += [[(-p, q) for p, q in convs]
+               for convs in positive_roots(tuple(c * (-1) ** i for i, c in enumerate(f)))]
+    ends = []  # each root's interval [lo, hi] / d, of width 1 / d
+    for convs in chains:
+        (p1, q1), (p, q) = convs[-2:]
+        ends.append((*sorted((p * (q + q1), (p + p1) * q)), q * (q + q1)))
+    roots = []
+    for i, convs in enumerate(chains):
+        lo, hi, d = ends[i]
+        x = convs[-1][0] / convs[-1][1]
+        rho = math.nextafter(math.nextafter(1 / d, math.inf) + math.ulp(x), math.inf)
+        seps = tuple(math.nextafter(max(lo2 * d - hi * d2, lo * d2 - hi2 * d) / (d * d2), -math.inf)
+                     for lo2, hi2, d2 in ends[:i] + ends[i + 1:])
+        roots.append(_Root(x=x, rho=rho, seps=seps, convergents=tuple(convs)))
+    return roots
 
 
 def _fourth_root(v: int, c: int) -> int:
@@ -350,42 +362,21 @@ def _fourth_root(v: int, c: int) -> int:
     return r if r ** 4 == n else 0
 
 
-def _convergents(lo: int, hi: int, k: int, qmax: int):
-    """Convergents (p, q), q <= qmax, of every number in [lo, hi] / 2^k, or None.
-
-    Euclid runs on both ends at once; a partial quotient counts only where
-    the two agree and neither end is the convergent itself (module
-    docstring).  None when the ends part before the denominators pass qmax.
-    """
-    (n0, d0), (n1, d1) = (lo, 1 << k), (hi, 1 << k)
-    p0, q0, p1, q1 = 0, 1, 1, 0  # the two previous convergents
-    out = []
-    while q0 + q1 <= qmax:  # the next denominator is at least q0 + q1
-        a, r0 = divmod(n0, d0)
-        b, r1 = divmod(n1, d1)
-        if a != b or r0 == 0 or r1 == 0:
-            return None
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > qmax:
-            break
-        out.append((p1, q1))
-        n0, d0, n1, d1 = d0, r0, d1, r1
-    return out
-
-
 def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
-    with |G(p, q)| <= top whose nearest root of f is `root`; None when the
-    root's enclosure is too coarse to certify its convergents.
+    with |G(p, q)| <= top whose nearest root of f is `root`.
 
-    Rows q < q* are the root windows.  Every row q >= q* is a multiple of
-    a certified convergent (module docstring).
+    Rows q < q* are the root windows, in float64; ValueError when one of
+    them reaches past min(bound, 2^62) inside the box.  Every row q >= q* is a multiple
+    of one of the root's convergents (module docstring).
     """
     big_r = isqrt(isqrt(top // abs(lead))) + 1  # > (top / |lead|)^(1/4)
-    a_lo, a_hi, k = root.enclosure
-    qmax = bound  # |alpha| q <= |p| + R <= bound + R
-    if a_lo > 0 or a_hi < 0:
-        qmax = min(qmax, ((bound + big_r) << k) // min(abs(a_lo), abs(a_hi)) + 1)
+    convs = root.convergents
+    (pm, qm), (pn, qn) = convs[-2:]
+    # |alpha| q <= |p| + R <= bound + R, and |alpha| > |n| / d at both ends n / d
+    # of its interval
+    ends = ((pn, qn), (pn + pm, qn + qm))
+    qmax = min(bound, max((bound + big_r) * d // abs(n) for n, d in ends) + 1)
     # one window (const / q^e)^(1/(1 + |S|)) per set S of nearest other
     # roots (module docstring); S = all of them is R itself
     seps = sorted(root.seps)
@@ -398,10 +389,11 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     twice_c = 2 * terms[0][0] * _GROW
     if _LEGENDRE and twice_c < qmax * qmax:
         qstar = isqrt(math.floor(twice_c)) + 1
-        tail = _convergents(a_lo, a_hi, k, qmax)
-        if tail is None:
-            return None
+        tail = [(p1, q1, q2) for (p1, q1), (_, q2) in zip(convs, convs[1:]) if q1 <= qmax]
         end = qstar - 1
+    lim = float(min(bound, _ROW_LIMIT))  # the float rows end at the box
+    if lim > bound:
+        lim = math.nextafter(lim, 0.0)
 
     def rows():
         size = (abs(root.x) + root.rho) * end + big_r + 2
@@ -413,16 +405,18 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
                 for const, e, m in terms:
                     np.minimum(half, (const / q ** e) ** (1.0 / m) * _GROW, out=half)
             centre = root.x * q
-            lo = np.maximum(np.ceil(centre - half - slack), -bound)
-            hi = np.minimum(np.floor(centre + half + slack), bound)
+            lo = np.ceil(centre - half - slack)
+            hi = np.floor(centre + half + slack)
+            if lim < bound and (lo.min() < -lim or hi.max() > lim):
+                raise ValueError(f"a root window passes the float rows' end {lim:.0f}")
+            np.maximum(lo, -lim, out=lo)
+            np.minimum(hi, lim, out=hi)
             keep = lo <= hi
             yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
                            hi[keep].astype(np.int64).tolist())
-        for p1, q1 in tail:
-            # g^2 < 1 / (2 q1 delta), delta = m / 2^k <= |p1 - alpha q1|
-            m = min(abs((p1 << k) - a_lo * q1), abs((p1 << k) - a_hi * q1))
-            for g in range(-(-qstar // q1), min(isqrt(((1 << k) - 1) // (2 * q1 * m)),
-                                                  qmax // q1) + 1):
+        for p1, q1, q2 in tail:
+            # g^2 < (q1 + q2) / (2 q1), as |p1 - alpha q1| > 1 / (q1 + q2)
+            for g in range(-(-qstar // q1), min(isqrt((q1 + q2 - 1) // (2 * q1)), qmax // q1) + 1):
                 if abs(g * p1) <= bound:
                     yield g * q1, g * p1, g * p1
 
@@ -435,8 +429,9 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
 
     The form must be totally real with c0 != 0 and no rational root and
     every target nonzero (module docstring).  Only the p allowed by the
-    certified root windows are tried, row by row, and every candidate is
-    re-checked in exact integers; a pair found from two roots counts once.
+    root windows and the convergent tails are tried, row by row, and every
+    candidate is re-checked in exact integers; a pair found from two roots
+    counts once.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -450,10 +445,7 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     c = form.coeffs
     reach = form.reach(bound)  # larger targets have no solution in the box
     top = max((abs(v) for v in targets if abs(v) <= reach), default=0)
-    for roots in _roots(form):  # refined until every root's convergents are certified
-        windows = [_window_candidates(root, c[0], top, bound) for root in roots]
-        if None not in windows:
-            break
+    windows = [_window_candidates(root, c[0], top, bound) for root in _roots(form, bound)]
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
     for v in targets:
         # the q = 0 row: G(p, 0) = c0 p^4 with p >= 1

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sqindex import cli, driver, thue
+from sqindex import cli, driver, fieldmodel
 from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, MAX_THUE_RHS, build_parser, main
-from sqindex.fieldmodel import MAX_SUPPORTED_T
+from sqindex.fieldmodel import MAX_SUPPORTED_T, V2Class
 from sqindex.driver import DEFAULT_THUE_BOUND, minimal_index_for
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
@@ -186,13 +186,13 @@ def test_a_verification_failure_exits_1_with_one_line(capsys, monkeypatch):
 
 
 def test_a_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch):
-    # any ArithmeticError, not only VerificationError: with no precision to try,
-    # the bounded search cannot isolate the roots of the form
-    monkeypatch.setattr(thue, "_PREC_TRIES", 0)
-    code, out, err = run(capsys, "thue", "5", "12", "--bound", "50")
+    # any ArithmeticError, not only VerificationError: with n = 3 for the class
+    # of t = 5, disc(P_t) = 4 * 41^3 fails the n^2 divisibility check
+    monkeypatch.setitem(fieldmodel._CLASS_GN, V2Class.V0, (2, 3))
+    code, out, err = run(capsys, "basis", "5")
     assert code == 1 and out == ""
     assert err.startswith("verification failure: ") and err.count("\n") == 1
-    assert "could not isolate the roots" in err and "Traceback" not in err
+    assert "not divisible by n^2 = 9" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

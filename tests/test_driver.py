@@ -835,3 +835,12 @@ def test_brute_force_matches_plain_scan(t, box):
 def test_rigor_label():
     assert Rigor.bounded(500).label() == "BoundedSearchOnly(500)"
     assert Rigor.certain().label() == "Proven"
+
+
+def test_minimal_index_takes_any_thue_box():
+    # the Thue roots expand to any box: at t = 64, a bounded result, a box of
+    # 10^500 keeps the default box's m and elements
+    param = validate_parameter(64)
+    default, huge = minimal_index(param), minimal_index(param, 10 ** 500)
+    assert (huge.m, huge.elements) == (default.m, default.elements)
+    assert huge.rigor == Rigor.bounded(10 ** 500)

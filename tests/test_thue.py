@@ -1,6 +1,8 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from functools import cache
+from itertools import chain, cycle, repeat
 from math import isqrt
 
 import pytest
@@ -12,9 +14,8 @@ from sqindex import thue
 from sqindex.conic import parametrize, thue_reduction
 from sqindex.indexcore import family_forms
 from sqindex.driver import find_point
-from sqindex.thue import (DEFAULT_THUE_BOUND, BinaryQuarticForm, Rigor, SolutionSet,
-                          UnsupportedW, _convergents, _roots, bounded_search_multi,
-                          canonical_pair, family_form, solve_power_of_two)
+from sqindex.thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW, _roots,
+                          bounded_search_multi, canonical_pair, family_form, solve_power_of_two)
 from sqindex.goldens import thue_base_golden
 from test_conic import _find_point_by_rows
 from test_driver import _soluble_cones
@@ -369,6 +370,8 @@ def test_family_form_discriminant():
     form_product((1, -1), (1, 2), (2, -3), (1, 1)),
     form_product((1, 1), (1, 2), (1, 3), (1, 4)),  # (p + q)(p + 2q)(p + 3q)(p + 4q)
     form_product((2, -1), (1, 0, -3, 1)),  # 1/2 and the roots of x^3 - 3x + 1
+    # 5/1002 = [0; 200, 2, 2], whose expansion passes the box two quotients before it ends
+    form_product((1002, -5), (1, 0, -3, 1)),
 ])
 def test_bounded_search_rejects_rational_roots(coeffs):
     form = BinaryQuarticForm(coeffs)
@@ -379,8 +382,8 @@ def test_bounded_search_rejects_rational_roots(coeffs):
 
 @settings(max_examples=200, deadline=None)
 @given(coeffs=st.one_of(_forms, _split).filter(lambda c: BinaryQuarticForm(c).totally_real()))
-# roots within 2^-69 of the integers 2^70 and 0: their enclosures hold an
-# integer P, and only G(P, c0) != 0 shows that these roots are irrational
+# roots within 2^-69 of the integers 2^70 and 0: a partial quotient near 2^70 is
+# tried exactly, and only a nonzero value there shows that the roots are irrational
 @example(coeffs=family_form(2 ** 70).coeffs)
 def test_rational_root_guard_matches_sympy(coeffs):
     x = sympy.symbols("x")
@@ -405,35 +408,67 @@ def test_bounded_search_streams_its_candidates():
     assert peak < 1 << 20
 
 
-def test_convergents_of_a_root_enclosure():
-    k = 64
-    lo = isqrt(2 << 2 * k)  # lo / 2^k < sqrt 2 < (lo + 1) / 2^k
-    want = [(1, 1), (3, 2)]
-    while 2 * want[-1][1] + want[-2][1] <= 10 ** 6:
-        (p0, q0), (p1, q1) = want[-2:]
-        want.append((2 * p1 + p0, 2 * q1 + q0))
-    got = _convergents(lo, lo + 1, k, 10 ** 6)
-    assert got[:3] == [(1, 1), (3, 2), (7, 5)] and got == want
-    assert _convergents(lo, lo + 1, k, 4) == [(1, 1), (3, 2)]
-    # an enclosure that straddles an integer certifies no partial quotient,
-    # nor one with an end on a convergent (3/2 ends that end's expansion)
-    assert _convergents((1 << k) - 1, (1 << k) + 1, k, 10) is None
-    assert _convergents(3 << k - 1, (3 << k - 1) + 1, k, 10) is None
+def classical_convergents(quotients, qmax):
+    """The convergents p/q, q <= qmax, of the continued fraction [a0; a1, ...]."""
+    p, q, p1, q1 = 1, 0, 0, 1
+    out = []
+    for a in quotients:
+        p, q, p1, q1 = a * p + p1, a * q + q1, p, q
+        if q > qmax:
+            return out
+        out.append((p, q))
+
+
+def test_roots_expand_into_the_classical_continued_fractions():
+    # (x^2 - 2)(x^2 - 3): sqrt 2 = [1; 2, 2, ...] and sqrt 3 = [1; 1, 2, 1, 2, ...],
+    # negated for the negative roots
+    sqrt2 = classical_convergents(chain([1], repeat(2)), 10 ** 6)
+    sqrt3 = classical_convergents(chain([1], cycle([1, 2])), 10 ** 6)
+    assert sqrt2[:3] == [(1, 1), (3, 2), (7, 5)] and sqrt3[:4] == [(1, 1), (2, 1), (5, 3), (7, 4)]
+    roots = sorted(_roots(BinaryQuarticForm(form_product((1, 0, -2), (1, 0, -3))), 10 ** 6),
+                   key=lambda root: root.x)
+    for root, (sign, want) in zip(roots, [(-1, sqrt3), (-1, sqrt2), (1, sqrt2), (1, sqrt3)]):
+        assert [(p, q) for p, q in root.convergents if q <= 10 ** 6] == [(sign * p, q)
+                                                                         for p, q in want]
+        assert root.convergents[-1][1] > 10 ** 6
+
+
+@pytest.mark.parametrize("bound", [1, 10 ** 5])
+def test_root_intervals_are_disjoint_and_hold_one_root_each(bound):
+    # each root lies strictly between its last convergent and the mediant with the
+    # one before: f changes sign there, the four intervals are disjoint, x is
+    # within rho of the whole interval, and each sep is a positive lower bound
+    forms = [family_form(t) for t in range(1, 301) if t != 3] + [f for f, _ in family_cones()]
+    for form in forms:
+        roots = _roots(form, bound)
+        ends = []
+        for root in roots:
+            (p1, q1), (p, q) = root.convergents[-2:]
+            lo, hi = sorted((Fraction(p, q), Fraction(p + p1, q + q1)))
+            assert form(lo.numerator, lo.denominator) * form(hi.numerator, hi.denominator) < 0
+            assert max(hi - Fraction(root.x), Fraction(root.x) - lo) <= root.rho
+            ends.append((lo, hi))
+        assert len(roots) == 4, form
+        for i, root in enumerate(roots):
+            (lo, hi), others = ends[i], ends[:i] + ends[i + 1:]
+            for sep, (lo2, hi2) in zip(root.seps, others, strict=True):
+                assert 0 < sep <= max(lo2 - hi, lo - hi2), form
 
 
 def tail_and_scan(form, targets, bound):
     """The search with its convergent tail, the search with windows only (every
-    row to qmax), and each enclosure (lo, hi, k) that `_convergents` got on
-    the first, with what it returned."""
+    row to qmax), and each root that `_roots` expanded for them, with its
+    convergents."""
     calls = []
 
-    def spy(lo, hi, k, qmax):
-        calls.append(((lo, hi, k), real(lo, hi, k, qmax)))
-        return calls[-1][1]
+    def spy(form, bound):
+        roots = real(form, bound)
+        calls.extend((root, root.convergents) for root in roots)
+        return roots
 
-    real = thue._convergents
+    real = thue._roots
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(thue, "_convergents", spy)
+        patch.setattr(thue, "_roots", spy)
         tail = bounded_search_multi(form, targets, bound)
         patch.setattr(thue, "_LEGENDRE", False)
         scan = bounded_search_multi(form, targets, bound)
@@ -448,14 +483,6 @@ def test_convergent_tail_matches_the_scan_on_the_family_cones():
         tails += [got for _, got in taken]
     assert len(family_cones()) == 86
     assert tails and None not in tails
-
-
-def test_family_form_convergents_reach_the_default_box():
-    # so no search on F_t refines its first, 64-bit enclosures at the default
-    # box; past it they are refined (from t = 97 at 10^7)
-    for t in (1, 2, 4, 97, 149, 239, 256, 4095, 10 ** 6):
-        for root in next(_roots(family_form(t))):
-            assert _convergents(*root.enclosure, DEFAULT_THUE_BOUND) is not None, t
 
 
 @settings(max_examples=100, deadline=None)
@@ -484,14 +511,28 @@ def test_convergent_tail_matches_the_grid(coeffs, targets):
     assert {v: s.pairs for v, s in got.items()} == grid_search(form, targets, 150)
 
 
-def test_convergent_failure_refines_the_enclosure():
-    # at t = 4095 the 64-bit enclosures certify the convergents of some roots
-    # only short of B = 10^7; a finer enclosure of each such root succeeds
+def test_bounded_search_takes_any_box():
+    # the expansion reaches any box, and only the rows of the convergent tail grow
+    # with it
+    pairs = {b: {v: s.pairs for v, s in bounded_search_multi(family_form(2), [12, 16, -4],
+                                                               b).items()}
+             for b in (10 ** 30, 10 ** 500)}
+    assert pairs[10 ** 500] == pairs[10 ** 30] and pairs[10 ** 30][16]
+
+
+def test_a_root_window_past_int64_raises():
+    # F_5 moved by 2^62: G(p, q) = F_5(p - 2^62 q, q) = 23 at (1 + 2^63, 2), whose
+    # float row would leave int64; a box that holds it raises instead of dropping it
+    t = 2 ** 62
+    form = BinaryQuarticForm(form_image(family_form(5).coeffs, ((1, -t), (0, 1))))
+    assert form(1 + 2 * t, 2) == form(t - 2, 1) == 23
+    assert bounded_search_multi(form, [23], t)[23].pairs == ((t - 2, 1),)
+    with pytest.raises(ValueError, match=f"passes the float rows' end {2 ** 62}"):
+        bounded_search_multi(form, [23], 4 * t)
+
+
+def test_convergent_tail_matches_the_scan_at_t_4095():
+    # large partial quotients: the roots of F_4095 are near 4095, -1/4095 and +-1
     targets = [s * 2 ** e for e in range(7) for s in (1, -1)] + [12, -4095]
-    tail, scan, calls = tail_and_scan(family_form(4095), targets, 10 ** 7)
+    tail, scan, _ = tail_and_scan(family_form(4095), targets, 10 ** 7)
     assert tail == scan
-    failed = [enc for enc, got in calls if got is None]
-    assert failed
-    for lo, hi, k in failed:
-        assert any(got is not None and k2 > k and lo2 <= hi << k2 - k and lo << k2 - k <= hi2
-                   for (lo2, hi2, k2), got in calls)
