@@ -33,7 +33,7 @@ from .driver import brute_force_minimal, enumerate_case2_triples, minimal_index
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
-MAX_BRUTE_BOX = 300  # (B+1)(2B+1)^2 points, (2B+1)^2 per X1 slice; >= t + 40 for every golden t
+MAX_BRUTE_BOX = 300  # (B+1)(2B+1)^2 cells, 6 adds each, <= 2^15 at once; >= t + 40 at golden t
 MAX_THUE_BOUND = 10**30  # windows to q*, then O(log B) convergent rows per root
 # worst call (t = 1, w just under the cap, B = 10^30): about 4.4 s in a fresh
 # process on 2 cores, 13 s at 10^12; time grows like sqrt|w|; own |w| < 2^29

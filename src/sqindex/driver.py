@@ -20,34 +20,27 @@ anything else to the bounded search.  The rigor of a result is the first
 non-proven one its solvers returned, so a branch is bounded only by a
 Thue box that was searched.
 
-K is cyclic and sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q)
-(`elements.sigma`); the index is Galois-invariant.  So the case-II cones
-come in sigma-pairs: the mate of (u, v) is (-u - 4v, v), where s = u + 2v
-and F change sign, and its elements are the sigma-images of the cone's.
-Only the case-I cone and the s > 0 cones are sieved and searched.  A mate
-is never parametrized: it takes the sigma-images of its pair's elements,
-each recorded as a `GaloisImage` (not a Thue `Hit`) and checked to lie on
-the mate, and the rigor of its pair.
+K is cyclic, sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q) and the index
+is Galois-invariant, so the case-II cones come in sigma-pairs (u, v),
+(-u - 4v, v); only the case-I cone and the s = u + 2v > 0 cones are searched,
+and a mate takes its pair's sigma-images (each a `GaloisImage`) and rigor.
 
-The case-II equation F(u, v) = +-g^6 m / n is solved once for the whole
-family: `_cones(class, m)` solves v^2 (t^2 + 16) = a1^2 4^i +- a2 2^(l-i)
-for t, so the table is finite by construction and needs no cut-off in t
-(every such sum is at most 2^24 + 1, whence t <= 4095).  It holds 108
-cones, all at t <= 256.  The sieve closes 74 of them: the 22 without a
-rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod 5).  The
-34 residual cones form 17 sigma-pairs, and the 17 with s > 0 have base
-points in closed form (`find_point`): two rules in s = u + 2v, each a
-polynomial identity in (t, v), cover 16 of them, and a literal point
-the cone (36, 10) at t = 4.  Each parametrizes through its point, so
-every searched branch ends in a proof or a Thue search.
+The case-II equation F(u, v) = +-g^6 m / n is solved for t once for the
+whole family by `_cones` (each sum it solves is at most 2^24 + 1, whence
+t <= 4095): 108 cones, all at t <= 256.  The sieve closes 74: the 22
+without a rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod
+5).  The 34 residual cones form 17 sigma-pairs, each with its s > 0 base
+point in closed form (`find_point`), so every searched branch ends in a
+proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
 oracle `brute_force_minimal` shares no step with the pipeline: it
-interpolates the signed index form det(1, e, e^2, e^3), of degree 6 in
-(X1, X2, X3), from 28 exact values, scans it over a box in Z/2^64, where
-det = +-m is a necessary congruence, and rechecks every match by the
-determinant.
+interpolates that determinant, a form of degree 6, from 28 exact values
+and steps it along X1 over a box by its forward differences, exact in
+Z/2^64 (a ring map) and one (X2, X3) row block of <= 2^15 cells at a time:
+six adds and one compare per cell, where det = +-m is a necessary
+congruence.  It rechecks every match exactly.
 """
 
 from __future__ import annotations
@@ -407,6 +400,7 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
 _WORD = 1 << 64  # the scan runs in Z/2^64: unsigned (uint64) overflow wraps by definition
 _DEGREE = 6  # of the index form det(1, e, e^2, e^3) in (X1, X2, X3)
 _TRIANGLE = [(j, k) for j in range(_DEGREE + 1) for k in range(_DEGREE + 1 - j)]
+_PLANE_CELLS = 1 << 15  # (X2, X3) cells per row block of `_index_scan`: 7 uint64 planes, 1.8 MB
 
 
 @cache  # built on first use: only the box oracle needs them
@@ -447,43 +441,49 @@ def _index_form(param: FamilyParameter) -> dict[tuple[int, int, int], int]:
     return {(_DEGREE - j - k, j, k): coef[j, k] for j, k in _TRIANGLE}
 
 
-def _index_scan(form: dict[tuple[int, int, int], int], xs, start: int = 0):
-    """Yield (x1, D) for x1 in xs[start:], with D[a, b] = form(x1, xs[a], xs[b]) mod 2^64.
+def _index_scan(form: dict[tuple[int, int, int], int], box: int, shift: int):
+    """Yield (x1, x2s, D), x1 = 0..box, D[a, b] = form(x1, x2s[a], b - box) + shift mod 2^64.
 
-    Coefficients are reduced in Python before they become uint64, so the
-    wrapping numpy products and sums are exact in Z/2^64.  For each x1
-    the form collapses to a 7x7 matrix C(x1) in (X2, X3), and the slice
-    is V C(x1) V^T with V the degree-6 Vandermonde matrix of xs.
+    Per block x2s of plane rows (at most _PLANE_CELLS cells), the differences
+    Delta^0..6 in X1 start at X1 = 0 as V N W C V^T (C the form, W and V the
+    powers of 0..6 and of the plane, N of `_newton_matrices`); by degree 6,
+    Delta^k += Delta^(k+1), k < 6, steps X1.  Reduction mod 2^64 is a ring map,
+    so uint64 wrapping is exact.  D is Delta^0, which the next step overwrites.
     """
     size = _DEGREE + 1
+    coef = np.array([[form.get((i, j, k), 0) for j in range(size) for k in range(size)]
+                     for i in range(size)], dtype=object)
+    at_zero = np.array(_newton_matrices()[0] @ np.vander(range(size), increasing=True) @ coef
+                       % _WORD, dtype=np.uint64).reshape(size, size, size)
+    xs = range(-box, box + 1)
     vander = np.array([[pow(x, j, _WORD) for j in range(size)] for x in xs], dtype=np.uint64)
-    coef = np.zeros((size, size, size), dtype=np.uint64)
-    for (i, j, k), c in form.items():
-        coef[i, j, k] = c % _WORD
-    by_x1 = vander[start:] @ coef.reshape(size, size * size)
-    for x1, row in zip(xs[start:], by_x1):
-        yield x1, vander @ row.reshape(size, size) @ vander.T
+    rows = max(1, _PLANE_CELLS // len(xs))
+    for start in range(0, len(xs), rows):
+        diff = vander[start:start + rows] @ at_zero @ vander.T
+        diff[0] += shift
+        for x1 in range(box + 1):
+            for k in range(_DEGREE if x1 else 0):
+                diff[k] += diff[k + 1]
+            yield x1, xs[start:start + rows], diff[0]
 
 
 def brute_force_minimal(param: FamilyParameter, box: int
                         ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Minimum index over all elements with |X1|,|X2|,|X3| <= box, X0 = 0.
 
-    Independent oracle: the index form, interpolated once as an integer
-    form in (X1, X2, X3) and evaluated on the box in Z/2^64, gives the
-    congruence det = +-m, so no element of index m <= n is missed; the
-    determinant (`index_oracle`) rechecks each match exactly.  e and -e
-    share the index, and canonical triples have X1 >= 0, so only X1 >= 0
-    is scanned.
+    Independent oracle: `_index_scan` steps the index form f over the box in
+    Z/2^64.  Shifted by n, one compare per cell keeps each f = k, |k| <= n, a
+    necessary congruence for det = +-m; `index_oracle` rechecks each such cell
+    and drops f = 0.  e and -e share the index, so canonical X1 >= 0 suffices.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
     hits: dict[int, set] = {m: set() for m in range(1, param.n + 1)}
-    keys = np.array([s * m % _WORD for m in hits for s in (1, -1)], dtype=np.uint64)
-    xs = range(-box, box + 1)
-    for x1, vals in _index_scan(_index_form(param), xs, box):
-        for a, b in zip(*np.nonzero(np.isin(vals, keys))):
-            cand = (x1, xs[a], xs[b])
+    for x1, x2s, vals in _index_scan(_index_form(param), box, param.n):
+        mask = vals <= 2 * param.n
+        for cell in np.flatnonzero(mask) if mask.any() else ():
+            a, b = divmod(int(cell), 2 * box + 1)
+            cand = (x1, x2s[a], b - box)
             m = index_oracle(AlgebraicInt((0, *cand)), param)
             if m in hits:
                 hits[m].add(canonical_triple(cand))

@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqindex.cli import MAX_BRUTE_BOX
 from sqindex.fieldmodel import (MAX_SUPPORTED_T, odd_square_divisor, v2_class,
                                 validate_parameter)
 from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
@@ -765,21 +767,62 @@ def _form_value(form, x1, x2, x3):
     return sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in form.items())
 
 
+def _check_scan(table, form, box, shift):
+    """Check every cell of every X1 slice of `_index_scan` against the determinant mod 2^64.
+
+    The number of X1 slices and row blocks yielded, with every (x1, x2) row
+    covered exactly once, is returned as (slices, blocks).
+    """
+    rows, slices = [], 0
+    for x1, x2s, vals in _index_scan(form, box, shift):
+        assert vals.shape == (len(x2s), 2 * box + 1) and vals.dtype == np.uint64
+        for a, x2 in enumerate(x2s):
+            for b, x3 in enumerate(range(-box, box + 1)):
+                assert int(vals[a, b]) == (_basis_det(table, (x1, x2, x3)) + shift) % 2 ** 64
+            rows.append((x1, x2))
+        slices += 1
+    assert sorted(rows) == list(product(range(box + 1), range(-box, box + 1)))
+    return slices, slices // (box + 1)
+
+
 @settings(max_examples=60, deadline=None)
-@given(t=_valid_t(10_000), point=st.tuples(*[st.integers(-10_000, 10_000)] * 3))
-@example(t=9_999, point=(10_000, -10_000, 9_999))
-def test_index_form_matches_exact(t, point):
-    # the expansion is exact over Z, and the uint64 scan of it is exact mod
-    # 2^64 even where (|Xi| and t up to 10^4) the values overflow 64 bits
+@given(t=_valid_t(10_000), point=st.tuples(*[st.integers(-10_000, 10_000)] * 3),
+       box=st.integers(1, 8), shift=st.integers(0, 16))
+@example(t=9_999, point=(10_000, -10_000, 9_999), box=8, shift=16)
+def test_index_form_matches_exact(t, point, box, shift):
+    # the expansion is exact over Z, and the difference scan of it is exact
+    # mod 2^64 even where (t up to 10^4) the values overflow 64 bits; boxes
+    # below 6 end inside the seven starting differences, boxes 6..8 step past them
     param = validate_parameter(t)
     table = _mult_table(param)
     form = _index_form(param)
     assert {sum(k) for k in form} == {6}
     assert _form_value(form, *point) == _basis_det(table, point)
-    for y1, vals in _index_scan(form, point):
-        for a, ya in enumerate(point):
-            for b, yb in enumerate(point):
-                assert int(vals[a, b]) == _basis_det(table, (y1, ya, yb)) % 2 ** 64
+    assert _check_scan(table, form, box, shift) == (box + 1, 1)
+
+
+@pytest.mark.parametrize("t", (5, 9_999))
+def test_index_scan_restarts_at_each_row_block(monkeypatch, t):
+    # a plane of 15 x 15 cells held 4 rows at a time, the last block 3 rows:
+    # every block starts its own differences, and the oracle reads every block
+    param = validate_parameter(t)
+    want = brute_force_minimal(param, 7)
+    monkeypatch.setattr(driver, "_PLANE_CELLS", 4 * 15 + 14)
+    assert _check_scan(_mult_table(param), _index_form(param), 7, param.n) == (4 * 8, 4)
+    assert brute_force_minimal(param, 7) == want
+
+
+def test_box_oracle_working_set_is_bounded():
+    # one row block of at most 2^15 cells of the (X2, X3) plane at a time: at
+    # the CLI cap (601 x 601 cells per X1 slice) the traced peak stays small
+    tracemalloc.start()
+    try:
+        m, elems = brute_force_minimal(validate_parameter(64), MAX_BRUTE_BOX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 16 and len(elems) == 4
+    assert peak < 4.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("t", (1, 2, 4, 8, 9999))  # one t per 2-adic class, and a large one
@@ -817,6 +860,8 @@ def test_index_form_rejects_a_wrong_value(monkeypatch, point):
 
 @settings(max_examples=60, deadline=None)
 @given(t=_valid_t(1000), box=st.integers(1, 5))
+@example(t=1, box=7)  # boxes past 6: X1 slices from the difference steps,
+@example(t=12, box=8)  # not only from the seven starting values
 def test_brute_force_matches_plain_scan(t, box):
     param = validate_parameter(t)
     by_index = {}
