@@ -10,15 +10,15 @@ branch (u, v), and every branch runs one pipeline (`branch_candidates`):
 Case I (v = 0) is the one cone (2^(l/3), 0), present when
 g^6 m / n = 2^l with 3 | l, through the closed-form point (-6, 0, 1).
 Case II (v != 0) reads its cones from `_cones`, one exact family-wide
-table (below).  A local sieve mod 32 and then mod 5 (`local_sieve`, on
-at most 52 tables keyed by t mod N and the 2-adic class) proves a branch
-empty before any conic work when no integral element has Q1, Q2 =
-+-(u, v) mod N at its power part.  The solver is picked from the reduced
-equation: the family form F_t with right sides +-2^e goes to
-`solve_power_of_two`, which is complete (every case-I cone reduces so),
-anything else to the bounded search.  The rigor of a result is the first
-non-proven one its solvers returned, so a branch is bounded only by a
-Thue box that was searched.
+table (below).  A local sieve mod 32 and then mod 5 (`local_sieve`, by
+exact p-adic digit lifting, one cached verdict per t mod N, 2-adic class
+and (u, v) mod N) proves a branch empty before any conic work when no
+integral element has Q1, Q2 = +-(u, v) mod N at its power part.  The
+solver is picked from the reduced equation: the family form F_t with
+right sides +-2^e goes to `solve_power_of_two`, which is complete (every
+case-I cone reduces so), anything else to the bounded search.  The rigor
+of a result is the first non-proven one its solvers returned, so a
+branch is bounded only by a Thue box that was searched.
 
 K is cyclic, sigma(xi) = (xi - 1)/(xi + 1) generates Gal(K/Q) and the index
 is Galois-invariant, so the case-II cones come in sigma-pairs (u, v),
@@ -47,10 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial, isqrt
+from itertools import product
+from math import comb, factorial, gcd, isqrt
 from typing import NamedTuple
-
-import numpy as np
 
 from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
                          v2, v2_class, validate_parameter)
@@ -188,28 +187,76 @@ def _collect_solution(param, par, k, p, q, w, uv, out):
     out.setdefault(canonical_triple(trip), set()).add(hit)
 
 
-# Moduli of `local_sieve`, in the order tried: 32 closes 46 of the family's
-# 86 soluble cones and 5 closes 6 more.
-_SIEVE_MODULI = (32, 5)
+# Moduli p^k of `local_sieve`, in the order tried: 2^5 closes 46 of the
+# family's 86 soluble cones and 5^1 closes 6 more.
+_SIEVE_MODULI = ((2, 5), (5, 1))
 
 
-@cache  # bounded by the 52 keys of the family (`local_sieve`), <= 1 KB each
-def _sieve_table(n: int, t: int, cls: V2Class) -> np.ndarray:
-    """Boolean n x n table: entry (a, b) is set when Q1, Q2 = a, b mod n at an integral element.
+def _power_part_form(q: TernaryForm, rows) -> TernaryForm:
+    """q(power_part(X1, X2, X3, rows)) as a ternary form in X, read off six values."""
+    def at(*x):
+        return q(*power_part(*x, rows))
+    d1, d2, d3 = at(1, 0, 0), at(0, 1, 0), at(0, 0, 1)
+    return TernaryForm((d1, at(1, 1, 0) - d1 - d2, d2, at(1, 0, 1) - d1 - d3,
+                        at(0, 1, 1) - d2 - d3, d3))
 
-    t is the parameter mod n, the key of the table (`local_sieve`).  The
-    power part is linear in (X1, X2, X3) over the integers, so the table
-    reads Q1, Q2 at the power part of every X in (Z/n)^3.  int32 (twice as
-    fast as int64) is exact: the basis entries give |x|, |y|, |z| < 8n and
-    the coefficients are below n^2 + 37, so each value is below
-    6*64*n^2*(n^2 + 37) < 2^29 at n = 32.
+
+@cache  # one entry per (p, k, t mod p^k, class) of `local_sieve`: at most 32 + 5*4
+def _lift_start(p: int, k: int, t: int, cls: V2Class):
+    """(A, B, roots, digits) of the lifting in `_reached` mod p^k at the parameter t mod p^k.
+
+    A and B are Q1 and Q2 at the power part (`_power_part_form`), digits[j]
+    lists the digits d of a lift at level j, and roots maps (A(X0), B(X0))
+    mod p to its root digits X0 in digits[0] = (Z/p)^3.  The digit of X_i
+    stays 0 from the level j on where p^j times its column of the power part
+    is 0 mod p^k, as it then changes neither A nor B mod p^k.  Raises
+    ArithmeticError unless k = 1 or the Hessians of A and B are 0 mod p
+    (`_reached`).
     """
-    _, q1, q2 = family_forms(t)
-    xyz = power_part(*np.indices((n, n, n), dtype=np.int32).reshape(3, -1), _BASIS_NUM[cls])
-    table = np.zeros(n * n, dtype=bool)
-    table[q1(*xyz) % n * n + q2(*xyz) % n] = True
-    table.flags.writeable = False  # cached: shared by every caller
-    return table.reshape(n, n)
+    rows = _BASIS_NUM[cls]
+    forms = [_power_part_form(q, rows) for q in family_forms(t)[1:]]
+    if k > 1 and any(c * (1 + diag) % p for f in forms
+                     for c, diag in zip(f.coeffs, (1, 0, 1, 0, 0, 1))):
+        raise ArithmeticError(f"a sieve form at t = {t} mod {p}^{k} has a Hessian not 0 mod {p}")
+    n = p ** k
+    cols = [gcd(n, *(row[i] for row in rows[1:])) for i in (1, 2, 3)]
+    digits = [list(product(*(range(p) if p ** j * c % n else (0,) for c in cols)))
+              for j in range(k)]
+    roots: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for x in digits[0]:
+        roots.setdefault((forms[0](*x) % p, forms[1](*x) % p), []).append(x)
+    return (*forms, roots, digits)
+
+
+@cache  # keyed like the verdicts of `local_sieve`: at most 32^3 + 5*4*5^2 entries
+def _reached(p: int, k: int, t: int, cls: V2Class, u: int, v: int) -> bool:
+    """Whether some X in Z^3 has A(X), B(X) = u, v mod p^k, for A, B = Q1, Q2 at the power part.
+
+    t, u and v are taken mod p^k.  X is lifted one p-adic digit at a time,
+    from the root digits of `_lift_start` on.  A solution mod p^(j+1)
+    reduces to one mod p^j, so keeping every lift that solves the system mod
+    p^(j+1) misses none, and the search stops at the first X that reaches
+    p^k.  For j >= 1,
+
+        A(X + p^j d) = A(X) + p^j (H X) . d + p^(2j) A(d) = A(X)  (mod p^(j+1))
+
+    when the Hessian H of A is 0 mod p: the 2 x 3 system over F_p of the
+    lift then has the zero matrix, so X lifts exactly when it already solves
+    the system mod p^(j+1), and then with every digit d.  Mod 2 the Hessians
+    of A and B vanish in every class (their cross coefficients are even), and
+    5 is never lifted past its root digit.
+    """
+    a, b, roots, digits = _lift_start(p, k, t, cls)
+    stack = [(x, 1) for x in roots.get((u % p, v % p), ())]
+    while stack:
+        (x1, x2, x3), j = stack.pop()  # a solution mod p^j
+        if j == k:
+            return True
+        q = p ** j
+        if (u - a(x1, x2, x3)) % (p * q) or (v - b(x1, x2, x3)) % (p * q):
+            continue
+        stack.extend(((x1 + q * d1, x2 + q * d2, x3 + q * d3), j + 1) for d1, d2, d3 in digits[j])
+    return False
 
 
 def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
@@ -218,16 +265,17 @@ def local_sieve(param: FamilyParameter, u: int, v: int) -> int | None:
     A system with no solution mod N has no integer solution.  The result
     is the first N in (32, 5) at which no integral element has
     Q1, Q2 = +-(u, v) mod N at its power part, or None when both moduli
-    leave the branch open.
+    leave the branch open.  `_reached` decides each sign by exact p-adic
+    lifting.
 
-    Theorem: the table for N is a function of (t mod N, 2-adic class), as
-    Q1 and Q2 (`family_forms`) have integer polynomial coefficients in t and
-    the power part reads only the class's basis.  As t mod 32 fixes the
-    class, the family needs at most 32 + 5*4 = 52 tables.
+    Theorem: the verdict for N is a function of (t mod N, 2-adic class,
+    u mod N, v mod N), as Q1 and Q2 (`family_forms`) have integer polynomial
+    coefficients in t and the power part reads only the class's basis.
     """
-    for n in _SIEVE_MODULI:
-        table = _sieve_table(n, param.t % n, param.v2_class)
-        if not (table[u % n, v % n] or table[-u % n, -v % n]):
+    for p, k in _SIEVE_MODULI:
+        n = p ** k
+        t, cls = param.t % n, param.v2_class
+        if not (_reached(p, k, t, cls, u % n, v % n) or _reached(p, k, t, cls, -u % n, -v % n)):
             return n
     return None
 
@@ -396,6 +444,8 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
 
 
 # --- box-scan oracle -------------------------------------------------------
+# The only numpy code of this module: each function imports it, so the
+# minimal-index pipeline runs without loading it.
 
 _WORD = 1 << 64  # the scan runs in Z/2^64: unsigned (uint64) overflow wraps by definition
 _DEGREE = 6  # of the index form det(1, e, e^2, e^3) in (X1, X2, X3)
@@ -404,10 +454,12 @@ _PLANE_CELLS = 1 << 15  # (X2, X3) cells per row block of `_index_scan`: 7 uint6
 
 
 @cache  # built on first use: only the box oracle needs them
-def _newton_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """(D, S), object arrays of Python ints: (Delta^j v)(0) = sum_i D[j, i] v(i), and
+def _newton_matrices():
+    """(D, S), numpy object arrays of Python ints: (Delta^j v)(0) = sum_i D[j, i] v(i), and
     a(a-1)..(a-j+1) = sum_i S[j, i] a^i, S the signed Stirling numbers of the first kind.
     """
+    import numpy as np
+
     size = _DEGREE + 1
     d = np.array([[(-1) ** (j + i) * comb(j, i) for i in range(size)] for j in range(size)],
                  dtype=object)
@@ -427,6 +479,8 @@ def _index_form(param: FamilyParameter) -> dict[tuple[int, int, int], int]:
     ArithmeticError.  Stirling numbers give the coefficient c_jk of a^j b^k,
     which homogeneity puts at X1^(6-j-k) X2^j X3^k.
     """
+    import numpy as np
+
     table = _mult_table(param)
     vals = np.array([[_basis_det(table, (1, a, b)) if a + b <= _DEGREE else 0
                       for b in range(_DEGREE + 1)] for a in range(_DEGREE + 1)], dtype=object)
@@ -450,6 +504,8 @@ def _index_scan(form: dict[tuple[int, int, int], int], box: int, shift: int):
     Delta^k += Delta^(k+1), k < 6, steps X1.  Reduction mod 2^64 is a ring map,
     so uint64 wrapping is exact.  D is Delta^0, which the next step overwrites.
     """
+    import numpy as np
+
     size = _DEGREE + 1
     coef = np.array([[form.get((i, j, k), 0) for j in range(size) for k in range(size)]
                      for i in range(size)], dtype=object)
@@ -476,6 +532,8 @@ def brute_force_minimal(param: FamilyParameter, box: int
     necessary congruence for det = +-m; `index_oracle` rechecks each such cell
     and drops f = 0.  e and -e share the index, so canonical X1 >= 0 suffices.
     """
+    import numpy as np
+
     if box < 1:
         raise ValueError("box must be >= 1")
     hits: dict[int, set] = {m: set() for m in range(1, param.n + 1)}

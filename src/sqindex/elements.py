@@ -84,7 +84,7 @@ class PowerRep:
 
 def power_part(x1, x2, x3, rows):
     """(x, y, z) with X1*b2 + X2*b3 + X3*b4 = (const + x*xi + y*xi^2 + z*xi^3)/g, rows the
-    triangular `basis_num`; + and * only, so the X may be ints or numpy integer arrays."""
+    triangular `basis_num`."""
     _, (_, r11, _, _), (_, r21, r22, _), (_, r31, r32, r33) = rows
     return x1 * r11 + x2 * r21 + x3 * r31, x2 * r22 + x3 * r32, x3 * r33
 

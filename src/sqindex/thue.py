@@ -84,8 +84,6 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
 
-import numpy as np
-
 
 class UnsupportedW(ValueError):
     pass
@@ -366,8 +364,9 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
     with |G(p, q)| <= top whose nearest root of f is `root`.
 
-    Rows q < q* are the root windows, in float64; ValueError when one of
-    them reaches past min(bound, 2^62) inside the box.  Every row q >= q* is a multiple
+    Rows q < q* are the root windows, in float64 (the one use of numpy in
+    this module, imported there); ValueError when one of them reaches past
+    min(bound, 2^62) inside the box.  Every row q >= q* is a multiple
     of one of the root's convergents (module docstring).
     """
     big_r = isqrt(isqrt(top // abs(lead))) + 1  # > (top / |lead|)^(1/4)
@@ -396,6 +395,8 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
         lim = math.nextafter(lim, 0.0)
 
     def rows():
+        import numpy as np
+
         size = (abs(root.x) + root.rho) * end + big_r + 2
         slack = (root.rho * end + 8 * _U * size) * _GROW
         for start in range(1, end + 1, _Q_CHUNK):

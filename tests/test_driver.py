@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqindex.cli import MAX_BRUTE_BOX
-from sqindex.fieldmodel import (MAX_SUPPORTED_T, odd_square_divisor, v2_class,
+from sqindex.fieldmodel import (MAX_SUPPORTED_T, V2Class, odd_square_divisor, v2_class,
                                 validate_parameter)
 from sqindex.elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple,
                               index_oracle, mult_matrix, sigma, triple_from_xyz)
@@ -336,19 +336,22 @@ def test_local_sieve_closes_exactly_the_pinned_cones():
 @pytest.mark.parametrize("t", [1, 2, 4, 8])  # one t per 2-adic class
 def test_local_sieve_tables_match_brute_force(t):
     # every residue point in pure Python; triple_from_xyz on the representative
-    # decides the congruences, which only depend on x, y, z mod b11*b22
+    # decides the congruences, which only depend on x, y, z mod b11*b22; the
+    # lifting verdict of every residue pair (a, b) must be its membership
     param = validate_parameter(t)
     _, q1, q2 = family_forms(t)
     _, (_, b11, _, _), (_, _, b22, _), _ = param.basis_num
     reached = {}
-    for n in (32, 5):
+    for p, k in driver._SIEVE_MODULI:
+        n = p ** k
         want = set()
         for x, y, z in product(range(n), repeat=3):
             if n % (b11 * b22) == 0 and triple_from_xyz(x, y, z, param) is None:
                 continue
             want.add((q1(x, y, z) % n, q2(x, y, z) % n))
-        table = driver._sieve_table(n, t % n, param.v2_class)
-        assert {(a, b) for a in range(n) for b in range(n) if table[a, b]} == want
+        got = {(a, b) for a in range(n) for b in range(n)
+               if driver._reached(p, k, t % n, param.v2_class, a, b)}
+        assert got == want
         reached[n] = want
     # the verdict tests both signs; mod 32 some (a, b) is reached while (-a, -b) is not
     assert any(((-a) % 32, (-b) % 32) not in reached[32] for a, b in reached[32])
@@ -359,8 +362,12 @@ def test_local_sieve_tables_match_brute_force(t):
         assert local_sieve(param, u, v) == want, (u, v)
 
 
+@cache
 def _reachable_pairs_of_t(param, n):
-    """The sieve table of param built from its own t and basis, with no residue key."""
+    """The sieve table of param built from its own t and basis, with no residue key.
+
+    numpy over all n^3 residue points: the referee of the lifting verdicts.
+    """
     _, q1, q2 = family_forms(param.t)
     x, y, z = (c.ravel() for c in np.indices((n, n, n), dtype=np.int32))
     _, (_, b11, _, _), (_, b21, b22, _), (_, b31, b32, _) = param.basis_num
@@ -375,36 +382,99 @@ def _reachable_pairs_of_t(param, n):
 
     table = np.zeros(n * n, dtype=bool)
     table[values(q1) * n + values(q2)] = True
+    table.flags.writeable = False
     return table.reshape(n, n)
 
 
+def _sieve_by_tables(param, u, v):
+    """`local_sieve` read off the referee tables of `_reachable_pairs_of_t`."""
+    return next((n for n in (32, 5) if not (_reachable_pairs_of_t(param, n)[u % n, v % n]
+                                            or _reachable_pairs_of_t(param, n)[-u % n, -v % n])),
+                None)
+
+
 def test_sieve_tables_keyed_by_t_mod_n_match_the_per_t_build():
-    # the table for N is a function of (t mod N, 2-adic class), so the family
-    # needs at most 32 + 5*4 = 52 of them (`local_sieve`); every valid t <= 300
-    # covers the t of the 108 family cones and the 24 golden t
+    # the verdict for N is a function of (t mod N, 2-adic class, u mod N, v mod N)
+    # (`local_sieve`); every valid t <= 300 covers the t of the 108 family cones
+    # and the 24 golden t, and each of them is asked about every family cone
     ts = [t for t in range(1, 301) if t != 3]
+    cones = {(c.u, c.v) for c, *_ in _family_cones()}
     assert {c.t for c, *_ in _family_cones()} | set(EXCEPTIONAL_T + GENERIC_SAMPLE_T) <= set(ts)
     for t in ts:
         param = validate_parameter(t, allow_hypothesis_violation=True)
-        for n in (32, 5):
-            want = _reachable_pairs_of_t(param, n)
-            assert np.array_equal(driver._sieve_table(n, t % n, param.v2_class), want), (t, n)
-    assert driver._sieve_table.cache_info().currsize <= 52
+        for u, v in cones:
+            assert local_sieve(param, u, v) == _sieve_by_tables(param, u, v), (t, u, v)
+    # each cache is bounded by its key space, whatever the callers ask
+    assert driver._lift_start.cache_info().currsize <= 32 + 5 * 4
+    assert driver._reached.cache_info().currsize <= 32 ** 3 + 5 * 4 * 5 ** 2
+    # the lifting needs Hessians that vanish mod p; mod 3^2 they do not
+    with pytest.raises(ArithmeticError, match="Hessian"):
+        driver._lift_start(3, 2, 1, V2Class.V0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10 ** 4).filter(lambda t: t != 3),
+       st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+@example(16, 14, 1)  # the largest lifting search of the family's verdicts
+def test_local_sieve_matches_the_tables_on_random_branches(t, u, v):
+    param = validate_parameter(t, allow_hypothesis_violation=True)
+    assert local_sieve(param, u, v) == _sieve_by_tables(param, u, v)
 
 
 def test_import_builds_no_cached_table():
     # every table is built on first use, so importing the package costs no build;
-    # a fresh process, since this one has built them all
+    # a fresh process, since this one has built them all.  The sieve over the
+    # 108 family cones asks at most four verdicts per cone.
     code = ("import sqindex\n"
             "from sqindex import driver, elements\n"
-            "caches = (driver._cones, driver._sieve_table, driver._newton_matrices,\n"
-            "          elements._mult_table, elements._sigma_columns)\n"
-            "print([f.cache_info().currsize for f in caches])\n")
+            "caches = (driver._cones, driver._reached, driver._lift_start,\n"
+            "          driver._newton_matrices, elements._mult_table, elements._sigma_columns)\n"
+            "print([f.cache_info().currsize for f in caches])\n"
+            "from sqindex.fieldmodel import validate_parameter\n"
+            "for c in driver.enumerate_case2_triples(256):\n"
+            "    driver.local_sieve(validate_parameter(c.t, True), c.u, c.v)\n"
+            "print(*(f.cache_info().currsize for f in (driver._reached, driver._lift_start)))\n")
     src = str(Path(__file__).parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 0, 0, 0]\n"
+    first, second = done.stdout.splitlines()
+    assert first == "[0, 0, 0, 0, 0, 0]"
+    verdicts, steps = map(int, second.split())
+    assert verdicts <= 4 * 108 and steps <= 32 + 5 * 4
+
+
+def test_numpy_loads_only_for_float_rows_and_the_box_oracle():
+    # import, element indices and proven minimal indices never load numpy;
+    # a bounded Thue search (its float rows) and the box oracle do
+    code = """
+import sys
+import sqindex, sqindex.cli
+from sqindex import (AlgebraicInt, brute_force_minimal, family_form, index_oracle,
+                     index_via_forms, minimal_index, solve_power_of_two, to_power_rep,
+                     validate_parameter)
+from sqindex.thue import bounded_search_multi
+assert "numpy" not in sys.modules, "import"
+param = validate_parameter(12)
+e = AlgebraicInt((3, 5, 6, -1))
+assert index_oracle(e, param) == index_via_forms(to_power_rep(e, param), param) > 0
+assert "numpy" not in sys.modules, "element"
+for t in (10, 1000):
+    res = minimal_index(validate_parameter(t))
+    assert res.rigor.proven, t
+assert "numpy" not in sys.modules, "minimal_index"
+sols = bounded_search_multi(family_form(5), [1, -1], 50)
+assert sorted(sols[1]) == sorted(solve_power_of_two(5, 1)), sols
+assert "numpy" in sys.modules
+res = minimal_index(validate_parameter(5))
+assert brute_force_minimal(validate_parameter(5), 10) == (res.m, res.elements)
+print("ok")
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def test_local_sieve_same_verdict_on_sigma_pairs():
