@@ -35,8 +35,8 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 MAX_BRUTE_BOX = 300  # (B+1)(2B+1)^2 cells, 6 adds each, <= 2^15 at once; >= t + 40 at golden t
 MAX_THUE_BOUND = 10**30  # windows to q*, then O(log B) convergent rows per root
-# worst call (t = 1, w just under the cap, B = 10^30): about 4.4 s in a fresh
-# process on 2 cores, 13 s at 10^12; time grows like sqrt|w|; own |w| < 2^29
+# worst call (t = 1, w just under the cap, B = 10^30): about 1.1 s in a fresh
+# process on 2 cores, 4 s at 10^12; time grows like sqrt|w|; own |w| < 2^29
 MAX_THUE_RHS = 10**11
 
 

@@ -41,7 +41,10 @@ Proof: |a| prod |p - alpha_i q| = |G(p, q)| <= W;
 
 S = all gives |p - alpha q| < R = floor((W/|a|)^(1/4)) + 1, so in the
 box |q| <= qmax = (B + R) / |alpha|; S = {} gives
-|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|).  The windows are
+|p - alpha q| <= 8W / (|a| |q|^3 prod |alpha - beta|).  Each window is a
+bound on its own.  A row takes their least until the S = {} window is the
+least; it falls like q^-3, the others like q^-1 and q^(-1/3) and R not at
+all, so it stays the least, and later rows take it alone.  The windows are
 certified: every root sits in an interval proven in exact arithmetic
 to hold exactly one root (below), each p-range is widened by an explicit
 bound on its float64 rounding, and every candidate is re-checked with
@@ -227,9 +230,6 @@ def solve_power_of_two(t: int, w: int) -> SolutionSet:
 
 _U = 2.0 ** -53           # unit roundoff of float64
 _GROW = 1 + 2.0 ** -20    # covers the relative rounding of a few float64 operations
-_Q_CHUNK = 1 << 16        # q values per vectorised window step
-_ROW_LIMIT = 1 << 62      # the float rows stay inside int64
-_LEGENDRE = True          # the convergent tail; the tests switch it off to scan every row to qmax
 
 
 @dataclass(frozen=True)
@@ -364,10 +364,10 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     """Rows (q, lo, hi), q >= 1, whose p in lo..hi cover every |p|, |q| <= bound
     with |G(p, q)| <= top whose nearest root of f is `root`.
 
-    Rows q < q* are the root windows, in float64 (the one use of numpy in
-    this module, imported there); ValueError when one of them reaches past
-    min(bound, 2^62) inside the box.  Every row q >= q* is a multiple
-    of one of the root's convergents (module docstring).
+    Rows q < q* are the root windows in float64, clipped to the box, with the
+    S = {} window alone once it is the least (module docstring), which keeps
+    each row a superset of the all-windows row.  Every row q >= q* is a
+    multiple of one of the root's convergents (module docstring).
     """
     big_r = isqrt(isqrt(top // abs(lead))) + 1  # > (top / |lead|)^(1/4)
     convs = root.convergents
@@ -382,39 +382,34 @@ def _window_candidates(root: _Root, lead: int, top: int, bound: int):
     terms = []
     for i in range(len(seps)):
         rest = seps[i:]
-        terms.append((2.0 ** len(rest) * top / abs(lead) / math.prod(rest), len(rest), i + 1))
+        terms.append((2.0 ** len(rest) * top / abs(lead) / math.prod(rest), len(rest),
+                      1.0 / (i + 1)))
     end, tail = qmax, []
     # terms[0] is S = {}: |p - alpha q| <= C / q^3
-    twice_c = 2 * terms[0][0] * _GROW
-    if _LEGENDRE and twice_c < qmax * qmax:
+    (const, e, _), others = terms[0], terms[1:]  # m = 1 for S = {}
+    twice_c = 2 * const * _GROW
+    if twice_c < qmax * qmax:
         qstar = isqrt(math.floor(twice_c)) + 1
         tail = [(p1, q1, q2) for (p1, q1), (_, q2) in zip(convs, convs[1:]) if q1 <= qmax]
         end = qstar - 1
-    lim = float(min(bound, _ROW_LIMIT))  # the float rows end at the box
-    if lim > bound:
-        lim = math.nextafter(lim, 0.0)
 
     def rows():
-        import numpy as np
-
-        size = (abs(root.x) + root.rho) * end + big_r + 2
+        x, big, ceil, floor = root.x, float(big_r), math.ceil, math.floor
+        size = (abs(x) + root.rho) * end + big_r + 2
         slack = (root.rho * end + 8 * _U * size) * _GROW
-        for start in range(1, end + 1, _Q_CHUNK):
-            q = np.arange(start, min(start + _Q_CHUNK, end + 1), dtype=np.float64)
-            half = np.full_like(q, float(big_r))
-            with np.errstate(over="ignore"):
-                for const, e, m in terms:
-                    np.minimum(half, (const / q ** e) ** (1.0 / m) * _GROW, out=half)
-            centre = root.x * q
-            lo = np.ceil(centre - half - slack)
-            hi = np.floor(centre + half + slack)
-            if lim < bound and (lo.min() < -lim or hi.max() > lim):
-                raise ValueError(f"a root window passes the float rows' end {lim:.0f}")
-            np.maximum(lo, -lim, out=lo)
-            np.minimum(hi, lim, out=hi)
-            keep = lo <= hi
-            yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
-                           hi[keep].astype(np.int64).tolist())
+        alone = False
+        for q in range(1, end + 1):
+            fq = float(q)
+            half = const / fq ** e * _GROW  # S = {}; from `alone` on the one window
+            if not alone:
+                least = min([big] + [(k / fq ** j) ** m * _GROW for k, j, m in others])
+                alone, half = half <= least, min(half, least)
+            centre = x * fq
+            lo, far = ceil(centre - half - slack), centre + half + slack
+            if lo <= far:  # the integer lo is at most floor(far)
+                lo, hi = max(lo, -bound), min(floor(far), bound)
+                if lo <= hi:
+                    yield q, lo, hi
         for p1, q1, q2 in tail:
             # g^2 < (q1 + q2) / (2 q1), as |p1 - alpha q1| > 1 / (q1 + q2)
             for g in range(-(-qstar // q1), min(isqrt((q1 + q2 - 1) // (2 * q1)), qmax // q1) + 1):
@@ -443,19 +438,20 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     targets = sorted(set(int(v) for v in targets))
     if 0 in targets:
         raise ValueError("the right side 0 is not supported")
-    c = form.coeffs
+    c0, c1, c2, c3, c4 = form.coeffs
     reach = form.reach(bound)  # larger targets have no solution in the box
     top = max((abs(v) for v in targets if abs(v) <= reach), default=0)
-    windows = [_window_candidates(root, c[0], top, bound) for root in _roots(form, bound)]
+    windows = [_window_candidates(root, c0, top, bound) for root in _roots(form, bound)]
     hits: dict[int, list[tuple[int, int]]] = {v: [] for v in targets}
     for v in targets:
         # the q = 0 row: G(p, 0) = c0 p^4 with p >= 1
-        r = _fourth_root(v, c[0])
+        r = _fourth_root(v, c0)
         if 1 <= r <= bound:
             hits[v].append((r, 0))
     for q, lo, hi in chain.from_iterable(windows):
+        b1, b2, b3, b4 = c1 * q, c2 * q * q, c3 * q ** 3, c4 * q ** 4
         for p in range(lo, hi + 1):
-            val = form(p, q)
+            val = (((c0 * p + b1) * p + b2) * p + b3) * p + b4  # G(p, q)
             if val in hits:
                 hits[val].append((p, q))
     return {v: SolutionSet.of(pairs, Rigor.bounded(bound)) for v, pairs in hits.items()}

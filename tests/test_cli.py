@@ -436,7 +436,7 @@ def test_cli_exit_code_contract_in_a_fresh_process(argv):
 
 def test_thue_worst_call_under_the_cap_in_a_fresh_process():
     # t = 1, a prime w just under the cap (so not +-2^e) and the largest box:
-    # about 4.4 s on 2 cores, and 13 s at |w| just under 10^12
+    # about 1.1 s on 2 cores, and 4 s at |w| just under 10^12
     w = -99999999977
     assert MAX_THUE_RHS // 2 < abs(w) <= MAX_THUE_RHS
     done = _run_fresh(["thue", "1", str(w), "--bound", str(MAX_THUE_BOUND)])

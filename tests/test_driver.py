@@ -444,9 +444,9 @@ def test_import_builds_no_cached_table():
     assert verdicts <= 4 * 108 and steps <= 32 + 5 * 4
 
 
-def test_numpy_loads_only_for_float_rows_and_the_box_oracle():
-    # import, element indices and proven minimal indices never load numpy;
-    # a bounded Thue search (its float rows) and the box oracle do
+def test_numpy_loads_only_for_the_box_oracle():
+    # import, element indices, every minimal index, bounded Thue searches and the
+    # verify-paper and thue commands never load numpy; the box oracle does
     code = """
 import sys
 import sqindex, sqindex.cli
@@ -465,16 +465,23 @@ for t in (10, 1000):
 assert "numpy" not in sys.modules, "minimal_index"
 sols = bounded_search_multi(family_form(5), [1, -1], 50)
 assert sorted(sols[1]) == sorted(solve_power_of_two(5, 1)), sols
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules, "bounded_search_multi"
+assert not minimal_index(validate_parameter(64)).rigor.proven
+assert "numpy" not in sys.modules, "bounded minimal_index"
+assert sqindex.cli.main(["verify-paper", "--t", "2,64"]) == 0
+assert "numpy" not in sys.modules, "verify-paper"
+assert sqindex.cli.main(["thue", "5", "12", "--bound", "50"]) == 0
+assert "numpy" not in sys.modules, "thue"
 res = minimal_index(validate_parameter(5))
 assert brute_force_minimal(validate_parameter(5), 10) == (res.m, res.elements)
+assert "numpy" in sys.modules
 print("ok")
 """
     src = str(Path(__file__).parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    assert done.stdout.splitlines()[-1] == "ok"
 
 
 def test_local_sieve_same_verdict_on_sigma_pairs():

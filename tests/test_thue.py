@@ -3,8 +3,9 @@ import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import chain, cycle, repeat
-from math import isqrt
+from math import ceil, floor, isqrt, prod
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -15,7 +16,8 @@ from sqindex.conic import parametrize, thue_reduction
 from sqindex.indexcore import family_forms
 from sqindex.driver import find_point
 from sqindex.thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW, _roots,
-                          bounded_search_multi, canonical_pair, family_form, solve_power_of_two)
+                          _window_candidates, bounded_search_multi, canonical_pair, family_form,
+                          solve_power_of_two)
 from sqindex.goldens import thue_base_golden
 from test_conic import _find_point_by_rows
 from test_driver import _soluble_cones
@@ -455,9 +457,59 @@ def test_root_intervals_are_disjoint_and_hold_one_root_each(bound):
                 assert 0 < sep <= max(lo2 - hi, lo - hi2), form
 
 
+def windows(root, lead, top, bound):
+    """R, qmax, the windows (const, e, m) and the last window row (q* - 1, or
+    qmax) of `_window_candidates`, recomputed from the module docstring."""
+    big_r = isqrt(isqrt(top // abs(lead))) + 1
+    (pm, qm), (pn, qn) = root.convergents[-2:]
+    ends = ((pn, qn), (pn + pm, qn + qm))
+    qmax = min(bound, max((bound + big_r) * d // abs(n) for n, d in ends) + 1)
+    seps = sorted(root.seps)
+    terms = [(2.0 ** len(seps[i:]) * top / abs(lead) / prod(seps[i:]), len(seps[i:]), i + 1)
+             for i in range(len(seps))]
+    twice_c = 2 * terms[0][0] * thue._GROW
+    return big_r, qmax, terms, isqrt(floor(twice_c)) if twice_c < qmax * qmax else qmax
+
+
+def slack(root, big_r, end):
+    size = (abs(root.x) + root.rho) * end + big_r + 2
+    return (root.rho * end + 8 * thue._U * size) * thue._GROW
+
+
+def all_windows_rows(root, lead, top, bound):
+    """Reference for the rows q < q* of `_window_candidates`: the least of every
+    window at every q, with its rounding slack and clipping."""
+    big_r, _, terms, end = windows(root, lead, top, bound)
+    eps = slack(root, big_r, end)
+    for q in range(1, end + 1):
+        half = min([float(big_r)] + [(c / float(q) ** e) ** (1.0 / m) * thue._GROW
+                                     for c, e, m in terms])
+        lo = max(ceil(root.x * q - half - eps), -bound)
+        hi = min(floor(root.x * q + half + eps), bound)
+        if lo <= hi:
+            yield q, lo, hi
+
+
+def scan_rows(root, lead, top, bound):
+    """Reference for the convergent tail: the least of every window at every
+    q = 1..qmax, with no tail, vectorised in numpy to reach boxes of 10^7."""
+    big_r, qmax, terms, _ = windows(root, lead, top, bound)
+    eps = slack(root, big_r, qmax)
+    for start in range(1, qmax + 1, 1 << 16):
+        q = np.arange(start, min(start + (1 << 16), qmax + 1), dtype=np.float64)
+        half = np.full_like(q, float(big_r))
+        for c, e, m in terms:
+            np.minimum(half, (c / q ** e) ** (1.0 / m) * thue._GROW, out=half)
+        lo = np.maximum(np.ceil(root.x * q - half - eps), -bound)
+        hi = np.minimum(np.floor(root.x * q + half + eps), bound)
+        keep = lo <= hi
+        yield from zip(q[keep].astype(np.int64).tolist(), lo[keep].astype(np.int64).tolist(),
+                       hi[keep].astype(np.int64).tolist())
+
+
 def tail_and_scan(form, targets, bound):
-    """The search with its convergent tail, the search with windows only (every
-    row to qmax), and each root that `_roots` expanded for them, with its
+    """The search with its convergent tail, the search with `scan_rows` in place
+    of its rows, and each root that `_roots` expanded for them, with its
     convergents."""
     calls = []
 
@@ -470,7 +522,7 @@ def tail_and_scan(form, targets, bound):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(thue, "_roots", spy)
         tail = bounded_search_multi(form, targets, bound)
-        patch.setattr(thue, "_LEGENDRE", False)
+        patch.setattr(thue, "_window_candidates", scan_rows)
         scan = bounded_search_multi(form, targets, bound)
     return tail, scan, calls
 
@@ -520,15 +572,15 @@ def test_bounded_search_takes_any_box():
     assert pairs[10 ** 500] == pairs[10 ** 30] and pairs[10 ** 30][16]
 
 
-def test_a_root_window_past_int64_raises():
+def test_a_root_window_past_int64_is_searched():
     # F_5 moved by 2^62: G(p, q) = F_5(p - 2^62 q, q) = 23 at (1 + 2^63, 2), whose
-    # float row would leave int64; a box that holds it raises instead of dropping it
+    # row lies past int64; the rows are Python ints clipped at the box, so a box
+    # that holds it finds it
     t = 2 ** 62
     form = BinaryQuarticForm(form_image(family_form(5).coeffs, ((1, -t), (0, 1))))
     assert form(1 + 2 * t, 2) == form(t - 2, 1) == 23
     assert bounded_search_multi(form, [23], t)[23].pairs == ((t - 2, 1),)
-    with pytest.raises(ValueError, match=f"passes the float rows' end {2 ** 62}"):
-        bounded_search_multi(form, [23], 4 * t)
+    assert bounded_search_multi(form, [23], 4 * t)[23].pairs == ((t - 2, 1), (1 + 2 * t, 2))
 
 
 def test_convergent_tail_matches_the_scan_at_t_4095():
@@ -536,3 +588,53 @@ def test_convergent_tail_matches_the_scan_at_t_4095():
     targets = [s * 2 ** e for e in range(7) for s in (1, -1)] + [12, -4095]
     tail, scan, _ = tail_and_scan(family_form(4095), targets, 10 ** 7)
     assert tail == scan
+
+
+@pytest.mark.parametrize("case", ["family cones", "F_1 at +-10^8"])
+def test_one_window_rows_hold_the_all_windows_rows(case):
+    # past the switch to the S = {} window alone, each row still holds the row
+    # that the least of every window gives (C / q^3 stays the least once it is)
+    if case == "family cones":
+        searches = [(form, max(map(abs, targets)), 10 ** 5) for form, targets in family_cones()]
+    else:
+        searches = [(family_form(1), 10 ** 8, 10 ** 30)]
+    checked = 0
+    for form, top, bound in searches:
+        for root in _roots(form, bound):
+            rows = {}
+            for q, lo, hi in _window_candidates(root, form.coeffs[0], top, bound):
+                rows.setdefault(q, []).append((lo, hi))
+            for q, lo, hi in all_windows_rows(root, form.coeffs[0], top, bound):
+                assert any(a <= lo and hi <= b for a, b in rows.get(q, ())), (form, q)
+                checked += 1
+    assert checked > 1000
+
+
+def nearest_roots(roots, p, q):
+    """The indices of the roots that may be nearest to p/q: each root's exact
+    interval, between its last convergent and the mediant with the one before,
+    decides all but ties."""
+    x, spans = Fraction(p, q), []
+    for root in roots:
+        (p1, q1), (pn, qn) = root.convergents[-2:]
+        lo, hi = sorted((Fraction(pn, qn), Fraction(pn + p1, qn + q1)))
+        spans.append((max(lo - x, x - hi, 0), max(abs(lo - x), abs(hi - x))))
+    closest = min(far for _, far in spans)
+    return [i for i, (near, _) in enumerate(spans) if near <= closest]
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=_forms, bound=st.integers(1, 40), top=st.integers(1, 3000))
+@example(coeffs=family_form(2).coeffs, bound=40, top=1000)
+def test_every_small_value_lies_in_a_row_of_its_nearest_root(coeffs, bound, top):
+    form = BinaryQuarticForm(coeffs)
+    roots = _roots(form, bound)
+    rows = [{} for _ in roots]
+    for got, root in zip(rows, roots):
+        for q, lo, hi in _window_candidates(root, coeffs[0], top, bound):
+            got.setdefault(q, []).append((lo, hi))
+    for p in range(-bound, bound + 1):
+        for q in range(1, bound + 1):
+            if abs(form(p, q)) <= top:
+                assert any(a <= p <= b for i in nearest_roots(roots, p, q)
+                           for a, b in rows[i].get(q, ())), (p, q)
