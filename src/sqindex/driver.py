@@ -35,12 +35,13 @@ proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
-oracle `brute_force_minimal` shares no step with the pipeline: it
-interpolates that determinant, a form of degree 6, from 28 exact values
-and steps it along X1 over a box by its forward differences, exact in
-Z/2^64 (a ring map) and one (X2, X3) row block of <= 2^15 cells at a time:
-six adds and one compare per cell, where det = +-m is a necessary
-congruence.  It rechecks every match exactly.
+oracle `brute_force_minimal` shares no step with the pipeline: it reads
+that determinant, a form of degree 6, at the 120 points of order <= 7
+from the box corner, takes their forward differences, and rebuilds the
+form over the box from them by Newton's forward formula, exact in Z/2^64
+(a ring map) and one (X2, X3) row block of <= 2^15 cells at a time: six
+adds and one compare per cell, where det = +-m is a necessary congruence.
+It rechecks every match exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
@@ -449,73 +450,56 @@ def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:
 
 _WORD = 1 << 64  # the scan runs in Z/2^64: unsigned (uint64) overflow wraps by definition
 _DEGREE = 6  # of the index form det(1, e, e^2, e^3) in (X1, X2, X3)
-_TRIANGLE = [(j, k) for j in range(_DEGREE + 1) for k in range(_DEGREE + 1 - j)]
 _PLANE_CELLS = 1 << 15  # (X2, X3) cells per row block of `_index_scan`: 7 uint64 planes, 1.8 MB
 
 
-@cache  # built on first use: only the box oracle needs them
-def _newton_matrices():
-    """(D, S), numpy object arrays of Python ints: (Delta^j v)(0) = sum_i D[j, i] v(i), and
-    a(a-1)..(a-j+1) = sum_i S[j, i] a^i, S the signed Stirling numbers of the first kind.
+def _corner_table(param: FamilyParameter, box: int):
+    """T[i, j, k] = (Delta_1^i Delta_2^j Delta_3^k f)(0, -box, -box) mod 2^64, 7 x 7 x 7 uint64.
+
+    f = det(1, e, e^2, e^3) for e = X1*b2 + X2*b3 + X3*b4.  One `_basis_det`
+    call on uint64 arrays, its table reduced mod 2^64 (a ring map, and
+    `_basis_det` is a polynomial), reads f at the 120 points
+    (a, b - box, c - box), a + b + c <= 7, and a difference table along each
+    axis turns them into the differences of order <= 7 at the corner.  f has
+    degree 6, so every order-7 difference is 0, or ArithmeticError is raised;
+    entries of order > 6 are set to 0.
     """
     import numpy as np
 
-    size = _DEGREE + 1
-    d = np.array([[(-1) ** (j + i) * comb(j, i) for i in range(size)] for j in range(size)],
-                 dtype=object)
-    s = np.eye(size, dtype=object)
-    for j in range(2, size):  # row j is row j-1 times (a - (j-1))
-        s[j, 1:j] = s[j - 1, :j - 1] - (j - 1) * s[j - 1, 1:j]
-    return d, s
+    order = np.indices((_DEGREE + 2,) * 3).sum(axis=0)
+    a, b, c = np.nonzero(order <= _DEGREE + 1)
+    table = np.array(np.array(_mult_table(param), dtype=object) % _WORD, dtype=np.uint64)
+    diff = np.zeros(order.shape, dtype=np.uint64)
+    diff[a, b, c] = _basis_det(table, [x.astype(np.uint64) for x in (a, b - box, c - box)])
+    for axis in range(3):
+        view = np.moveaxis(diff, axis, 0)
+        for step in range(1, _DEGREE + 2):
+            view[step:] -= view[step - 1:-1]
+    if diff[order == _DEGREE + 1].any():
+        raise ArithmeticError(f"the index form of {param} is not of degree 6")
+    diff[order > _DEGREE] = 0
+    return diff[:-1, :-1, :-1]
 
 
-def _index_form(param: FamilyParameter) -> dict[tuple[int, int, int], int]:
-    """f = det(1, e, e^2, e^3) for e = X1*b2 + X2*b3 + X3*b4, signed, homogeneous of degree 6.
-
-    f is interpolated from g(a, b) = f(1, a, b) at the 28 points a, b >= 0,
-    a + b <= 6, each by `_basis_det` on the triple (1, a, b).  g has integer
-    coefficients, so (Delta_a^j Delta_b^k g)(0, 0) is j! k! times its integer
-    coefficient at a(a-1)..(a-j+1) b(b-1)..(b-k+1); an inexact division raises
-    ArithmeticError.  Stirling numbers give the coefficient c_jk of a^j b^k,
-    which homogeneity puts at X1^(6-j-k) X2^j X3^k.
-    """
-    import numpy as np
-
-    table = _mult_table(param)
-    vals = np.array([[_basis_det(table, (1, a, b)) if a + b <= _DEGREE else 0
-                      for b in range(_DEGREE + 1)] for a in range(_DEGREE + 1)], dtype=object)
-    delta, stirling = _newton_matrices()
-    diffs = delta @ vals @ delta.T  # exact wherever j + k <= _DEGREE
-    falling = np.zeros_like(vals)
-    for j, k in _TRIANGLE:
-        falling[j, k], r = divmod(diffs[j, k], factorial(j) * factorial(k))
-        if r:
-            raise ArithmeticError(f"the index form of {param} is not an integral degree-6 form")
-    coef = stirling.T @ falling @ stirling
-    return {(_DEGREE - j - k, j, k): coef[j, k] for j, k in _TRIANGLE}
-
-
-def _index_scan(form: dict[tuple[int, int, int], int], box: int, shift: int):
-    """Yield (x1, x2s, D), x1 = 0..box, D[a, b] = form(x1, x2s[a], b - box) + shift mod 2^64.
+def _index_scan(param: FamilyParameter, box: int, shift: int):
+    """Yield (x1, x2s, D), x1 = 0..box, D[a, b] = f(x1, x2s[a], b - box) + shift mod 2^64.
 
     Per block x2s of plane rows (at most _PLANE_CELLS cells), the differences
-    Delta^0..6 in X1 start at X1 = 0 as V N W C V^T (C the form, W and V the
-    powers of 0..6 and of the plane, N of `_newton_matrices`); by degree 6,
-    Delta^k += Delta^(k+1), k < 6, steps X1.  Reduction mod 2^64 is a ring map,
-    so uint64 wrapping is exact.  D is Delta^0, which the next step overwrites.
+    Delta^0..6 in X1 start at X1 = 0 as N T N^T, Newton's forward formula
+    g(-box + a) = sum_j C(a, j) (Delta^j g)(-box) in X2 and X3, with
+    N[a, j] = C(a, j) and T the `_corner_table`; by degree 6,
+    Delta^k += Delta^(k+1), k < 6, steps X1.  D is Delta^0, which the next
+    step overwrites.
     """
     import numpy as np
 
-    size = _DEGREE + 1
-    coef = np.array([[form.get((i, j, k), 0) for j in range(size) for k in range(size)]
-                     for i in range(size)], dtype=object)
-    at_zero = np.array(_newton_matrices()[0] @ np.vander(range(size), increasing=True) @ coef
-                       % _WORD, dtype=np.uint64).reshape(size, size, size)
+    corner = _corner_table(param, box)
     xs = range(-box, box + 1)
-    vander = np.array([[pow(x, j, _WORD) for j in range(size)] for x in xs], dtype=np.uint64)
+    newton = np.array([[comb(a, j) % _WORD for j in range(_DEGREE + 1)] for a in range(len(xs))],
+                      dtype=np.uint64)
     rows = max(1, _PLANE_CELLS // len(xs))
     for start in range(0, len(xs), rows):
-        diff = vander[start:start + rows] @ at_zero @ vander.T
+        diff = newton[start:start + rows] @ corner @ newton.T
         diff[0] += shift
         for x1 in range(box + 1):
             for k in range(_DEGREE if x1 else 0):
@@ -537,7 +521,7 @@ def brute_force_minimal(param: FamilyParameter, box: int
     if box < 1:
         raise ValueError("box must be >= 1")
     hits: dict[int, set] = {m: set() for m in range(1, param.n + 1)}
-    for x1, x2s, vals in _index_scan(_index_form(param), box, param.n):
+    for x1, x2s, vals in _index_scan(param, box, param.n):
         mask = vals <= 2 * param.n
         for cell in np.flatnonzero(mask) if mask.any() else ():
             a, b = divmod(int(cell), 2 * box + 1)

@@ -8,7 +8,7 @@ determinant of the integral-basis coordinates of 1, e, e^2, e^3:
     I(e) = |det(1, e, e^2, e^3)|,
 
 and the signed determinant is a form of degree 6 in (X1, X2, X3), the
-index form that the box oracle interpolates.
+index form that the box oracle rebuilds from its forward differences.
 
 M(e), the matrix of multiplication by e = X0*b1 + .. + X3*b4, is linear in
 the coordinates: M(e) = X0*B0 + X1*B1 + X2*B2 + X3*B3, Bi multiplying by

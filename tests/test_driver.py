@@ -1,6 +1,6 @@
 from functools import cache
 from itertools import product
-from math import isqrt
+from math import factorial, isqrt, prod
 from pathlib import Path
 import os
 import random
@@ -23,8 +23,8 @@ from sqindex.conic import _det3, parametrize, thue_reduction
 from sqindex.thue import (DEFAULT_THUE_BOUND, Rigor, bounded_search_multi, family_form,
                           solve_power_of_two)
 from sqindex import driver
-from sqindex.driver import (GaloisImage, Hit, VerificationError, _collect_solution, _index_form,
-                            _index_scan, branch_candidates, brute_force_minimal,
+from sqindex.driver import (GaloisImage, Hit, VerificationError, _collect_solution,
+                            _corner_table, _index_scan, branch_candidates, brute_force_minimal,
                             candidate_uv_pairs, enumerate_case2_triples, find_point, local_sieve,
                             minimal_index, minimal_index_for)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
@@ -428,7 +428,7 @@ def test_import_builds_no_cached_table():
     code = ("import sqindex\n"
             "from sqindex import driver, elements\n"
             "caches = (driver._cones, driver._reached, driver._lift_start,\n"
-            "          driver._newton_matrices, elements._mult_table, elements._sigma_columns)\n"
+            "          elements._mult_table, elements._sigma_columns)\n"
             "print([f.cache_info().currsize for f in caches])\n"
             "from sqindex.fieldmodel import validate_parameter\n"
             "for c in driver.enumerate_case2_triples(256):\n"
@@ -439,7 +439,7 @@ def test_import_builds_no_cached_table():
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     first, second = done.stdout.splitlines()
-    assert first == "[0, 0, 0, 0, 0, 0]"
+    assert first == "[0, 0, 0, 0, 0]"
     verdicts, steps = map(int, second.split())
     assert verdicts <= 4 * 108 and steps <= 32 + 5 * 4
 
@@ -840,18 +840,14 @@ def _valid_t(limit):
         lambda t: t != 3 and odd_square_divisor(t * t + 16) is None)
 
 
-def _form_value(form, x1, x2, x3):
-    return sum(c * x1 ** i * x2 ** j * x3 ** k for (i, j, k), c in form.items())
-
-
-def _check_scan(table, form, box, shift):
+def _check_scan(table, param, box, shift):
     """Check every cell of every X1 slice of `_index_scan` against the determinant mod 2^64.
 
     The number of X1 slices and row blocks yielded, with every (x1, x2) row
     covered exactly once, is returned as (slices, blocks).
     """
     rows, slices = [], 0
-    for x1, x2s, vals in _index_scan(form, box, shift):
+    for x1, x2s, vals in _index_scan(param, box, shift):
         assert vals.shape == (len(x2s), 2 * box + 1) and vals.dtype == np.uint64
         for a, x2 in enumerate(x2s):
             for b, x3 in enumerate(range(-box, box + 1)):
@@ -863,19 +859,14 @@ def _check_scan(table, form, box, shift):
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=_valid_t(10_000), point=st.tuples(*[st.integers(-10_000, 10_000)] * 3),
-       box=st.integers(1, 8), shift=st.integers(0, 16))
-@example(t=9_999, point=(10_000, -10_000, 9_999), box=8, shift=16)
-def test_index_form_matches_exact(t, point, box, shift):
-    # the expansion is exact over Z, and the difference scan of it is exact
-    # mod 2^64 even where (t up to 10^4) the values overflow 64 bits; boxes
-    # below 6 end inside the seven starting differences, boxes 6..8 step past them
+@given(t=_valid_t(10_000), box=st.integers(1, 8), shift=st.integers(0, 16))
+@example(t=9_999, box=8, shift=16)
+def test_index_form_matches_exact(t, box, shift):
+    # the difference scan is exact mod 2^64 even where (t up to 10^4) the
+    # values overflow 64 bits; boxes below 6 end inside the seven starting
+    # differences, boxes 6..8 step past them
     param = validate_parameter(t)
-    table = _mult_table(param)
-    form = _index_form(param)
-    assert {sum(k) for k in form} == {6}
-    assert _form_value(form, *point) == _basis_det(table, point)
-    assert _check_scan(table, form, box, shift) == (box + 1, 1)
+    assert _check_scan(_mult_table(param), param, box, shift) == (box + 1, 1)
 
 
 @pytest.mark.parametrize("t", (5, 9_999))
@@ -885,7 +876,7 @@ def test_index_scan_restarts_at_each_row_block(monkeypatch, t):
     param = validate_parameter(t)
     want = brute_force_minimal(param, 7)
     monkeypatch.setattr(driver, "_PLANE_CELLS", 4 * 15 + 14)
-    assert _check_scan(_mult_table(param), _index_form(param), 7, param.n) == (4 * 8, 4)
+    assert _check_scan(_mult_table(param), param, 7, param.n) == (4 * 8, 4)
     assert brute_force_minimal(param, 7) == want
 
 
@@ -904,35 +895,41 @@ def test_box_oracle_working_set_is_bounded():
 
 @pytest.mark.parametrize("t", (1, 2, 4, 8, 9999))  # one t per 2-adic class, and a large one
 def test_index_form_against_sympy_discriminant(quartic_disc, char_poly, t):
-    # the interpolation runs _basis_det itself, so the referee here is the
-    # theorem disc(char_poly(e)) = I(e)^2 disc_K, its right side by sympy's
-    # characteristic polynomial and discriminant; X0 != 0 too, as neither
-    # side depends on it
+    # the corner table is read off _basis_det itself, so the referee here is
+    # the theorem disc(char_poly(e)) = I(e)^2 disc_K mod 2^64, its right side
+    # by sympy's characteristic polynomial and discriminant, at points far
+    # outside the box, by Newton's forward formula with binomials of negative
+    # arguments; X0 != 0 too, as neither side depends on it
     param = validate_parameter(t)
-    form = _index_form(param)
-    assert sorted(form) == sorted((6 - j - k, j, k) for j in range(7) for k in range(7 - j))
+    box = 3
+    corner = _corner_table(param, box)
+    assert corner.shape == (7, 7, 7) and corner.dtype == np.uint64
+
+    def binom(x, j):  # C(x, j) for any integer x
+        return prod(range(x - j + 1, x + 1)) // factorial(j)
+
     rng = random.Random(t)
     for _ in range(40):
         x0, x1, x2, x3 = (rng.randint(-10 ** 4, 10 ** 4) for _ in range(4))
+        value = sum(binom(x1, i) * binom(x2 + box, j) * binom(x3 + box, k) * int(corner[i, j, k])
+                    for i, j, k in product(range(7), repeat=3))
         matrix = mult_matrix(AlgebraicInt((x0, x1, x2, x3)), param)
-        assert _form_value(form, x1, x2, x3) ** 2 * param.disc_K == \
-            quartic_disc(char_poly(matrix))
+        assert (value ** 2 * param.disc_K - quartic_disc(char_poly(matrix))) % 2 ** 64 == 0
 
 
-@pytest.mark.parametrize("point", (0, 1, 12, 20, 27))
+@pytest.mark.parametrize("point", (0, 1, 12, 20, 27, 119))
 def test_index_form_rejects_a_wrong_value(monkeypatch, point):
-    # one lattice value off by one is no integral degree-6 form: some forward
-    # difference is then not divisible by its j! k!
-    calls = []
-
+    # one of the 120 corner values off by one is no form of degree 6: some
+    # difference of order 7 is then not 0
     def off_by_one(table, x):
-        calls.append(None)
-        return _basis_det(table, x) + (len(calls) - 1 == point)
+        vals = _basis_det(table, x)
+        assert vals.shape == (120,)
+        vals[point] += 1
+        return vals
 
     monkeypatch.setattr(driver, "_basis_det", off_by_one)
-    with pytest.raises(ArithmeticError, match="not an integral degree-6 form"):
-        _index_form(validate_parameter(5))
-    assert len(calls) == 28
+    with pytest.raises(ArithmeticError, match="not of degree 6"):
+        _corner_table(validate_parameter(5), 4)
 
 
 @settings(max_examples=60, deadline=None)
