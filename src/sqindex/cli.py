@@ -4,6 +4,9 @@ Subcommands: basis, index, minimal-index, thue, enumerate, verify-paper.
 Exit codes: 0 success, 1 verification failure (any ArithmeticError), 2 invalid input.
 Output is a human-readable table by default or a deterministic JSON
 document with --json (identical runs differ only in the timing field).
+Each subcommand returns (inputs, results, text lines, exit code); `main`
+alone times it and writes its output, once.  A closed stdout ends the
+command quietly with its own exit code.
 Every Thue box (thue --bound, --thue-bound) is capped at MAX_THUE_BOUND.
 The search scans root windows up to a Legendre threshold q* that grows
 like sqrt|w| but not with the box B, and walks convergents past it in
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import gcd
@@ -38,19 +42,6 @@ MAX_THUE_BOUND = 10**30  # windows to q*, then O(log B) convergent rows per root
 # worst call (t = 1, w just under the cap, B = 10^30): about 1.1 s in a fresh
 # process on 2 cores, 4 s at 10^12; time grows like sqrt|w|; own |w| < 2^29
 MAX_THUE_RHS = 10**11
-
-
-def _report(args, command: str, inputs: dict, results: dict, t0: float) -> dict:
-    doc = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "timing_ms": round(1000 * (time.time() - t0), 3),
-        "version": __version__,
-    }
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    return doc
 
 
 def _positive_int(text: str) -> int:
@@ -96,8 +87,7 @@ def _param(args):
     return validate_parameter(args.t, getattr(args, "allow_hypothesis_violation", False))
 
 
-def cmd_basis(args) -> int:
-    t0 = time.time()
+def cmd_basis(args):
     param = _param(args)
     rows = []
     for row in param.basis_num:
@@ -114,18 +104,14 @@ def cmd_basis(args) -> int:
         "basis": rows,
         "denom": param.g,
     }
-    _report(args, "basis", {"t": args.t}, results, t0)
-    if not args.json:
-        print(f"t = {args.t}  class {param.v2_class.name}  g = {param.g}  n = I(xi) = {param.n}")
-        print(f"disc(P_t) = {param.disc_P}")
-        print(f"disc(K)   = {param.disc_K}")
-        for i, row in enumerate(rows):
-            print(f"b{i+1} = {row['pretty']}")
-    return EXIT_OK
+    lines = [f"t = {args.t}  class {param.v2_class.name}  g = {param.g}  n = I(xi) = {param.n}",
+             f"disc(P_t) = {param.disc_P}",
+             f"disc(K)   = {param.disc_K}"]
+    lines += [f"b{i+1} = {row['pretty']}" for i, row in enumerate(rows)]
+    return {"t": args.t}, results, lines, EXIT_OK
 
 
-def cmd_index(args) -> int:
-    t0 = time.time()
+def cmd_index(args):
     param = _param(args)
     if args.coords is not None:
         vals = args.coords
@@ -153,22 +139,17 @@ def cmd_index(args) -> int:
         "degenerate": m_oracle is None,
         "agree": m_oracle == m_forms,
     }
-    _report(args, "index", {"t": args.t}, results, t0)
-    if not args.json:
-        if m_oracle is None:
-            print("degenerate: element does not generate the field")
-        else:
-            print(f"index (basis-determinant oracle) = {m_oracle}")
-            print(f"index (resolvent forms)          = {m_forms}")
-    return EXIT_OK if m_oracle == m_forms else EXIT_VERIFY
+    lines = (["degenerate: element does not generate the field"] if m_oracle is None else
+             [f"index (basis-determinant oracle) = {m_oracle}",
+              f"index (resolvent forms)          = {m_forms}"])
+    return {"t": args.t}, results, lines, EXIT_OK if m_oracle == m_forms else EXIT_VERIFY
 
 
 def _element_str(e) -> str:
     return "(" + ",".join(str(c) for c in e) + ")"
 
 
-def cmd_minimal_index(args) -> int:
-    t0 = time.time()
+def cmd_minimal_index(args):
     if args.box is not None and not args.brute_check:
         raise ParameterError("--box needs --brute-check")
     param = _param(args)
@@ -184,6 +165,9 @@ def cmd_minimal_index(args) -> int:
         "hypothesis_ok": res.hypothesis_ok,
         "trace": {_element_str(k): [h._asdict() for h in v] for k, v in sorted(res.trace.items())},
     }
+    flag = "" if res.hypothesis_ok else "  [Hypothesis-Violated]"
+    lines = [f"t = {args.t}: minimal index m = {res.m}  ({res.rigor.label()}){flag}"]
+    lines += [f"  {_element_str(e)}" for e in res.elements]
     exit_code = EXIT_OK
     if args.brute_check:
         bm, belems = brute_force_minimal(param, args.box)
@@ -196,20 +180,12 @@ def cmd_minimal_index(args) -> int:
                                    else bm > res.m and not inside)
         if not results["brute_agrees"]:
             exit_code = EXIT_VERIFY
-    _report(args, "minimal-index", {"t": args.t}, results, t0)
-    if not args.json:
-        flag = "" if res.hypothesis_ok else "  [Hypothesis-Violated]"
-        print(f"t = {args.t}: minimal index m = {res.m}  ({res.rigor.label()}){flag}")
-        for e in res.elements:
-            print(f"  {_element_str(e)}")
-        if args.brute_check:
-            verdict = "agrees" if results["brute_agrees"] else "DISAGREES"
-            print(f"brute-force box {args.box}: m = {results['brute_force']['m']} ({verdict})")
-    return exit_code
+        verdict = "agrees" if results["brute_agrees"] else "DISAGREES"
+        lines.append(f"brute-force box {args.box}: m = {bm} ({verdict})")
+    return {"t": args.t}, results, lines, exit_code
 
 
-def cmd_thue(args) -> int:
-    t0 = time.time()
+def cmd_thue(args):
     validate_parameter(args.t, allow_hypothesis_violation=True)
     w = args.w
     if w == 0:
@@ -228,16 +204,12 @@ def cmd_thue(args) -> int:
         "complete": sols.rigor.proven,
         "rigor": sols.rigor.label(),
     }
-    _report(args, "thue", {"t": args.t, "w": w}, results, t0)
-    if not args.json:
-        print(f"F_{args.t}(p,q) = {w}: {len(sols.pairs)} solution pair(s), {results['rigor']}")
-        for p, q in sols.pairs:
-            print(f"  (p,q) = ({p},{q})")
-    return EXIT_OK
+    lines = [f"F_{args.t}(p,q) = {w}: {len(sols.pairs)} solution pair(s), {results['rigor']}"]
+    lines += [f"  (p,q) = ({p},{q})" for p, q in sols.pairs]
+    return {"t": args.t, "w": w}, results, lines, EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
-    t0 = time.time()
+def cmd_enumerate(args):
     triples = enumerate_case2_triples(args.t_max)
     results = {
         "t_max": args.t_max,
@@ -246,6 +218,10 @@ def cmd_enumerate(args) -> int:
                      "a1": c.a1, "a2": c.a2, "i": c.i, "l": c.l,
                      "hypothesis_ok": c.hypothesis_ok} for c in triples],
     }
+    lines = [f"t={c.t:4d}  u={c.u:6d}  v={c.v:3d}  m={c.implied_m:2d}  "
+             f"(a1={c.a1}, a2={c.a2}, i={c.i}, l={c.l})"
+             + ("" if c.hypothesis_ok else "  [hypothesis violated]") for c in triples]
+    lines.append(f"{len(triples)} triples")
     exit_code = EXIT_OK
     if args.compare_paper:
         enum = {(c.t, c.u, c.v) for c in triples}
@@ -254,19 +230,10 @@ def cmd_enumerate(args) -> int:
         results["golden_missing"] = missing
         if missing:
             exit_code = EXIT_VERIFY
-    _report(args, "enumerate", {"t_max": args.t_max}, results, t0)
-    if not args.json:
-        for c in triples:
-            flag = "" if c.hypothesis_ok else "  [hypothesis violated]"
-            print(f"t={c.t:4d}  u={c.u:6d}  v={c.v:3d}  m={c.implied_m:2d}  "
-                  f"(a1={c.a1}, a2={c.a2}, i={c.i}, l={c.l}){flag}")
-        print(f"{len(triples)} triples")
-        if args.compare_paper:
-            if results["golden_missing"]:
-                print("MISSING golden entries:", results["golden_missing"])
-            else:
-                print("all golden table entries present")
-    return exit_code
+            lines.append(f"MISSING golden entries: {missing}")
+        else:
+            lines.append("all golden table entries present")
+    return {"t_max": args.t_max}, results, lines, exit_code
 
 
 def _verify_one(t: int, thue_bound: int) -> dict:
@@ -287,23 +254,18 @@ def _verify_one(t: int, thue_bound: int) -> dict:
     }
 
 
-def cmd_verify_paper(args) -> int:
-    t0 = time.time()
+def cmd_verify_paper(args):
     if args.t == []:
         raise ParameterError("--t needs at least one t")
     ts = sorted(set(args.t or goldens.EXCEPTIONAL_T + goldens.GENERIC_SAMPLE_T))
     rows = [_verify_one(t, args.thue_bound) for t in ts]
     n_fail = sum(1 for r in rows if not r["ok"])
     results = {"rows": rows, "failures": n_fail}
-    _report(args, "verify-paper", {"t_list": ts}, results, t0)
-    if not args.json:
-        for r in rows:
-            status = "ok  " if r["ok"] else "FAIL"
-            flag = "" if r["hypothesis_ok"] else " [hypothesis violated]"
-            print(f"{status} t={r['t']:4d}  m={r['m']:2d} (expected {r['expected_m']:2d})  "
-                  f"{r['count']:2d} elements  {r['rigor']}{flag}")
-        print(f"{len(rows) - n_fail}/{len(rows)} parameters match the golden tables")
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY
+    lines = [f"{'ok  ' if r['ok'] else 'FAIL'} t={r['t']:4d}  m={r['m']:2d} "
+             f"(expected {r['expected_m']:2d})  {r['count']:2d} elements  {r['rigor']}"
+             + ("" if r["hypothesis_ok"] else " [hypothesis violated]") for r in rows]
+    lines.append(f"{len(rows) - n_fail}/{len(rows)} parameters match the golden tables")
+    return {"t_list": ts}, results, lines, EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,15 +322,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its document, JSON or text, to stdout in one write."""
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        inputs, results, lines, exit_code = args.func(args)
     except (ParameterError, NotIntegral, UnsupportedW) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:  # VerificationError and every other failed exact check
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    if args.json:
+        lines = [json.dumps({"command": args.command, "inputs": inputs, "results": results,
+                             "timing_ms": round(1000 * (time.time() - t0), 3),
+                             "version": __version__}, sort_keys=True)]
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return exit_code
 
 
 if __name__ == "__main__":

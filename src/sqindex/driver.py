@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 from typing import NamedTuple
 
 from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
@@ -204,13 +204,10 @@ def _power_part_form(q: TernaryForm, rows) -> TernaryForm:
 
 @cache  # one entry per (p, k, t mod p^k, class) of `local_sieve`: at most 32 + 5*4
 def _lift_start(p: int, k: int, t: int, cls: V2Class):
-    """(A, B, roots, digits) of the lifting in `_reached` mod p^k at the parameter t mod p^k.
+    """(A, B, roots) of the lifting in `_reached` mod p^k at the parameter t mod p^k.
 
-    A and B are Q1 and Q2 at the power part (`_power_part_form`), digits[j]
-    lists the digits d of a lift at level j, and roots maps (A(X0), B(X0))
-    mod p to its root digits X0 in digits[0] = (Z/p)^3.  The digit of X_i
-    stays 0 from the level j on where p^j times its column of the power part
-    is 0 mod p^k, as it then changes neither A nor B mod p^k.  Raises
+    A and B are Q1 and Q2 at the power part (`_power_part_form`), and roots
+    maps (A(X0), B(X0)) mod p to its root digits X0 in (Z/p)^3.  Raises
     ArithmeticError unless k = 1 or the Hessians of A and B are 0 mod p
     (`_reached`).
     """
@@ -219,14 +216,10 @@ def _lift_start(p: int, k: int, t: int, cls: V2Class):
     if k > 1 and any(c * (1 + diag) % p for f in forms
                      for c, diag in zip(f.coeffs, (1, 0, 1, 0, 0, 1))):
         raise ArithmeticError(f"a sieve form at t = {t} mod {p}^{k} has a Hessian not 0 mod {p}")
-    n = p ** k
-    cols = [gcd(n, *(row[i] for row in rows[1:])) for i in (1, 2, 3)]
-    digits = [list(product(*(range(p) if p ** j * c % n else (0,) for c in cols)))
-              for j in range(k)]
     roots: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for x in digits[0]:
+    for x in product(range(p), repeat=3):
         roots.setdefault((forms[0](*x) % p, forms[1](*x) % p), []).append(x)
-    return (*forms, roots, digits)
+    return (*forms, roots)
 
 
 @cache  # keyed like the verdicts of `local_sieve`: at most 32^3 + 5*4*5^2 entries
@@ -247,7 +240,7 @@ def _reached(p: int, k: int, t: int, cls: V2Class, u: int, v: int) -> bool:
     of A and B vanish in every class (their cross coefficients are even), and
     5 is never lifted past its root digit.
     """
-    a, b, roots, digits = _lift_start(p, k, t, cls)
+    a, b, roots = _lift_start(p, k, t, cls)
     stack = [(x, 1) for x in roots.get((u % p, v % p), ())]
     while stack:
         (x1, x2, x3), j = stack.pop()  # a solution mod p^j
@@ -256,7 +249,8 @@ def _reached(p: int, k: int, t: int, cls: V2Class, u: int, v: int) -> bool:
         q = p ** j
         if (u - a(x1, x2, x3)) % (p * q) or (v - b(x1, x2, x3)) % (p * q):
             continue
-        stack.extend(((x1 + q * d1, x2 + q * d2, x3 + q * d3), j + 1) for d1, d2, d3 in digits[j])
+        stack.extend(((x1 + q * d1, x2 + q * d2, x3 + q * d3), j + 1)
+                     for d1, d2, d3 in product(range(p), repeat=3))
     return False
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -301,6 +302,20 @@ def test_minimal_index_json_matches_pinned_documents(capsys):
         assert code == 0 and {k: results[k] for k in want} == want
 
 
+_CLI_PINS = json.loads((Path(__file__).parent / "data" / "cli_stdout_golden.json").read_text())
+_TIMING = re.compile(r'"timing_ms": [0-9.e+-]+, ')
+
+
+@pytest.mark.parametrize("pin", _CLI_PINS, ids=lambda pin: " ".join(pin["argv"]))
+def test_cli_stdout_matches_pinned_bytes(capsys, pin):
+    # the whole stdout and exit code, byte for byte; only the JSON timing is dropped
+    code, out, _ = run(capsys, *pin["argv"])
+    if pin["argv"][0] == "--json":
+        out, n = _TIMING.subn("", out)
+        assert n == 1
+    assert (code, out) == (pin["exit_code"], pin["stdout"])
+
+
 def test_verify_paper_all_excludes_t(capsys):
     # the no-op --all flag is gone: the golden set is the default without --t
     with pytest.raises(SystemExit) as exc:
@@ -418,11 +433,12 @@ for _argv in _CONTRACT_EXAMPLES:
     test_cli_exit_code_contract = example(argv=_argv)(test_cli_exit_code_contract)
 
 
-def _run_fresh(argv):
+def _run_fresh(argv, stdout=subprocess.PIPE):
     """The CLI in a process of its own, killed after the contract's 10 s."""
     src = str(Path(__file__).parent.parent / "src")
-    return subprocess.run([sys.executable, "-m", "sqindex.cli", *argv], capture_output=True,
-                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, "-m", "sqindex.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize("argv", _CONTRACT_EXAMPLES)
@@ -432,6 +448,19 @@ def test_cli_exit_code_contract_in_a_fresh_process(argv):
     done = _run_fresh(argv)
     assert done.returncode in (0, 1, 2), (argv, done.returncode)
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [("enumerate",), ("--json", "verify-paper", "--t", "1")])
+def test_closed_stdout_ends_quietly_in_a_fresh_process(argv):
+    # the read end is closed before the process starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _run_fresh(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 def test_thue_worst_call_under_the_cap_in_a_fresh_process():
