@@ -19,6 +19,6 @@ from .thue import (BinaryQuarticForm, Rigor, SolutionSet, UnsupportedW,
 from .conic import DegeneratePoint, Parametrization, parametrize, thue_reduction
 from .driver import (CaseTwoTriple, GaloisImage, Hit, MinimalIndexResult, VerificationError,
                      branch_candidates, brute_force_minimal, enumerate_case2_triples, find_point,
-                     local_sieve, minimal_index, minimal_index_for)
+                     local_sieve, minimal_index)
 
 __version__ = "0.1.0"

@@ -12,7 +12,10 @@ Substituting the rows into one of the original quadratics then reduces
 the system Q1 = +-u, Q2 = +-v to quartic Thue equations, one per divisor.
 
 The point comes from the caller, and `parametrize` checks that it is on
-the cone; the driver knows each of its points in closed form.
+the cone; the driver knows each of its points in closed form.  One scheme
+serves: |det C| = |P_r|^3 |det H| / 2 (pivot r, Hessian H), and a branch
+cone v*Q1 - u*Q2 has det H = 2 F(u, v) = +-2 g^6 m / n != 0, so it never
+fails there (a sympy test proves both identities).
 """
 
 from __future__ import annotations
@@ -25,16 +28,15 @@ from .thue import BinaryQuarticForm
 
 
 class DegeneratePoint(ValueError):
-    """No coordinate scheme through the point gives a parametrization."""
+    """The cone is singular (det H = 0); a branch cone never is: det H = 2 F(u, v) != 0."""
 
 
 @dataclass(frozen=True)
 class Parametrization:
-    """k*(x,y,z) = C.(p^2, pq, q^2) covering the cone through base_point."""
+    """k*(x,y,z) = C.(p^2, pq, q^2) on a nonsingular cone, as every branch cone is."""
 
     rows: tuple[tuple[int, int, int], ...]
     k_bound: int
-    base_point: tuple[int, int, int]
 
     def evaluate(self, p: int, q: int) -> tuple[int, int, int]:
         return tuple(c0 * p * p + c1 * p * q + c2 * q * q
@@ -49,10 +51,11 @@ def _det3(rows) -> int:
 def parametrize(q0: TernaryForm, point: tuple[int, int, int]) -> Parametrization:
     """Parametrize all integer solutions of Q0 = 0 through a known point.
 
-    The scheme attaches r to a nonzero coordinate of the point (z
-    preferred, then y, then x) and the parameters (p, q) to the other
-    two; the overall sign is fixed by making the first nonzero entry of
-    the pivot row positive.
+    The scheme attaches r to the pivot, the first nonzero coordinate of
+    the point in the order z, y, x, and the parameters (p, q) to the
+    other two; the overall sign is fixed by making the first nonzero
+    entry of the pivot row positive.  As |det C| = |P_pivot|^3 |det H| / 2,
+    it fails exactly on a singular cone, where every scheme fails.
     """
     if q0(*point) != 0:
         raise ValueError(f"{point} is not on the cone")
@@ -63,43 +66,19 @@ def parametrize(q0: TernaryForm, point: tuple[int, int, int]) -> Parametrization
     grad = (2 * cxx * x0 + cxy * y0 + cxz * z0,
             cxy * x0 + 2 * cyy * y0 + cyz * z0,
             cxz * x0 + cyz * y0 + 2 * czz * z0)
-    for pivot in (2, 1, 0):
-        if point[pivot] == 0:
-            continue
-        free = [i for i in range(3) if i != pivot]
-        lam, mu = grad[free[0]], grad[free[1]]
-        if lam == 0 and mu == 0:
-            continue
-        if pivot == 2:
-            qt = (cxx, cxy, cyy)
-        elif pivot == 1:
-            qt = (cxx, cxz, czz)
-        else:
-            qt = (cyy, cyz, czz)
-        rows = []
-        for i in range(3):
-            row = [qt[0] * point[i], qt[1] * point[i], qt[2] * point[i]]
-            if i == free[0]:
-                row[0] -= lam
-                row[1] -= mu
-            elif i == free[1]:
-                row[1] -= lam
-                row[2] -= mu
-            rows.append(tuple(row))
-        pivot_row = rows[pivot]
-        lead = next((c for c in pivot_row if c != 0), 0)
-        if lead < 0:
-            rows = [tuple(-c for c in row) for row in rows]
-        det = _det3(rows)
-        if det == 0:
-            continue
-        g = 0
-        for row in rows:
-            for c in row:
-                g = gcd(g, abs(c))
-        return Parametrization(rows=tuple(rows), k_bound=abs(det) // (g * g),
-                               base_point=tuple(point))
-    raise DegeneratePoint(f"no valid scheme through {point} for {q0}")
+    pivot = next(i for i in (2, 1, 0) if point[i])
+    f0, f1 = (i for i in range(3) if i != pivot)
+    qt = ((cyy, cyz, czz), (cxx, cxz, czz), (cxx, cxy, cyy))[pivot]  # Q0 on the free pair
+    lam, mu = grad[f0], grad[f1]
+    lt = {f0: (lam, mu, 0), f1: (0, lam, mu), pivot: (0, 0, 0)}  # L*T, L = lam*p + mu*q
+    rows = [[c * point[i] - d for c, d in zip(qt, lt[i])] for i in range(3)]
+    sign = -1 if next((c for c in rows[pivot] if c), 0) < 0 else 1
+    rows = tuple(tuple(sign * c for c in row) for row in rows)
+    det = _det3(rows)
+    if det == 0:
+        raise DegeneratePoint(f"the cone {q0} is singular")
+    g = gcd(*rows[0], *rows[1], *rows[2])
+    return Parametrization(rows=rows, k_bound=abs(det) // (g * g))
 
 
 def _mul_quadratics(a, b):
@@ -120,9 +99,8 @@ class ThueInstance:
 
 @dataclass(frozen=True)
 class ThueReduction:
-    """raw_form = content * form; one instance per divisor k with integral rhs."""
+    """The primitive quartic form; one instance per divisor k with integral rhs."""
 
-    raw_form: BinaryQuarticForm
     form: BinaryQuarticForm
     instances: tuple[ThueInstance, ...]
 
@@ -168,4 +146,4 @@ def thue_reduction(par: Parametrization, q: TernaryForm, target: int) -> ThueRed
         rhs, rem = divmod(abs(target) * k * k, cont)
         if rem == 0:
             instances.append(ThueInstance(k=k, rhs=rhs))
-    return ThueReduction(raw_form=raw, form=prim, instances=tuple(instances))
+    return ThueReduction(form=prim, instances=tuple(instances))

@@ -30,8 +30,9 @@ whole family by `_cones` (each sum it solves is at most 2^24 + 1, whence
 t <= 4095): 108 cones, all at t <= 256.  The sieve closes 74: the 22
 without a rational point and 52 of the 86 soluble ones (46 mod 32, 6 mod
 5).  The 34 residual cones form 17 sigma-pairs, each with its s > 0 base
-point in closed form (`find_point`), so every searched branch ends in a
-proof or a Thue search.
+point in closed form (`find_point`), and `parametrize` never fails on a
+branch cone (its Hessian determinant is 2 F(u, v) != 0), so every searched
+branch ends in a proof or a Thue search.
 
 Every emitted element is re-verified against both the basis-determinant
 oracle |det(1, e, e^2, e^3)| and the resolvent-form computation.  The box
@@ -53,7 +54,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .fieldmodel import (_BASIS_NUM, _CLASS_GN, FamilyParameter, V2Class, odd_square_divisor,
-                         v2, v2_class, validate_parameter)
+                         v2, v2_class)
 from .elements import (AlgebraicInt, _basis_det, _mult_table, canonical_triple, index_oracle,
                        power_part, sigma, to_power_rep, triple_from_xyz)
 from .indexcore import (NotInRange, TernaryForm, family_forms, index_via_forms,
@@ -419,11 +420,6 @@ def minimal_index(param: FamilyParameter,
                 trace={c: tuple(sorted(hits)) for c, hits in found.items()},
                 hypothesis_ok=param.odd_part_squarefree)
     raise VerificationError(f"no index <= n found for t={param.t}; I(xi) = n is always attained")
-
-
-def minimal_index_for(t: int, allow_hypothesis_violation: bool = False,
-                      **kwargs) -> MinimalIndexResult:
-    return minimal_index(validate_parameter(t, allow_hypothesis_violation), **kwargs)
 
 
 def enumerate_case2_triples(t_max: int) -> list[CaseTwoTriple]:

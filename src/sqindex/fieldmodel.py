@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
+from operator import index
 
 # Supported range for the trial-division squarefree test of the odd part
 # of t^2 + 16.  Enough for desk scale; raise deliberately, not silently.
@@ -133,13 +134,17 @@ class FamilyParameter:
 def validate_parameter(t: int, allow_hypothesis_violation: bool = False) -> FamilyParameter:
     """Validate t and return the populated FamilyParameter.
 
-    Rejects t <= 0, t = 3, and t whose t^2 + 16 has an odd square factor;
+    Rejects a non-integer t (`operator.index`: 12.9 is not truncated),
+    t <= 0, t = 3, and t whose t^2 + 16 has an odd square factor;
     the last rejection can be overridden, in which case the result is
     flagged with odd_part_squarefree=False and downstream results are
     relative to the standard basis lattice rather than a guaranteed
     maximal order.
     """
-    t = int(t)
+    try:
+        t = index(t)
+    except TypeError:
+        raise ParameterError(f"t must be an integer, got {t!r}") from None
     if t <= 0:
         raise NonPositiveParameter(f"t must be positive, got {t}")
     if t == 3:

@@ -86,6 +86,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
+from operator import index
 
 
 class UnsupportedW(ValueError):
@@ -424,7 +425,7 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     """All canonical pairs with |p|,|q| <= bound and form(p,q) = v, for each target v.
 
     The form must be totally real with c0 != 0 and no rational root and
-    every target nonzero (module docstring).  Only the p allowed by the
+    every target a nonzero integer, not a float (module docstring).  Only the p allowed by the
     root windows and the convergent tails are tried, row by row, and every
     candidate is re-checked in exact integers; a pair found from two roots
     counts once.
@@ -435,7 +436,7 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
         raise ValueError(f"the form {form.coeffs} has a repeated linear factor")
     if not form.totally_real():
         raise ValueError(f"the form {form.coeffs} is not totally real with c0 != 0")
-    targets = sorted(set(int(v) for v in targets))
+    targets = sorted(set(map(index, targets)))
     if 0 in targets:
         raise ValueError("the right side 0 is not supported")
     c0, c1, c2, c3, c4 = form.coeffs

@@ -189,7 +189,10 @@ def test_criterion_9_worked_example_regression():
         assert par.rows == ((-38, -344, 480), (-22, -272, 368), (2, 24, -32))
         assert par.k_bound == 384
         red = thue_reduction(par, q2, v)
-        assert red.raw_form.coeffs == (8, 128, 128, -3072, 3328)
+        # the quartic is 8 * form, so rhs = 2 * k^2 / 8 for the even k | 384
+        assert red.form.coeffs == (1, 16, 16, -384, 416)
+        assert all(inst.rhs * 8 == 2 * inst.k ** 2 for inst in red.instances)
+        assert [inst.k for inst in red.instances] == [k for k in range(2, 385, 2) if 384 % k == 0]
         targets = set()
         for inst in red.instances:
             targets.update((inst.rhs, -inst.rhs))

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from sqindex import cli, driver, fieldmodel
 from sqindex.cli import MAX_BRUTE_BOX, MAX_THUE_BOUND, MAX_THUE_RHS, build_parser, main
-from sqindex.fieldmodel import MAX_SUPPORTED_T, V2Class
-from sqindex.driver import DEFAULT_THUE_BOUND, minimal_index_for
+from sqindex.fieldmodel import MAX_SUPPORTED_T, V2Class, validate_parameter
+from sqindex.driver import DEFAULT_THUE_BOUND, minimal_index
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
 
 
@@ -169,7 +169,7 @@ def test_brute_check_agrees_on_what_its_box_holds(capsys, argv, same_m):
 
 
 def test_brute_check_disagrees_when_an_element_in_the_box_is_missing(capsys, monkeypatch):
-    res = minimal_index_for(12)
+    res = minimal_index(validate_parameter(12))
     dropped = next(e for e in res.elements if max(map(abs, e)) <= 30)
     monkeypatch.setattr(cli, "minimal_index", lambda param, thue_bound: replace(
         res, elements=tuple(e for e in res.elements if e != dropped)))

@@ -1,3 +1,4 @@
+import random
 from math import gcd, isqrt
 
 import numpy as np
@@ -6,8 +7,8 @@ import sympy
 
 from sqindex.elements import triple_from_xyz
 from sqindex.fieldmodel import validate_parameter
-from sqindex.indexcore import TernaryForm, family_forms
-from sqindex.conic import DegeneratePoint, divisors, parametrize, thue_reduction
+from sqindex.indexcore import TernaryForm, family_forms, rhs_decompositions
+from sqindex.conic import DegeneratePoint, _det3, divisors, parametrize, thue_reduction
 from sqindex.driver import (Hit, branch_candidates, candidate_uv_pairs, enumerate_case2_triples,
                             find_point, local_sieve)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T
@@ -212,7 +213,6 @@ def test_parametrize_case1_rows():
             par = parametrize(TernaryForm.combine(0, q1, -s, q2), (-6, 0, 1))
             assert par.rows == ((s, -s * t, -6 * s), (0, s, -s * t), (0, 0, s))
             assert par.k_bound == s
-            assert par.base_point == (-6, 0, 1)
 
 
 def test_parametrize_worked_example_rows():
@@ -255,9 +255,9 @@ def test_thue_reduction_case1():
     _, q1, q2 = family_forms(t)
     par = parametrize(TernaryForm.combine(0, q1, -4, q2), (-6, 0, 1))
     red = thue_reduction(par, q1, 4)
-    assert red.raw_form.coeffs == tuple(16 * c for c in family_form(t).coeffs)
-    assert [(inst.k, inst.rhs) for inst in red.instances] == [(2, 1), (4, 4)]
     assert red.form == family_form(t)
+    # rhs * content = 4 * k^2 for each instance: the quartic is 16 * F_t
+    assert [(inst.k, inst.rhs) for inst in red.instances] == [(2, 1), (4, 4)]
 
 
 def test_thue_reduction_case1_i3_infeasible_or_unsolvable():
@@ -276,13 +276,13 @@ def test_thue_reduction_worked_example():
     q0 = TernaryForm((2, 24, -32, 332, -360, 482))
     par = parametrize(q0, (-15, -11, 1))
     _, q1, q2 = family_forms(12)
-    red = thue_reduction(par, q2, 2)
-    assert red.raw_form.coeffs == (8, 128, 128, -3072, 3328)
-    red1 = thue_reduction(par, q1, 20)
-    assert red1.raw_form.coeffs == (80, 1280, 1280, -30720, 33280)
-    ks = [inst.k for inst in red1.instances]
-    assert all(384 % k == 0 for k in ks)
-    assert 1 not in ks  # 20*1/80 is not an integer
+    # rhs * content = |target| * k^2: the quartics are 8 and 80 times the form, so
+    # both keep the even k | 384 with rhs = k^2 / 4 (k = 1 gives 20/80, not an integer)
+    even = [(k, k * k // 4) for k in divisors(384) if k % 2 == 0]
+    for qform, target in ((q2, 2), (q1, 20)):
+        red = thue_reduction(par, qform, target)
+        assert red.form.coeffs == (1, 16, 16, -384, 416)
+        assert [(inst.k, inst.rhs) for inst in red.instances] == even
 
 
 def test_sign_symmetry_of_uv_candidates():
@@ -367,3 +367,135 @@ def test_degenerate_point_raises():
     q0 = TernaryForm((0, 0, 0, 1, 0, 0))
     with pytest.raises(DegeneratePoint):
         parametrize(q0, (0, 1, 0))
+
+
+def _hessian_det(q0):
+    a, b, c, d, e, f = q0.coeffs
+    return _det3(((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f)))
+
+
+_X, _Y, _Z, _P, _Q = sympy.symbols("x y z p q")
+
+
+def _line_scheme(q0, point):
+    """The rows of the scheme with pivot r from its definition, and r, before any sign choice.
+
+    r is the first nonzero coordinate of the point in the order z, y, x, and
+    T puts (p, q) on the other two.  On the line (x, y, z) = s*P + T, Q0 = 0
+    reads s*L + Q0(T) = 0 with L = grad Q0(P).T, so L*(x, y, z) = -(Q0(T)*P - L*T),
+    and the rows are the coefficients of Q0(T)*P - L*T in (p^2, pq, q^2).
+    """
+    r = next(i for i in (2, 1, 0) if point[i] != 0)
+    f0, f1 = (i for i in range(3) if i != r)
+    T = [0, 0, 0]
+    T[f0], T[f1] = _P, _Q
+    xyz = (_X, _Y, _Z)
+    at_point = dict(zip(xyz, point))
+    lin = sum(sympy.diff(q0(*xyz), w).subs(at_point) * T[i] for i, w in enumerate(xyz))
+    rows = [sympy.Poly(sympy.expand(q0(*T) * point[i] - lin * T[i]), _P, _Q)
+            for i in range(3)]
+    return [tuple(row.coeff_monomial(m) for m in (_P * _P, _P * _Q, _Q * _Q)) for row in rows], r
+
+
+def test_cone_hessian_determinant_is_twice_the_resolvent():
+    # det H(v*Q1 - u*Q2) = 2 F(u, v) in Z[t, u, v]: a branch cone, F(u, v) = +-g^6 m / n,
+    # is never singular
+    t, u, v = sympy.symbols("t u v")
+    f, q1, q2 = family_forms(t)
+    assert sympy.expand(_hessian_det(TernaryForm.combine(v, q1, -u, q2)) - 2 * f(u, v)) == 0
+
+
+def test_scheme_determinant_is_the_hessian_determinant_times_the_pivot_cubed():
+    # with generic coefficients, one of them solved from Q0(P) = 0 so that P is on the
+    # cone: det C = -+P_r^3 det H / 2 for each pivot r (the sign of the raw scheme;
+    # the sign normalization may flip it), so a scheme fails exactly on a singular cone
+    coeffs = sympy.symbols("a b c d e f")
+    x, y, z = sympy.symbols("X Y Z")
+    for point, solved, sign in (((x, y, z), 5, -1), ((x, y, 0), 2, 1), ((x, 0, 0), 0, -1)):
+        generic = list(coeffs)
+        generic[solved] = sympy.solve(TernaryForm(coeffs)(*point), coeffs[solved])[0]
+        q0 = TernaryForm(tuple(generic))
+        assert sympy.cancel(q0(*point)) == 0
+        rows, r = _line_scheme(q0, point)
+        assert r == {5: 2, 2: 1, 0: 0}[solved]
+        assert sympy.cancel(_det3(rows) - sign * point[r] ** 3 * _hessian_det(q0) / 2) == 0
+
+
+def _random_cone_through(rng, point, radius):
+    """A random integer cone through the point: a sum of L*M with L(point) = 0."""
+    a, b, c = point
+    coeffs = [0] * 6
+    for l0, l1, l2 in ((b, -a, 0), (c, 0, -a), (0, c, -b)):
+        k = rng.randint(-2, 2)
+        m0, m1, m2 = (rng.randint(-radius, radius) for _ in range(3))
+        l0, l1, l2 = k * l0, k * l1, k * l2
+        for j, term in enumerate((l0 * m0, l0 * m1 + l1 * m0, l1 * m1, l0 * m2 + l2 * m0,
+                                  l1 * m2 + l2 * m1, l2 * m2)):
+            coeffs[j] += term
+    return TernaryForm(tuple(coeffs))
+
+
+def test_parametrize_is_the_normalized_line_scheme():
+    # parametrize against the scheme's definition on seeded cones through points with
+    # each pivot, singular ones among them: the same rows once the pivot row leads with
+    # a positive entry, k_bound * content(C)^2 = |P_r|^3 |det H| / 2, and
+    # DegeneratePoint exactly when det H = 0
+    rng = random.Random(43)
+    seen = {(r, singular): 0 for r in range(3) for singular in (False, True)}
+    for i in range(600):
+        pivot = i % 3  # coordinates after the pivot are 0, so it comes first in z, y, x
+        point = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) if j == pivot
+                      else rng.randint(-4, 4) if j < pivot else 0 for j in range(3))
+        q0 = _random_cone_through(rng, point, rng.choice((1, 5)))
+        rows, r = _line_scheme(q0, point)
+        det_h = _hessian_det(q0)
+        seen[r, det_h == 0] += 1
+        if det_h == 0:
+            with pytest.raises(DegeneratePoint):
+                parametrize(q0, point)
+            continue
+        lead = next(c for c in rows[r] if c != 0)
+        want = tuple(tuple(int(c) if lead > 0 else -int(c) for c in row) for row in rows)
+        par = parametrize(q0, point)
+        content = gcd(*par.rows[0], *par.rows[1], *par.rows[2])
+        assert par.rows == want, (q0, point)
+        assert par.k_bound * content ** 2 == abs(point[r]) ** 3 * abs(det_h) // 2
+    assert min(seen.values()) >= 5, seen
+
+
+def _parametrized_cones():
+    """(t, u, v) of every cone the driver parametrizes: the case-I cones of the
+    24 golden t and the 17 residual cones with s > 0."""
+    cones = []
+    for t in sorted(set(EXCEPTIONAL_T) | set(GENERIC_SAMPLE_T)):
+        param = validate_parameter(t, allow_hypothesis_violation=True)
+        for m in range(1, param.n + 1):
+            a, l = rhs_decompositions(param, m)
+            if a == 1 and l % 3 == 0:
+                cones.append((t, 1 << l // 3, 0))
+    for c in enumerate_case2_triples(256):
+        param = validate_parameter(c.t, allow_hypothesis_violation=True)
+        if c.u + 2 * c.v > 0 and local_sieve(param, c.u, c.v) is None:
+            cones.append((c.t, c.u, c.v))
+    return cones
+
+
+def test_k_bound_times_content_squared_is_the_pivot_cubed_times_the_resolvent():
+    # |det C| = |P_r|^3 |det H| / 2 = |P_r|^3 |F(u, v)| on every parametrized cone,
+    # and F(u, v) != 0 there, so none raises DegeneratePoint.  Two cones pivot on y,
+    # both through (2, 1, 0); minimal_index reaches only (u, v) = (2, 1) at t = 2, as
+    # (14, 1) at t = 8 has m = 11, above that field's minimal index 4
+    cones = _parametrized_cones()
+    assert len(set(cones)) == len(cones) == 43 + 17  # 43 case-I cones, 17 residual ones
+    y_pivots = []
+    for t, u, v in cones:
+        f, q1, q2 = family_forms(t)
+        point = find_point(t, u, v)
+        r = next(i for i in (2, 1, 0) if point[i] != 0)
+        if r != 2:
+            y_pivots.append((t, u, v, point, r))
+        par = parametrize(TernaryForm.combine(v, q1, -u, q2), point)
+        content = gcd(*par.rows[0], *par.rows[1], *par.rows[2])
+        assert f(u, v) != 0
+        assert par.k_bound * content ** 2 == abs(point[r]) ** 3 * abs(f(u, v)), (t, u, v)
+    assert y_pivots == [(2, 2, 1, (2, 1, 0), 1), (8, 14, 1, (2, 1, 0), 1)]

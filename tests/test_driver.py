@@ -26,7 +26,7 @@ from sqindex import driver
 from sqindex.driver import (GaloisImage, Hit, VerificationError, _collect_solution,
                             _corner_table, _index_scan, branch_candidates, brute_force_minimal,
                             candidate_uv_pairs, enumerate_case2_triples, find_point, local_sieve,
-                            minimal_index, minimal_index_for)
+                            minimal_index)
 from sqindex.goldens import EXCEPTIONAL_T, GENERIC_SAMPLE_T, case2_golden, expected_minimal
 from test_conic import _GOLDEN_OBSTRUCTED, _find_point_by_rows
 
@@ -132,11 +132,11 @@ def test_case2_t12():
 
 
 def test_minimal_index_examples():
-    res = minimal_index_for(4)
+    res = minimal_index(validate_parameter(4))
     assert res.m == 1 and len(res.elements) == 6
-    res = minimal_index_for(1)
+    res = minimal_index(validate_parameter(1))
     assert res.m == 2 and len(res.elements) == 8
-    res = minimal_index_for(32)
+    res = minimal_index(validate_parameter(32))
     assert res.m == 16 and len(res.elements) == 10
 
 
@@ -144,7 +144,7 @@ def test_minimal_index_verifies_both_oracles():
     from sqindex.elements import AlgebraicInt, index_oracle
     from sqindex.indexcore import index_via_forms
     from sqindex.elements import to_power_rep
-    res = minimal_index_for(12)
+    res = minimal_index(validate_parameter(12))
     param = validate_parameter(12)
     for trip in res.elements:
         e = AlgebraicInt((0, *trip))
@@ -153,23 +153,23 @@ def test_minimal_index_verifies_both_oracles():
 
 
 def test_minimal_index_rigor_flags():
-    assert minimal_index_for(6).rigor.proven
+    assert minimal_index(validate_parameter(6)).rigor.proven
     # every case-II branch at or below m is closed by the local sieve
-    assert minimal_index_for(5).rigor.proven  # the m = 1 pair closes mod 32
-    assert minimal_index_for(48).rigor.proven
+    assert minimal_index(validate_parameter(5)).rigor.proven  # the m = 1 pair closes mod 32
+    assert minimal_index(validate_parameter(48)).rigor.proven
     # a residual cone ran a Thue search
-    assert minimal_index_for(2).rigor == Rigor.bounded(DEFAULT_THUE_BOUND)
-    assert minimal_index_for(64).rigor == Rigor.bounded(DEFAULT_THUE_BOUND)
+    assert minimal_index(validate_parameter(2)).rigor == Rigor.bounded(DEFAULT_THUE_BOUND)
+    assert minimal_index(validate_parameter(64)).rigor == Rigor.bounded(DEFAULT_THUE_BOUND)
 
 
 def test_minimal_index_hypothesis_flag():
-    res = minimal_index_for(28, allow_hypothesis_violation=True)
+    res = minimal_index(validate_parameter(28, allow_hypothesis_violation=True))
     assert res.m == 7 and not res.hypothesis_ok
 
 
 def test_trace_provenance_present():
     # the searched cone's elements carry Thue Hits, its mate's carry sigma-images
-    res = minimal_index_for(12)
+    res = minimal_index(validate_parameter(12))
     assert set(res.trace) == set(res.elements)
     kinds = set()
     for records in res.trace.values():

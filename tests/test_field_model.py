@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from sqindex.fieldmodel import (ExcludedParameter, NonPositiveParameter,
-                                OddSquareFactor, V2Class, odd_square_divisor,
+                                OddSquareFactor, ParameterError, V2Class, odd_square_divisor,
                                 validate_parameter)
 
 
@@ -88,6 +88,13 @@ def test_validate_examples():
     assert exc.value.factor == 25
     p = validate_parameter(12)  # 12^2 + 16 = 160 = 2^5 * 5
     assert p.v2_class is V2Class.V2
+
+
+@pytest.mark.parametrize("t", [12.9, 12.0, Fraction(12), "12", None])
+def test_validate_rejects_a_non_integral_t(t):
+    # t goes through operator.index: 12.9 is refused, not truncated to 12
+    with pytest.raises(ParameterError, match="must be an integer"):
+        validate_parameter(t)
 
 
 def test_validate_is_pure():

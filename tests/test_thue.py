@@ -356,6 +356,13 @@ def test_bounded_search_rejects_the_right_side_zero():
         bounded_search_multi(family_form(5), [12, 0], 10)
 
 
+@pytest.mark.parametrize("targets", [[12.7], [12.0, 13], ["12"]])
+def test_bounded_search_rejects_a_non_integral_right_side(targets):
+    # the right sides go through operator.index: 12.7 is refused, not searched as 12
+    with pytest.raises(TypeError):
+        bounded_search_multi(family_form(5), targets, 50)
+
+
 def test_family_form_discriminant():
     assert family_form(1).invariants() == (51, 0)
     for t in (1, 2, 5, 12, 28, 256, 10 ** 6):
