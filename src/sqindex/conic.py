@@ -66,14 +66,14 @@ def parametrize(q0: TernaryForm, point: tuple[int, int, int]) -> Parametrization
     grad = (2 * cxx * x0 + cxy * y0 + cxz * z0,
             cxy * x0 + 2 * cyy * y0 + cyz * z0,
             cxz * x0 + cyz * y0 + 2 * czz * z0)
-    pivot = next(i for i in (2, 1, 0) if point[i])
-    f0, f1 = (i for i in range(3) if i != pivot)
+    pivot = 2 if z0 else 1 if y0 else 0
+    f0, f1 = ((1, 2), (0, 2), (0, 1))[pivot]
     qt = ((cyy, cyz, czz), (cxx, cxz, czz), (cxx, cxy, cyy))[pivot]  # Q0 on the free pair
-    lam, mu = grad[f0], grad[f1]
-    lt = {f0: (lam, mu, 0), f1: (0, lam, mu), pivot: (0, 0, 0)}  # L*T, L = lam*p + mu*q
-    rows = [[c * point[i] - d for c, d in zip(qt, lt[i])] for i in range(3)]
-    sign = -1 if next((c for c in rows[pivot] if c), 0) < 0 else 1
-    rows = tuple(tuple(sign * c for c in row) for row in rows)
+    lt = [(0, 0, 0)] * 3  # L*T over (p^2, pq, q^2), L = grad Q0(P) . T
+    lt[f0], lt[f1] = (grad[f0], grad[f1], 0), (0, grad[f0], grad[f1])
+    sign = -1 if next((c for c in qt if c), 0) * point[pivot] < 0 else 1  # pivot row: P_r*qt
+    rows = tuple((sign * (qt[0] * x - d0), sign * (qt[1] * x - d1), sign * (qt[2] * x - d2))
+                 for x, (d0, d1, d2) in zip(point, lt))
     det = _det3(rows)
     if det == 0:
         raise DegeneratePoint(f"the cone {q0} is singular")

@@ -425,10 +425,10 @@ def bounded_search_multi(form: BinaryQuarticForm, targets, bound: int
     """All canonical pairs with |p|,|q| <= bound and form(p,q) = v, for each target v.
 
     The form must be totally real with c0 != 0 and no rational root and
-    every target a nonzero integer, not a float (module docstring).  Only the p allowed by the
-    root windows and the convergent tails are tried, row by row, and every
-    candidate is re-checked in exact integers; a pair found from two roots
-    counts once.
+    every target a nonzero integer, not a float (module docstring).  Only
+    the p allowed by the root windows and the convergent tails are tried,
+    row by row, and every candidate is re-checked in exact integers; a pair
+    found from two roots counts once.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

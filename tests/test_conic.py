@@ -1,3 +1,4 @@
+import functools
 import random
 from math import gcd, isqrt
 
@@ -375,26 +376,37 @@ def _hessian_det(q0):
 
 
 _X, _Y, _Z, _P, _Q = sympy.symbols("x y z p q")
+_COEFFS, _POINT = sympy.symbols("a b c d e f"), sympy.symbols("X Y Z")
 
 
-def _line_scheme(q0, point):
-    """The rows of the scheme with pivot r from its definition, and r, before any sign choice.
+@functools.cache
+def _generic_line_scheme(r):
+    """The rows of the scheme with pivot r from its definition, before any sign choice,
+    as a function of the coefficients of Q0 and of the point P.
 
-    r is the first nonzero coordinate of the point in the order z, y, x, and
-    T puts (p, q) on the other two.  On the line (x, y, z) = s*P + T, Q0 = 0
-    reads s*L + Q0(T) = 0 with L = grad Q0(P).T, so L*(x, y, z) = -(Q0(T)*P - L*T),
-    and the rows are the coefficients of Q0(T)*P - L*T in (p^2, pq, q^2).
+    T puts (p, q) on the two coordinates other than r.  On the line
+    (x, y, z) = s*P + T, Q0 = 0 reads s*L + Q0(T) = 0 with L = grad Q0(P).T, so
+    L*(x, y, z) = -(Q0(T)*P - L*T), and the rows are the coefficients of
+    Q0(T)*P - L*T in (p^2, pq, q^2).
     """
-    r = next(i for i in (2, 1, 0) if point[i] != 0)
     f0, f1 = (i for i in range(3) if i != r)
     T = [0, 0, 0]
     T[f0], T[f1] = _P, _Q
+    q0 = TernaryForm(_COEFFS)
     xyz = (_X, _Y, _Z)
-    at_point = dict(zip(xyz, point))
+    at_point = dict(zip(xyz, _POINT))
     lin = sum(sympy.diff(q0(*xyz), w).subs(at_point) * T[i] for i, w in enumerate(xyz))
-    rows = [sympy.Poly(sympy.expand(q0(*T) * point[i] - lin * T[i]), _P, _Q)
+    rows = [sympy.Poly(sympy.expand(q0(*T) * _POINT[i] - lin * T[i]), _P, _Q)
             for i in range(3)]
-    return [tuple(row.coeff_monomial(m) for m in (_P * _P, _P * _Q, _Q * _Q)) for row in rows], r
+    entries = [[row.coeff_monomial(m) for m in (_P * _P, _P * _Q, _Q * _Q)] for row in rows]
+    return sympy.lambdify((_COEFFS, _POINT), entries, modules=[])
+
+
+def _line_scheme(q0, point):
+    """The unnormalized rows of the scheme at the first nonzero coordinate r of the
+    point in the order z, y, x, and r."""
+    r = next(i for i in (2, 1, 0) if point[i] != 0)
+    return [tuple(row) for row in _generic_line_scheme(r)(q0.coeffs, point)], r
 
 
 def test_cone_hessian_determinant_is_twice_the_resolvent():
